@@ -218,6 +218,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     else:
         D = build_poset(P)
         trace = uprocess.canonical_process(P)
+        best, anchors = uchains.max_simple_u_chains(P)
         record = {
             "schema": SCHEMA_VERSION,
             "P": list(P.parts),
@@ -226,8 +227,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
             "lambda_U": list(uchains.lambda_u(P).parts),
             "r_P": r_of(P),
             "max_simple": {
-                "size": uchains.max_simple_u_chains(P)[0],
-                "anchors": list(uchains.max_simple_u_chains(P)[1]),
+                "size": best,
+                "anchors": list(anchors),
             },
             "poset": json.loads(export_json(D)),
             "canonical_process": json.loads(uprocess.trace_to_json(trace)),

@@ -83,3 +83,7 @@ class NotNilpotent(NilcommError):
 
 class IncomparableSamples(NilcommError):
     """Sampled Jordan types have no dominance-maximum; refusing to guess."""
+
+
+class Int64BoundExceeded(NilcommError):
+    """A product mod p would leave int64: it is exact only while inner_dim*(p-1)^2 < 2^63."""

@@ -13,6 +13,17 @@ The infinite ground field is replaced by a prime field; a random
 specialization preserves generic ranks except with probability on the
 order of 1/p per minor, so taking the dominance maximum over a handful of
 samples recovers the generic type with overwhelming probability.
+
+A sample's Jordan type is read from the ranks of its powers, which come
+from restriction to the image instead of from the powers themselves: the
+matrix is restricted to its own image, written in the reduced echelon
+basis of that image, and the step repeats on the smaller matrix.  One
+exact elimination kernel, ``_rref``, serves this and ``rank_mod``.
+
+All arithmetic is in int64 on entries reduced to [0, p).  A product of
+inner dimension n is exact only while n*(p-1)^2 < 2^63; every product
+checks this where it is formed and raises ``Int64BoundExceeded`` past it,
+so no result is ever computed from a wrapped sum.
 """
 from __future__ import annotations
 
@@ -23,6 +34,7 @@ import numpy as np
 from .errors import (
     CommutationCheckFailed,
     IncomparableSamples,
+    Int64BoundExceeded,
     NotNilpotent,
     PosetTooLarge,
 )
@@ -31,6 +43,7 @@ from .poset import Vertex, build_poset, vertex_list
 from .uchains import lambda_u
 
 DEFAULT_PRIME = 1_000_003
+INT64_LIMIT = 1 << 63
 
 
 def _is_prime(m: int) -> bool:
@@ -56,10 +69,28 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.p >= 1 << 28:
-            raise ValueError("moduli above 2^28 would overflow int64 accumulation")
+            raise ValueError(
+                f"modulus {self.p} is not below 2^28; even below it, an int64 product "
+                "of inner dimension n is exact only while n*(p-1)^2 < 2^63, "
+                "which is checked where each product is formed"
+            )
+
+
+def _check_int64(inner: int, p: int) -> None:
+    """Refuse a product mod p whose int64 accumulation could overflow.
+
+    With factors reduced to [0, p), a dot product of length ``inner`` is at
+    most inner*(p-1)^2 in absolute value.
+    """
+    if inner * (p - 1) ** 2 >= INT64_LIMIT:
+        raise Int64BoundExceeded(
+            f"int64 products mod {p} are exact only while inner_dim*(p-1)^2 < 2^63; "
+            f"inner dimension {inner} exceeds that"
+        )
 
 
 def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    _check_int64(A.shape[1], p)
     return (A @ B) % p
 
 
@@ -118,6 +149,7 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     A = np.zeros((n, n), dtype=np.int64)
     params: dict[tuple[tuple[int, int], tuple[int, int]], tuple[int, ...]] = {}
     blocks = _blocks(P)
+    steps = np.arange(n)
     for p, k, start in blocks:
         for p2, k2, start2 in blocks:
             jmin = max(1, p2 - p + 1)
@@ -128,11 +160,10 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
                     continue
                 t = int(rng.integers(0, p_mod))
                 coeffs.append(t)
-                if t:
-                    for u in range(1, p + 1):
-                        u2 = u + j - 1
-                        if u2 <= p2:
-                            A[start2 + u2 - 1, start + u - 1] = t
+                # Shift j carries basis index u of row (p, k) to u + j - 1 of
+                # row (p2, k2), for the p2 - j + 1 values of u that stay in it.
+                band = steps[:p2 - j + 1]
+                A[start2 + j - 1 + band, start + band] = t
             params[((p, k), (p2, k2))] = tuple(coeffs)
 
     B = jordan_matrix(P)
@@ -168,54 +199,68 @@ def structural_action_pairs(P: Partition) -> frozenset[tuple[Vertex, Vertex]]:
     return frozenset(pairs)
 
 
-def rank_mod(A: np.ndarray, p: int) -> int:
-    """Rank over the prime field by Gaussian elimination."""
-    M = (A % p).astype(np.int64).copy()
-    rows, cols = M.shape
-    r = 0
+def _rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of M over the field with p elements.
+
+    Returns the nonzero rows R of the form and the pivot columns, so that
+    R[i, pivots[j]] == (i == j).  Each pivot clears its column in all rows
+    with one outer-product update, after which the scaled pivot row is
+    written back.  The update touches only the pivot column and those right
+    of it, because the pivot row, taken from the rows not yet used as
+    pivots, is zero left of its pivot.
+    """
+    _check_int64(1, p)
+    R = (M % p).astype(np.int64, copy=False)
+    rows, cols = R.shape
+    pivots: list[int] = []
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if M[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            M[[r, pivot]] = M[[pivot, r]]
-        inv = pow(int(M[r, c]), -1, p)
-        M[r] = (M[r] * inv) % p
-        for i in range(rows):
-            if i != r and M[i, c]:
-                M[i] = (M[i] - M[i, c] * M[r]) % p
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
-    return r
+        below = R[r:, c].nonzero()[0]
+        if not below.size:
+            continue
+        i = r + below[0]
+        if i != r:
+            R[[r, i], c:] = R[[i, r], c:]
+        row = R[r, c:] * pow(int(R[r, c]), -1, p) % p
+        hits = R[:, c].nonzero()[0]
+        R[hits, c:] = (R[hits, c:] - R[hits, c, None] * row) % p
+        R[r, c:] = row
+        pivots.append(c)
+    return R[:len(pivots)], pivots
+
+
+def rank_mod(A: np.ndarray, p: int) -> int:
+    """Rank over the prime field by Gaussian elimination."""
+    return len(_rref(A, p)[1])
 
 
 def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
     """Jordan partition of a nilpotent matrix from its power-rank profile.
 
-    With d_k = n - rank(A^k), the differences (d_1, d_2-d_1, ...) list the
-    number of blocks of size >= k; their conjugate is the type.
+    rank(A^(k-1)) - rank(A^k) blocks have size >= k; the conjugate of
+    these counts is the type.
+
+    No power of A is formed.  Start from X = A.  The rows of the reduced
+    echelon form R of X^T are a basis of im X with R[i, piv_j] = [i == j],
+    so a vector of im X has its entries at the pivots as coordinates in
+    that basis.  X restricted to im X is therefore (X R^T)[piv, :] =
+    X[piv, :] R^T, a rank(X) x rank(X) matrix.  Its image is X(im X) =
+    im X^2, so repeating the step on it records rank(A), rank(A^2), ...
+    on matrices that shrink at every level, down to rank 0.  A level of
+    full rank means the matrix is not nilpotent.
     """
     n = A.shape[0]
-    if n == 0:
-        return Partition()
-    kernel_dims = []
-    power = np.eye(n, dtype=np.int64)
-    for _ in range(n):
-        power = _matmul(power, A, p)
-        d = n - rank_mod(power, p)
-        kernel_dims.append(d)
-        if d == n:
-            break
-    if kernel_dims[-1] != n:
-        raise NotNilpotent(f"matrix of size {n} has no vanishing power")
-    diffs = [kernel_dims[0]] + [kernel_dims[i] - kernel_dims[i - 1]
-                                for i in range(1, len(kernel_dims))]
-    return conjugate(Partition(diffs))
+    X = (A % p).astype(np.int64, copy=False)
+    ranks = [n]
+    while ranks[-1]:
+        R, piv = _rref(X.T, p)
+        if len(piv) == ranks[-1]:
+            raise NotNilpotent(f"matrix of size {n} has no vanishing power")
+        ranks.append(len(piv))
+        X = _matmul(X[piv], R.T, p)
+    return conjugate(Partition(ranks[k - 1] - ranks[k] for k in range(1, len(ranks))))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from nilcomm import matrixlab
-from nilcomm.errors import IncomparableSamples, NotNilpotent, PosetTooLarge
+from nilcomm.errors import IncomparableSamples, Int64BoundExceeded, NotNilpotent, PosetTooLarge
 from nilcomm.matrixlab import (
     PrimeField,
     conjecture_report,
@@ -21,6 +24,47 @@ from nilcomm.partitions import Partition, all_partitions, from_parts
 from nilcomm.uchains import lambda_u
 
 FIELD = PrimeField()
+BIG_PRIME = 268_435_399  # the largest prime below 2^28
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def partitions(draw, max_n):
+    remaining = draw(st.integers(1, max_n))
+    parts = []
+    while remaining:
+        parts.append(draw(st.integers(1, remaining)))
+        remaining -= parts[-1]
+    return Partition(parts)
+
+
+def sympy_matrix(A, p):
+    K = GF(p)
+    return DomainMatrix([[K(int(x)) for x in row] for row in A], A.shape, K).to_sparse()
+
+
+def reference_sample(P, field, seed):
+    """The sampler's per-coefficient loop, one matrix entry at a time."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((P.n, P.n), dtype=np.int64)
+    params = {}
+    blocks = matrixlab._blocks(P)
+    for p, k, start in blocks:
+        for p2, k2, start2 in blocks:
+            coeffs = []
+            for j in range(max(1, p2 - p + 1), p2 + 1):
+                if j == 1 and p == p2 and k >= k2:
+                    coeffs.append(0)
+                    continue
+                t = int(rng.integers(0, field.p))
+                coeffs.append(t)
+                if t:
+                    for u in range(1, p + 1):
+                        u2 = u + j - 1
+                        if u2 <= p2:
+                            A[start2 + u2 - 1, start + u - 1] = t
+            params[((p, k), (p2, k2))] = tuple(coeffs)
+    return params, A
 
 
 def test_prime_field_validation():
@@ -149,3 +193,61 @@ def test_conjecture_report_wire_format():
     assert rec["agree"] is True
     assert len(rec["types"]) == 3
     json.dumps(rec)  # serializable as-is
+
+
+@given(rows=st.integers(0, 12), cols=st.integers(0, 12), rank=st.integers(0, 12),
+       p=st.sampled_from([2, 3, 7, 1_000_003, BIG_PRIME]), seed=SEEDS)
+def test_rank_mod_matches_sympy(rows, cols, rank, p, seed):
+    # A product through an inner dimension of `rank`: full, deficient, or zero.
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, p, (rows, rank)).astype(object)
+    right = rng.integers(0, p, (rank, cols)).astype(object)
+    A = (left.dot(right) % p).astype(np.int64)
+    assert rank_mod(A, p) == sympy_matrix(A, p).rank()
+
+
+@settings(max_examples=40)
+@given(P=partitions(30), seed=SEEDS)
+def test_jordan_type_matches_sympy_power_ranks(P, seed):
+    A = sample_nilpotent_commutant(P, FIELD, seed).matrix
+    M = sympy_matrix(A, FIELD.p)
+    ranks = [P.n]
+    power = M
+    while ranks[-1]:
+        assert len(ranks) <= P.n
+        ranks.append(power.rank())
+        power = power * M
+    ranks.append(0)
+    # rank(A^(k-1)) - 2 rank(A^k) + rank(A^(k+1)) blocks have size exactly k
+    parts = [k for k in range(1, len(ranks) - 1)
+             for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]
+    assert jordan_type_from_ranks(A, FIELD.p) == Partition(parts)
+
+
+def test_sampler_matches_reference_loop():
+    for n in range(1, 11):
+        for P in all_partitions(n):
+            for seed in range(5):
+                s = sample_nilpotent_commutant(P, FIELD, seed)
+                params, A = reference_sample(P, FIELD, seed)
+                assert s.params == params
+                assert np.array_equal(s.matrix, A), (P, seed)
+
+
+def test_sampling_refuses_int64_overflow():
+    # n = 800 at p just below 2^28: 800 (p-1)^2 > 2^63, so int64 products would wrap.
+    with pytest.raises(Int64BoundExceeded, match=r"2\^63"):
+        sample_nilpotent_commutant(from_parts([80] * 10), PrimeField(BIG_PRIME), seed=0)
+
+
+def test_int64_bound_is_exact_up_to_its_edge():
+    # 128 (p-1)^2 < 2^63 <= 129 (p-1)^2 for the largest prime below 2^28.
+    worst = np.full((2, 128), BIG_PRIME - 1, dtype=np.int64)
+    exact = worst.astype(object).dot(worst.T.astype(object)) % BIG_PRIME
+    assert np.array_equal(matrixlab._matmul(worst, worst.T, BIG_PRIME), exact)
+    wider = np.full((2, 129), BIG_PRIME - 1, dtype=np.int64)
+    with pytest.raises(Int64BoundExceeded):
+        matrixlab._matmul(wider, wider.T, BIG_PRIME)
+    # The elimination update multiplies two residues: (p-1)^2 >= 2^63 past p = 2^32.
+    with pytest.raises(Int64BoundExceeded):
+        rank_mod(np.eye(2, dtype=np.int64), 4_294_967_311)
