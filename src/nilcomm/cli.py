@@ -85,11 +85,8 @@ def _check_partition(P: Partition, *, with_matrix: bool, prime: int, samples: in
     if any(parts[i] - parts[i + 1] < 2 for i in range(len(parts) - 1)):
         fail(f"{name}: parts of {lam_u} differ by less than 2")
 
-    for spec in uchains.iter_specs(P.max_part):
-        closed = uchains.cardinality_closed_form(P, spec)
-        realized = len(uchains.materialize(P, spec).union)
-        if closed != realized:
-            fail(f"{name}: spec {spec.anchors} closed form {closed} != {realized}")
+    for failure in uchains.strand_failures(P):
+        fail(f"{name}: {failure}")
 
     if P.n <= 8:
         profile = greene.chain_union_profile(D).cumulative
@@ -105,13 +102,14 @@ def _check_partition(P: Partition, *, with_matrix: bool, prime: int, samples: in
         fail(f"{name}: {exc}")
         return record
     record["processes"] = len(traces)
+    u = uchains.u_table(P)
     for t in traces:
         q = uprocess.q_of_trace(t)
         if q != lam_u:
             fail(f"{name}: trace {t.anchors} gives {q} != {lam_u}")
         for r in range(1, t.steps + 1):
             union_size = len(frozenset().union(*t.removed[:r]))
-            want = uchains.max_u_chain_cardinality(P, r)
+            want = u[min(r, len(u) - 1)]
             if union_size != want:
                 fail(f"{name}: trace {t.anchors} prefix {r} covers {union_size} != u_{r}={want}")
             uprocess.union_as_uchain(t, r)

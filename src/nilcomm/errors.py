@@ -11,6 +11,10 @@ class NilcommError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidParameter(NilcommError, ValueError):
+    """Raised when a numeric parameter, such as a modulus or a sample count, is out of range."""
+
+
 # -- partition input errors -------------------------------------------------
 
 class EmptyPartition(NilcommError):

@@ -35,6 +35,7 @@ from .errors import (
     CommutationCheckFailed,
     IncomparableSamples,
     Int64BoundExceeded,
+    InvalidParameter,
     NotNilpotent,
     PosetTooLarge,
 )
@@ -67,9 +68,9 @@ class PrimeField:
 
     def __post_init__(self):
         if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise InvalidParameter(f"{self.p} is not prime")
         if self.p >= 1 << 28:
-            raise ValueError(
+            raise InvalidParameter(
                 f"modulus {self.p} is not below 2^28; even below it, an int64 product "
                 "of inner dimension n is exact only while n*(p-1)^2 < 2^63, "
                 "which is checked where each product is formed"
@@ -283,7 +284,7 @@ def generic_jordan_type(P: Partition, field: PrimeField, samples: int, seed: int
     guessing.
     """
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise InvalidParameter("need at least one sample")
     seeds = tuple(seed + i for i in range(samples))
     types = tuple(
         jordan_type_from_ranks(sample_nilpotent_commutant(P, field, s).matrix, field.p)

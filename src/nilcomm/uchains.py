@@ -4,14 +4,19 @@ An r-anchor specification is a list a_1 < ... < a_r of positive integers
 with consecutive anchors at least 2 apart, so the pairs {a_i, a_i+1} are
 disjoint.  Strand i of the family consists of the middle band
 i <= u <= p-i+1 of the levels p in {a_i, a_i+1} together with the two
-rail positions u in {i, p-i+1} of every higher level.  Each strand is a
-chain and distinct strands are disjoint.
+rail positions u in {i, p-i+1} of every higher level; it depends only on
+(a_i, i) and is realized once, by ``strand``.  Each strand is a chain and
+distinct strands are disjoint.
 
-Cardinalities satisfy a peeling recurrence: removing the lowest anchor a
-from a specification costs the simple-chain size of a minus twice the
-multiplicity mass of every remaining anchor pair.  Expanding the
-recurrence gives the additive form used by the profile solver: anchor a
-in slot i contributes its simple size minus 2*(i-1)*(mult(a)+mult(a+1)).
+The closed-form size of a family is additive: anchor a in slot i
+contributes its simple size minus 2*(i-1)*(mult(a)+mult(a+1)).  It is the
+expansion of a peeling recurrence (removing the lowest anchor a costs the
+simple-chain size of a minus twice the multiplicity mass of every
+remaining anchor pair), which the tests keep as an oracle.  The same slot
+weights drive the profile solver.  ``strand_failures`` verifies the
+closed form against the realized vertex sets for all specifications at
+once, strand by strand; the per-specification comparison is the tests'
+oracle.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from typing import Iterator
 
 from .errors import NonMonotoneProfile, NotMaximumSimpleChain
 from .partitions import Partition
-from .poset import Vertex, sort_key
+from .poset import Vertex
 
 
 @dataclass(frozen=True)
@@ -60,29 +65,39 @@ class UChainInstance:
     union: frozenset[Vertex]
 
 
+def strand(P: Partition, a: int, i: int) -> frozenset[Vertex]:
+    """Strand i (1-based slot) of anchor a inside the basis poset of P.
+
+    The middle band i <= u <= p-i+1 of the levels p in {a, a+1} and the
+    rail positions u in {i, p-i+1} of every higher level.  Empty when a
+    lies above the largest part.
+    """
+    out: set[Vertex] = set()
+    for p in P.distinct_parts():
+        if p < a:
+            continue
+        if p <= a + 1:
+            positions = range(i, p - i + 2)
+        elif i <= p:  # both rails lie in 1..p exactly when i <= p
+            positions = {i, p - i + 1}
+        else:
+            continue
+        for k in range(1, P.mult(p) + 1):
+            for u in positions:
+                out.add((u, p, k))
+    return frozenset(out)
+
+
 def materialize(P: Partition, spec: UChainSpec) -> UChainInstance:
     """Realize the strands of ``spec`` inside the basis poset of P.
 
     Strands may be empty (anchors above the largest part select nothing).
     """
-    strands: list[frozenset[Vertex]] = []
-    for i, a in enumerate(spec.anchors, start=1):
-        strand: set[Vertex] = set()
-        for p in P.distinct_parts():
-            if p in (a, a + 1):
-                for k in range(1, P.mult(p) + 1):
-                    for u in range(i, p - i + 2):
-                        strand.add((u, p, k))
-            elif p > a + 1:
-                for k in range(1, P.mult(p) + 1):
-                    for u in {i, p - i + 1}:
-                        if 1 <= u <= p:
-                            strand.add((u, p, k))
-        strands.append(frozenset(strand))
+    strands = tuple([strand(P, a, i) for i, a in enumerate(spec.anchors, start=1)])
     union = frozenset().union(*strands)
     if len(union) != sum(len(s) for s in strands):
         raise AssertionError(f"strands of {spec} overlap in {P}")
-    return UChainInstance(spec, tuple(strands), union)
+    return UChainInstance(spec, strands, union)
 
 
 def simple_cardinality(P: Partition, a: int) -> int:
@@ -99,19 +114,50 @@ def simple_cardinality(P: Partition, a: int) -> int:
 
 
 def cardinality_closed_form(P: Partition, spec: UChainSpec) -> int:
-    """Size of the family by repeatedly peeling the lowest anchor."""
-    anchors = list(spec.anchors)
-    total = 0
-    while anchors:
-        a = anchors.pop(0)
-        total += simple_cardinality(P, a)
-        total -= 2 * sum(P.mult(b) + P.mult(b + 1) for b in anchors)
-    return total
+    """Size of the family: the sum of its anchors' slot weights."""
+    return sum(_slot_weight(P, a, i) for i, a in enumerate(spec.anchors, start=1))
 
 
 def _slot_weight(P: Partition, a: int, slot: int) -> int:
     """Contribution of anchor a when it sits in 1-based slot i."""
     return simple_cardinality(P, a) - 2 * (slot - 1) * (P.mult(a) + P.mult(a + 1))
+
+
+def strand_failures(P: Partition) -> list[str]:
+    """Check ``cardinality_closed_form(P, s) == |materialize(P, s).union|``
+    for every specification s of ``iter_specs(P.max_part)`` at once.
+
+    Slot i of such a specification holds an anchor 2i-1 <= a <= M (M the
+    largest part), and its strand is ``strand(P, a, i)``.  Two checks:
+
+    * size: ``|strand(P, a, i)| == _slot_weight(P, a, i)`` for every such
+      slot and anchor;
+    * disjointness: ``strand(P, a, i)`` and ``strand(P, b, j)`` share no
+      vertex for i < j and a + 2(j-i) <= b <= M.  Anchors of a
+      specification increase by at least 2, so a_j >= a_i + 2(j-i): these
+      are exactly the strand pairs that occur together in some
+      specification.
+
+    Together they imply the identity for every specification: its strands
+    are pairwise disjoint, so the union has sum |strand| = sum of slot
+    weights = the closed form.  The work is O(M^2) strands and O(M^4)
+    disjointness tests instead of one realization per specification, of
+    which there are Fibonacci(M)-many.  Returns one message per failure.
+    """
+    M = P.max_part
+    slots = range(1, (M + 1) // 2 + 1)
+    strands = {(i, a): strand(P, a, i) for i in slots for a in range(2 * i - 1, M + 1)}
+    failures = []
+    for (i, a), s in strands.items():
+        weight = _slot_weight(P, a, i)
+        if len(s) != weight:
+            failures.append(f"strand {i} of anchor {a} has {len(s)} vertices != slot weight {weight}")
+    for (i, a), s in strands.items():
+        for j in range(i + 1, slots.stop):
+            for b in range(a + 2 * (j - i), M + 1):
+                if not s.isdisjoint(strands[j, b]):
+                    failures.append(f"strand {i} of anchor {a} meets strand {j} of anchor {b}")
+    return failures
 
 
 def max_simple_u_chains(P: Partition) -> tuple[int, tuple[int, ...]]:
@@ -151,12 +197,15 @@ def max_u_chain_cardinality(P: Partition, k: int) -> int:
     """
     if k <= 0 or P.n == 0:
         return 0
-    table = _u_table(P)
+    table = u_table(P)
     return table[min(k, len(table) - 1)]
 
 
-def _u_table(P: Partition) -> list[int]:
-    """Running maxima u_0, u_1, ..., one slot count per feasible length."""
+def u_table(P: Partition) -> list[int]:
+    """Running maxima u_0, u_1, ..., one slot count per feasible length.
+
+    u_k for k past the end equals the last entry.
+    """
     M = P.max_part
     max_slots = (M + 1) // 2
     best_exact: list[int] = []
@@ -192,7 +241,7 @@ def lambda_u(P: Partition) -> Partition:
     """
     if P.n < 1:
         raise ValueError("needs a nonempty partition")
-    table = _u_table(P)
+    table = u_table(P)
     k = 1
     diffs: list[int] = []
     while True:
@@ -275,8 +324,3 @@ def check_replacement(P: Partition, spec: UChainSpec, a: int) -> ReplacementResu
         if size >= original:
             return ReplacementResult(True, u, candidate, original, size, False)
     return ReplacementResult(False, None, None, original, None, False)
-
-
-def sorted_vertices(S: frozenset[Vertex]) -> list[Vertex]:
-    """Canonical listing of a vertex set, for stable output."""
-    return sorted(S, key=sort_key)

@@ -39,9 +39,6 @@ class RelabelMap:
     def apply(self, v: Vertex) -> Vertex:
         return self.forward[v]
 
-    def apply_level(self, level: int) -> int:
-        return level if level < self.anchor else level + 2
-
 
 def _relabel_vertex(v: Vertex, a: int) -> Vertex:
     u, p, k = v

@@ -60,6 +60,13 @@ def test_verify_with_matrix(capsys):
     assert "conjecture equality: 18/18" in out
 
 
+def test_verify_rejects_bad_matrix_parameters(capsys):
+    assert main(["verify", "1", "3", "--with-matrix", "--samples", "0"]) == 2
+    assert "error: need at least one sample" in capsys.readouterr().err
+    assert main(["verify", "1", "3", "--with-matrix", "--prime", "4"]) == 2
+    assert "error: 4 is not prime" in capsys.readouterr().err
+
+
 def test_run_sweep_records():
     report = run_sweep(1, 5, with_matrix=True, samples=3, seed=42)
     assert report.ok

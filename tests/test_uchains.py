@@ -1,5 +1,6 @@
 import pytest
 
+from nilcomm import uchains
 from nilcomm.errors import NotMaximumSimpleChain
 from nilcomm.partitions import all_partitions, dominance_leq, from_parts
 from nilcomm.poset import build_poset
@@ -14,6 +15,7 @@ from nilcomm.uchains import (
     max_simple_u_chains,
     max_u_chain_cardinality,
     simple_cardinality,
+    strand_failures,
 )
 
 
@@ -78,12 +80,91 @@ def test_closed_form_known_values():
     assert simple_cardinality(P2, 2) == 12
 
 
+def _peeled_cardinality(P, spec):
+    """Size of the family by repeatedly peeling the lowest anchor: it costs
+    the simple size of that anchor minus twice the multiplicity mass of
+    every remaining anchor pair."""
+    anchors = list(spec.anchors)
+    total = 0
+    while anchors:
+        a = anchors.pop(0)
+        total += simple_cardinality(P, a)
+        total -= 2 * sum(P.mult(b) + P.mult(b + 1) for b in anchors)
+    return total
+
+
 def test_closed_form_equals_enumeration():
     # one anchor beyond the largest part exercises the empty-strand boundary
     for n in range(1, 11):
         for P in all_partitions(n):
             for spec in iter_specs(P.max_part + 1):
-                assert cardinality_closed_form(P, spec) == len(materialize(P, spec).union), (P, spec)
+                closed = cardinality_closed_form(P, spec)
+                assert closed == _peeled_cardinality(P, spec), (P, spec)
+                assert closed == len(materialize(P, spec).union), (P, spec)
+
+
+def _per_spec_failures(P):
+    """The specifications whose closed form differs from their realization,
+    one realization each; strands that overlap count as a failure."""
+    failed = []
+    for spec in iter_specs(P.max_part):
+        try:
+            realized = len(materialize(P, spec).union)
+        except AssertionError:
+            failed.append(spec)
+            continue
+        if cardinality_closed_form(P, spec) != realized:
+            failed.append(spec)
+    return failed
+
+
+def _failing_partitions(n_max):
+    """Partitions of n <= n_max flagged by the strand check and by the
+    per-specification loop."""
+    by_strand, by_spec = [], []
+    for n in range(1, n_max + 1):
+        for P in all_partitions(n):
+            if strand_failures(P):
+                by_strand.append(P)
+            if _per_spec_failures(P):
+                by_spec.append(P)
+    return by_strand, by_spec
+
+
+def test_strand_check_agrees_with_per_spec_loop():
+    assert _failing_partitions(12) == ([], [])
+
+
+def test_strand_check_catches_a_wrong_slot_weight(monkeypatch):
+    slot_weight = uchains._slot_weight
+
+    def off_by_one(P, a, slot):
+        return slot_weight(P, a, slot) + (slot == 2 and a == P.max_part)
+
+    monkeypatch.setattr(uchains, "_slot_weight", off_by_one)
+    by_strand, by_spec = _failing_partitions(9)
+    # anchor M fits slot 2 only when M >= 3
+    assert by_strand == by_spec == [P for n in range(1, 10) for P in all_partitions(n)
+                                    if P.max_part >= 3]
+
+
+def test_strand_check_catches_overlapping_strands(monkeypatch):
+    # Strand 1 of anchor 1 also takes the rail vertex (2, M, 1) of every
+    # slot-2 strand; its weight grows to match, so only disjointness sees it.
+    strand, slot_weight = uchains.strand, uchains._slot_weight
+
+    def grabs_rail(P, a, i):
+        s = strand(P, a, i)
+        return s | {(2, P.max_part, 1)} if (a, i) == (1, 1) and P.max_part > 4 else s
+
+    def matching_weight(P, a, slot):
+        return slot_weight(P, a, slot) + ((a, slot) == (1, 1) and P.max_part > 4)
+
+    monkeypatch.setattr(uchains, "strand", grabs_rail)
+    monkeypatch.setattr(uchains, "_slot_weight", matching_weight)
+    by_strand, by_spec = _failing_partitions(9)
+    assert by_strand == by_spec == [P for n in range(1, 10) for P in all_partitions(n)
+                                    if P.max_part > 4]
 
 
 def test_max_simple_examples():
