@@ -76,7 +76,8 @@ def _check_partition(P: Partition, *, with_matrix: bool, prime: int, samples: in
     record["lambda_U"] = list(lam_u.parts)
 
     D = build_poset(P)
-    lam = greene.greene_lambda(D)
+    profile = greene.chain_union_profile(D)
+    lam = profile.lam
     record["lambda"] = list(lam.parts)
     if not dominance_leq(lam_u, lam):
         fail(f"{name}: chain invariant does not dominate the anchored one")
@@ -89,9 +90,9 @@ def _check_partition(P: Partition, *, with_matrix: bool, prime: int, samples: in
         fail(f"{name}: {failure}")
 
     if P.n <= 8:
-        profile = greene.chain_union_profile(D).cumulative
+        c = profile.cumulative
         for k in range(P.n + 1):
-            got = profile[k] if k < len(profile) else profile[-1]
+            got = c[k] if k < len(c) else c[-1]
             want = greene.oracle_max_k_chain_union(D, k)
             if got != want:
                 fail(f"{name}: flow c_{k}={got} != oracle {want}")

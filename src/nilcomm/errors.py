@@ -49,6 +49,13 @@ class NonMonotoneProfile(NilcommError):
     """
 
 
+class ChainCertificateFailed(NilcommError):
+    """The chains read off a flow are not k disjoint chains covering c_k vertices.
+
+    Signals a solver bug: every unit of a valid flow follows a chain.
+    """
+
+
 class NonMonotoneSizes(NilcommError):
     """Removal sizes of a full process failed to be weakly decreasing."""
 

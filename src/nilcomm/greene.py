@@ -1,83 +1,178 @@
 """Maximum chain unions and the chain invariant of a finite poset.
 
-For a poset of cardinality n, let ``c_k`` be the maximum number of
+For a poset of cardinality m, let ``c_k`` be the maximum number of
 vertices covered by a union of k chains (k disjoint chains, without loss
 of generality).  The successive differences ``c_k - c_{k-1}`` form a
-partition of n; this module computes the profile with a minimum-cost-flow
-solver and double-checks it against an exhaustive routine on small posets.
+partition of m (Greene, JCTA 20, 1976); this module computes the profile
+as a minimum-cost flow on the covering digraph, certifies every ``c_k``
+with explicit chains, and keeps an exhaustive routine for small posets.
 
-Flow formulation: split every vertex into an in/out pair joined by a
-unit-capacity arc of cost -1, connect out(v) -> in(w) whenever v < w in
-the closure, and give every vertex a unit source and sink arc.  Each
-augmentation along a cheapest path adds one chain; after k augmentations
-the accumulated cost is -c_k.  Successive shortest paths have weakly
-increasing cost, which makes the profile concave by construction.
+Network.  Every vertex v splits into in(v) and out(v), joined by two
+arcs: a *counted* arc (capacity 1, cost -1) and a *pass-through* arc
+(unbounded, cost 0).  Every cover v < w gives an unbounded arc
+out(v) -> in(w) of cost 0, and the source reaches every in(v) and every
+out(v) reaches the sink by unbounded arcs.  That is O(m + covers) arcs,
+not one per comparable pair.  A unit of flow follows a path of covers,
+so the vertices it counts form a chain; the counted arcs keep those
+chains disjoint, so k units cost at least -c_k.  Conversely k
+disjoint chains extend to k cover paths that count exactly their own
+vertices, passing through the vertices in between, which other chains
+may count: the pass-through arcs make that possible.  The minimum cost
+of k units is therefore exactly -c_k.
+
+Search.  Successive shortest paths: the initial potentials are the
+shortest distances from the source, one pass over a topological order of
+the covers (Kahn's algorithm; ``sort_key`` order is not a linear
+extension, since ``beta`` covers go to lower levels).  Each augmentation
+is then one Dijkstra search on reduced costs, which the potentials keep
+nonnegative, followed by a potential update.  The path costs increase
+weakly, which makes the profile concave; that is checked, not assumed.
+
+Certificate.  After augmentation k the flow is broken into its k unit
+source-sink paths.  The counted vertices of each path, in path order,
+must be strictly increasing under ``Poset.less`` (so each is a chain);
+the chains must be pairwise disjoint and cover exactly ``c_k`` vertices.
+A failure raises ``ChainCertificateFailed``.  This certifies that each
+``c_k`` is attained; its optimality rests on the flow and, for small
+posets, on the exhaustive oracle.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from .errors import NonMonotoneProfile, PosetTooLarge
+from .errors import ChainCertificateFailed, NonMonotoneProfile, PosetTooLarge
 from .partitions import Partition
-from .poset import Poset
+from .poset import Poset, Vertex
 
 _INF = 10 ** 18
 
 
-class _MinCostFlow:
-    """Successive-shortest-paths min-cost flow; Bellman-Ford path search.
+class _CoverFlow:
+    """Successive shortest paths on the split cover network of a poset.
 
-    Negative arc costs are fine (the network is a DAG, so no negative
-    cycles); graphs here are tiny.
+    Node 2i is in(v_i), 2i+1 is out(v_i), 2m the source, 2m+1 the sink.
+    Arc 2f is the f-th forward arc and 2f+1 its residual twin.  Forward
+    arcs f < m are the counted arcs of v_f; then come the pass-through,
+    source and sink arcs, then one arc per cover.
     """
 
-    def __init__(self, num_nodes: int):
-        self.n = num_nodes
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    def __init__(self, D: Poset):
+        m = len(D)
+        self.vertices = D.vertices
+        self.source, self.sink = 2 * m, 2 * m + 1
+        unbounded = m + 1  # no arc ever carries more than m units
+        index = {v: i for i, v in enumerate(D.vertices)}
+        cover_pairs = [(index[a], index[b]) for a, b in D.covers]
+        ins, outs = range(0, 2 * m, 2), range(1, 2 * m, 2)
+        tails = [*ins, *ins, *[self.source] * m, *outs, *(2 * i + 1 for i, _ in cover_pairs)]
+        heads = [*outs, *outs, *ins, *[self.sink] * m, *(2 * j for _, j in cover_pairs)]
+        num_arcs = 2 * len(tails)
+        self.to = [0] * num_arcs
+        self.to[0::2], self.to[1::2] = heads, tails
+        self.cap = [0] * num_arcs
+        self.cap[0::2] = [1] * m + [unbounded] * (len(tails) - m)
+        self.cost = [0] * num_arcs
+        self.cost[0:2 * m:2] = [-1] * m
+        self.cost[1:2 * m:2] = [1] * m
+        self.adj: list[list[int]] = [[] for _ in range(2 * m + 2)]
+        for f, (u, v) in enumerate(zip(tails, heads)):
+            self.adj[u].append(2 * f)
+            self.adj[v].append(2 * f + 1)
+        self.potential = self._initial_potentials(m, cover_pairs)
 
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
+    def _initial_potentials(self, m: int, cover_pairs: list[tuple[int, int]]) -> list[int]:
+        """Shortest distances from the source in the empty-flow network.
 
-    def augment(self, s: int, t: int) -> int | None:
-        """Push one cheapest unit of flow from s to t; return its cost."""
-        dist = [_INF] * self.n
+        in(v) is at minus the longest chain strictly below v, out(v) one
+        lower; the covers are relaxed in a Kahn topological order.
+        """
+        succ: list[list[int]] = [[] for _ in range(m)]
+        indeg = [0] * m
+        for i, j in cover_pairs:
+            succ[i].append(j)
+            indeg[j] += 1
+        dist = [0] * (2 * m + 2)
+        ready = [i for i in range(m) if indeg[i] == 0]
+        while ready:
+            i = ready.pop()
+            out = dist[2 * i] - 1
+            dist[2 * i + 1] = out
+            for j in succ[i]:
+                if out < dist[2 * j]:
+                    dist[2 * j] = out
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    ready.append(j)
+        dist[self.sink] = min(dist[1:2 * m:2], default=0)
+        return dist
+
+    def augment(self) -> int:
+        """Push one cheapest unit from source to sink; return its cost."""
+        to, cap, cost, adj, pot = self.to, self.cap, self.cost, self.adj, self.potential
+        num = len(adj)
+        dist = [_INF] * num
+        parent = [-1] * num
+        s, t = self.source, self.sink
         dist[s] = 0
-        parent_edge = [-1] * self.n
-        in_queue = [False] * self.n
-        queue = [s]
-        in_queue[s] = True
-        while queue:
-            u = queue.pop(0)
-            in_queue[u] = False
-            for eid in self.adj[u]:
-                if self.cap[eid] > 0:
-                    v = self.to[eid]
-                    nd = dist[u] + self.cost[eid]
+        heap = [(0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if u == t:
+                break
+            if d > dist[u]:
+                continue
+            base = d + pot[u]
+            for eid in adj[u]:
+                if cap[eid]:
+                    v = to[eid]
+                    nd = base + cost[eid] - pot[v]
                     if nd < dist[v]:
+                        if nd < d:
+                            raise NonMonotoneProfile(
+                                f"negative reduced cost on arc {eid}: the potentials are not feasible")
                         dist[v] = nd
-                        parent_edge[v] = eid
-                        if not in_queue[v]:
-                            queue.append(v)
-                            in_queue[v] = True
-        if dist[t] >= _INF:
-            return None
+                        parent[v] = eid
+                        heapq.heappush(heap, (nd, v))
+        # Nodes not settled before t are at least dist[t] away; capping them
+        # there keeps every reduced cost nonnegative.
+        dt = dist[t]
+        pot = self.potential = [p + (d if d < dt else dt) for p, d in zip(pot, dist)]
         v = t
         while v != s:
-            eid = parent_edge[v]
-            self.cap[eid] -= 1
-            self.cap[eid ^ 1] += 1
-            v = self.to[eid ^ 1]
-        return dist[t]
+            eid = parent[v]
+            cap[eid] -= 1
+            cap[eid ^ 1] += 1
+            v = to[eid ^ 1]
+        return pot[t] - pot[s]
+
+    def chains(self) -> list[list[Vertex]]:
+        """Break the flow into unit source-sink paths; the counted vertices
+        of each, in path order."""
+        to, adj, vertices = self.to, self.adj, self.vertices
+        m = len(vertices)
+        flow = self.cap[1::2]  # flow on arc 2f is the residual capacity of its twin
+        nxt = [0] * len(adj)  # per node, the first arc that may still carry flow
+        out: list[list[Vertex]] = []
+        while True:
+            u = self.source
+            chain: list[Vertex] = []
+            while u != self.sink:
+                eids = adj[u]
+                i = nxt[u]
+                while i < len(eids) and (eids[i] & 1 or not flow[eids[i] >> 1]):
+                    i += 1
+                nxt[u] = i
+                if i == len(eids):
+                    if u == self.source:
+                        return out
+                    raise ChainCertificateFailed(f"flow is not conserved at node {u}")
+                f = eids[i] >> 1
+                flow[f] -= 1
+                if f < m:
+                    chain.append(vertices[f])
+                u = to[2 * f]
+            out.append(chain)
 
 
 @dataclass(frozen=True)
@@ -88,30 +183,39 @@ class ChainUnionProfile:
     lam: Partition
 
 
+def _certify(D: Poset, chains: list[list[Vertex]], k: int, c_k: int) -> None:
+    """Check that ``chains`` are k disjoint chains of D covering c_k vertices."""
+    if len(chains) != k:
+        raise ChainCertificateFailed(f"flow of value {k} splits into {len(chains)} paths")
+    covered: set[Vertex] = set()
+    for chain in chains:
+        for v, w in zip(chain, chain[1:]):
+            if not D.less(v, w):
+                raise ChainCertificateFailed(f"path counts {v} then {w}, which is not above it")
+        covered.update(chain)
+    size = sum(len(chain) for chain in chains)
+    if len(covered) != size:
+        raise ChainCertificateFailed(f"the {k} chains of the flow overlap")
+    if size != c_k:
+        raise ChainCertificateFailed(f"the {k} chains of the flow cover {size} vertices, "
+                                     f"its cost claims c_{k} = {c_k}")
+
+
 def chain_union_profile(D: Poset) -> ChainUnionProfile:
     """Compute the full profile of maximum k-chain-union sizes."""
     m = len(D)
     if m == 0:
         return ChainUnionProfile((0,), Partition())
-    index = {v: i for i, v in enumerate(D.vertices)}
-    source = 2 * m
-    sink = 2 * m + 1
-    flow = _MinCostFlow(2 * m + 2)
-    for v, i in index.items():
-        flow.add_edge(2 * i, 2 * i + 1, 1, -1)
-        flow.add_edge(source, 2 * i, 1, 0)
-        flow.add_edge(2 * i + 1, sink, 1, 0)
-        for w in D.above(v):
-            flow.add_edge(2 * i + 1, 2 * index[w], 1, 0)
-
+    flow = _CoverFlow(D)
     cumulative = [0]
     total = 0
     while cumulative[-1] < m:
-        cost = flow.augment(source, sink)
-        if cost is None:
-            raise NonMonotoneProfile("flow exhausted before covering the poset")
+        cost = flow.augment()
+        if cost >= 0:
+            raise NonMonotoneProfile("flow stalled before covering the poset")
         total += cost
         cumulative.append(-total)
+        _certify(D, flow.chains(), len(cumulative) - 1, cumulative[-1])
 
     parts = [cumulative[k] - cumulative[k - 1] for k in range(1, len(cumulative))]
     for i in range(1, len(parts)):

@@ -141,8 +141,8 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     """Draw a uniform element of the triangular part of the centralizer.
 
     All free coefficients are uniform in the field.  Commutation with the
-    Jordan matrix and nilpotency are asserted before returning; a failure
-    of either signals a parametrization bug.
+    Jordan matrix and nilpotency (``_check_key_triangular``) are checked
+    before returning; a failure of either signals a parametrization bug.
     """
     rng = np.random.default_rng(seed)
     n = P.n
@@ -170,14 +170,31 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     B = jordan_matrix(P)
     if not np.array_equal(_matmul(A, B, p_mod), _matmul(B, A, p_mod)):
         raise CommutationCheckFailed(f"sampled matrix does not commute for {P} (seed {seed})")
-    power = A.copy()
-    size = 1
-    while size < n:
-        power = _matmul(power, power, p_mod)
-        size *= 2
-    if n > 0 and power.any():
-        raise NotNilpotent(f"sampled matrix is not nilpotent for {P} (seed {seed})")
+    _check_key_triangular(P, A)
     return CommutantSample(P, field, seed, params, A)
+
+
+def _check_key_triangular(P: Partition, A: np.ndarray) -> None:
+    """Certify that A is nilpotent: strictly lower triangular once rows and
+    columns are ordered by the key (2u - p, p, k) of their basis triples.
+
+    The key strictly increases along every sampled coefficient.  Shift j
+    carries (u, p, k) to (u + j - 1, p2, k2) with j >= max(1, p2 - p + 1),
+    so 2u - p changes by 2(j - 1) - (p2 - p).  If p2 >= p this is at least
+    2(p2 - p) - (p2 - p) >= 0; if p2 < p it is at least p - p2 > 0.
+    Equality forces p2 = p and j = 1, where the triangular constraint
+    samples only k < k2, so the key still increases.  A strictly triangular
+    matrix is nilpotent; the check costs O(n^2) instead of forming powers.
+    """
+    keys = [(2 * u - p, p, k) for u, p, k in vertex_list(P)]
+    position = np.empty(P.n, dtype=np.int64)
+    position[sorted(range(P.n), key=keys.__getitem__)] = np.arange(P.n)
+    targets, sources = A.nonzero()
+    bad = (position[targets] <= position[sources]).nonzero()[0]
+    if bad.size:
+        dst, src = targets[bad[0]], sources[bad[0]]
+        raise NotNilpotent(f"sampled matrix for {P} moves basis index {src} to {dst}, "
+                           "against the key order (2u - p, p, k): nilpotency is not certified")
 
 
 def structural_action_pairs(P: Partition) -> frozenset[tuple[Vertex, Vertex]]:

@@ -204,17 +204,27 @@ def max_u_chain_cardinality(P: Partition, k: int) -> int:
 def u_table(P: Partition) -> list[int]:
     """Running maxima u_0, u_1, ..., one slot count per feasible length.
 
-    u_k for k past the end equals the last entry.
+    u_k for k past the end equals the last entry.  The slot weights are
+    ``_slot_weight`` read off one suffix sum of multiplicities:
+    ``above[x]`` rows are longer than x.
     """
     M = P.max_part
     max_slots = (M + 1) // 2
+    above = [0] * (M + 2)
+    for x in range(M - 1, -1, -1):
+        above[x] = above[x + 1] + P.mult(x + 1)
+    simple = [0] * (M + 1)  # simple[a] == simple_cardinality(P, a)
+    mass = [0] * (M + 1)  # mass[a] == mult(a) + mult(a + 1)
+    for a in range(1, M + 1):
+        simple[a] = a * P.mult(a) + (a + 1) * P.mult(a + 1) + 2 * above[a + 1]
+        mass[a] = P.mult(a) + P.mult(a + 1)
     best_exact: list[int] = []
     prev: list[int] = []
     for i in range(1, max_slots + 1):
         cur = [-1] * (M + 1)
         if i == 1:
             for a in range(1, M + 1):
-                cur[a] = _slot_weight(P, a, 1)
+                cur[a] = simple[a]
         else:
             prefix = [-1] * (M + 1)  # prefix[a] = max(prev[0..a])
             run = -1
@@ -224,7 +234,7 @@ def u_table(P: Partition) -> list[int]:
             for a in range(2 * i - 1, M + 1):
                 base = prefix[a - 2]
                 if base >= 0:
-                    cur[a] = base + _slot_weight(P, a, i)
+                    cur[a] = base + simple[a] - 2 * (i - 1) * mass[a]
         best_exact.append(max(cur))
         prev = cur
     table = [0]

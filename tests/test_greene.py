@@ -1,6 +1,9 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
-from nilcomm.errors import PosetTooLarge
+from nilcomm import greene
+from nilcomm.errors import ChainCertificateFailed, PosetTooLarge
 from nilcomm.greene import (
     chain_union_profile,
     greene_lambda,
@@ -9,6 +12,32 @@ from nilcomm.greene import (
 )
 from nilcomm.partitions import all_partitions, from_parts
 from nilcomm.poset import build_poset
+
+from strategies import partitions
+
+
+def networkx_profile(D):
+    """c_0, c_1, ... from networkx min-cost flows on the closure network.
+
+    One arc out(v) -> in(w) per comparable pair v < w, every arc of
+    capacity 1, and exactly k units from source to sink: k disjoint
+    nonempty chains, which for k <= m cover c_k vertices.  Shares nothing
+    with the cover network but ``Poset.less``.
+    """
+    G = nx.DiGraph()
+    for v in D.vertices:
+        G.add_edge("s", ("in", v), capacity=1, weight=0)
+        G.add_edge(("in", v), ("out", v), capacity=1, weight=-1)
+        G.add_edge(("out", v), "t", capacity=1, weight=0)
+        for w in D.vertices:
+            if D.less(v, w):
+                G.add_edge(("out", v), ("in", w), capacity=1, weight=0)
+    cumulative = [0]
+    while cumulative[-1] < len(D):
+        k = len(cumulative)
+        G.nodes["s"]["demand"], G.nodes["t"]["demand"] = -k, k
+        cumulative.append(-nx.min_cost_flow_cost(G))
+    return tuple(cumulative)
 
 
 def test_zero_chains_cover_nothing():
@@ -74,3 +103,44 @@ def test_k_beyond_width_saturates():
 def test_oracle_guards_size():
     with pytest.raises(PosetTooLarge):
         oracle_max_k_chain_union(build_poset(from_parts([13])), 1)
+
+
+@settings(max_examples=100)
+@given(P=partitions(40))
+def test_flow_matches_networkx_closure_flow(P):
+    D = build_poset(P)
+    assert chain_union_profile(D).cumulative == networkx_profile(D)
+
+
+@pytest.mark.parametrize("parts", [
+    *(list(range(k, 0, -1)) for k in range(1, 9)),
+    [4] * 3, [3] * 5, [2] * 9, [6] * 6, [9] * 4, [12] * 2,
+])
+def test_staircases_and_rectangles_match_networkx(parts):
+    D = build_poset(from_parts(parts))
+    assert chain_union_profile(D).cumulative == networkx_profile(D)
+
+
+def test_certificate_catches_a_wrong_path_cost(monkeypatch):
+    augment = greene._CoverFlow.augment
+
+    def one_too_cheap(flow):
+        return augment(flow) - 1
+
+    monkeypatch.setattr(greene._CoverFlow, "augment", one_too_cheap)
+    with pytest.raises(ChainCertificateFailed, match=r"cover 5 vertices, its cost claims c_1 = 6"):
+        chain_union_profile(build_poset(from_parts([3, 2, 1])))
+
+
+def test_certificate_refuses_bad_chains():
+    D = build_poset(from_parts([2, 1]))
+    low, mid, top = (1, 2, 1), (1, 1, 1), (2, 2, 1)  # the chain low < mid < top
+    greene._certify(D, [[low, mid, top]], 1, 3)
+    with pytest.raises(ChainCertificateFailed, match="splits into"):
+        greene._certify(D, [[low, mid, top]], 2, 3)
+    with pytest.raises(ChainCertificateFailed, match="not above"):
+        greene._certify(D, [[mid, low, top]], 1, 3)
+    with pytest.raises(ChainCertificateFailed, match="overlap"):
+        greene._certify(D, [[low, mid], [mid, top]], 2, 4)
+    with pytest.raises(ChainCertificateFailed, match="claims"):
+        greene._certify(D, [[low, top]], 1, 3)

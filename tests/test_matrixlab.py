@@ -23,19 +23,13 @@ from nilcomm.matrixlab import (
 from nilcomm.partitions import Partition, all_partitions, from_parts
 from nilcomm.uchains import lambda_u
 
+from strategies import partitions
+
 FIELD = PrimeField()
 BIG_PRIME = 268_435_399  # the largest prime below 2^28
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-@st.composite
-def partitions(draw, max_n):
-    remaining = draw(st.integers(1, max_n))
-    parts = []
-    while remaining:
-        parts.append(draw(st.integers(1, remaining)))
-        remaining -= parts[-1]
-    return Partition(parts)
 
 
 def sympy_matrix(A, p):
@@ -65,6 +59,15 @@ def reference_sample(P, field, seed):
                             A[start2 + u2 - 1, start + u - 1] = t
             params[((p, k), (p2, k2))] = tuple(coeffs)
     return params, A
+
+
+def squaring_is_nilpotent(A, p):
+    """The sampler's former certificate: A^(2^ceil(log2 n)) vanishes."""
+    power, size = A % p, 1
+    while size < len(A):
+        power = (power @ power) % p
+        size *= 2
+    return not power.any()
 
 
 def test_prime_field_validation():
@@ -113,6 +116,30 @@ def test_samples_commute_and_are_nilpotent():
         for _ in range(P.n):
             power = (power @ A) % FIELD.p
         assert not power.any()
+
+
+def test_key_order_certificate_agrees_with_squaring():
+    for n in range(1, 11):
+        for P in all_partitions(n):
+            for seed in range(2):
+                A = sample_nilpotent_commutant(P, FIELD, seed).matrix  # key order certified
+                assert squaring_is_nilpotent(A, FIELD.p), (P, seed)
+
+
+def test_planted_entry_against_key_order_raises():
+    P = from_parts([3, 2, 2, 1])
+    A = sample_nilpotent_commutant(P, FIELD, seed=0).matrix
+    matrixlab._check_key_triangular(P, A)
+    dst, src = np.argwhere(A)[0]  # a sampled coefficient carries src to dst
+    reversed_entry = A.copy()
+    reversed_entry[src, dst] = 1
+    with pytest.raises(NotNilpotent, match="key order"):
+        matrixlab._check_key_triangular(P, reversed_entry)
+    diagonal = A.copy()
+    diagonal[src, src] = 1
+    assert not squaring_is_nilpotent(diagonal, FIELD.p)
+    with pytest.raises(NotNilpotent, match="key order"):
+        matrixlab._check_key_triangular(P, diagonal)
 
 
 def test_two_singletons_couple_one_way():

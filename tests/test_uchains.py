@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 
 from nilcomm import uchains
@@ -16,6 +18,7 @@ from nilcomm.uchains import (
     max_u_chain_cardinality,
     simple_cardinality,
     strand_failures,
+    u_table,
 )
 
 
@@ -197,6 +200,17 @@ def test_solver_matches_enumeration():
         for P in all_partitions(n):
             for k in range(1, (P.max_part + 1) // 2 + 2):
                 assert max_u_chain_cardinality(P, k) == _enumerated_u(P, k), (P, k)
+
+
+def test_u_table_matches_slot_weight_maxima():
+    # The table reads its weights off suffix sums; the closed form calls _slot_weight.
+    for n in range(1, 13):
+        for P in all_partitions(n):
+            table = u_table(P)
+            best = [0] * len(table)
+            for spec in iter_specs(P.max_part):
+                best[spec.r] = max(best[spec.r], cardinality_closed_form(P, spec))
+            assert table == list(accumulate(best, max)), P
 
 
 def test_lambda_u_is_a_partition_with_spaced_parts():
