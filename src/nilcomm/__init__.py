@@ -44,6 +44,7 @@ from .uprocess import (
     ProcessTrace,
     RelabelMap,
     canonical_process,
+    count_full_processes,
     enumerate_full_processes,
     q_of_trace,
     remove_simple_chain,

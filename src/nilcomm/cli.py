@@ -175,6 +175,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     print(f"lambda_U  {uchains.lambda_u(P)}")
     print(f"r_P       {r_of(P)}")
     print(f"max simple U-chain: size {best} at anchors {list(anchors)}")
+    print(f"full processes: {uprocess.count_full_processes(P)}")
     trace = uprocess.canonical_process(P)
     print(f"canonical process: anchors {list(trace.anchors)} -> Q = {uprocess.q_of_trace(trace)}")
     for i in range(trace.steps):

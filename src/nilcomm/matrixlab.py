@@ -141,12 +141,16 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     """Draw a uniform element of the triangular part of the centralizer.
 
     All free coefficients are uniform in the field.  Commutation with the
-    Jordan matrix and nilpotency (``_check_key_triangular``) are checked
-    before returning; a failure of either signals a parametrization bug.
+    Jordan matrix (``_commutes_with_jordan``) and nilpotency
+    (``_check_key_triangular``) are checked in O(n^2) before returning; a
+    failure of either signals a parametrization bug.
     """
     rng = np.random.default_rng(seed)
     n = P.n
     p_mod = field.p
+    # Forming the sample takes no product, but its rank profile takes
+    # products of inner dimension up to n: refuse what it could not use.
+    _check_int64(n, p_mod)
     A = np.zeros((n, n), dtype=np.int64)
     params: dict[tuple[tuple[int, int], tuple[int, int]], tuple[int, ...]] = {}
     blocks = _blocks(P)
@@ -167,11 +171,34 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
                 A[start2 + j - 1 + band, start + band] = t
             params[((p, k), (p2, k2))] = tuple(coeffs)
 
-    B = jordan_matrix(P)
-    if not np.array_equal(_matmul(A, B, p_mod), _matmul(B, A, p_mod)):
+    if not _commutes_with_jordan(blocks, A):
         raise CommutationCheckFailed(f"sampled matrix does not commute for {P} (seed {seed})")
     _check_key_triangular(P, A)
     return CommutantSample(P, field, seed, params, A)
+
+
+def _commutes_with_jordan(blocks: list[tuple[int, int, int]], A: np.ndarray) -> bool:
+    """Whether A commutes with the Jordan matrix B of the given row blocks,
+    in O(n^2) and without forming a product.
+
+    B[i+1, i] = 1 exactly when i and i+1 lie in one block, so (A B)[:, i]
+    is A[:, i+1] for i not last in its block and zero otherwise, and
+    (B A)[i, :] is A[i-1, :] for i not first in its block and zero
+    otherwise: a column shift and a row shift of A inside the blocks.
+    """
+    n = A.shape[0]
+    first = np.zeros(n, dtype=bool)
+    last = np.zeros(n, dtype=bool)
+    for length, _, start in blocks:
+        first[start] = True
+        last[start + length - 1] = True
+    AB = np.zeros_like(A)
+    AB[:, :-1] = A[:, 1:]
+    AB[:, last] = 0
+    BA = np.zeros_like(A)
+    BA[1:] = A[:-1]
+    BA[first] = 0
+    return np.array_equal(AB, BA)
 
 
 def _check_key_triangular(P: Partition, A: np.ndarray) -> None:

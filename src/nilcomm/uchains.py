@@ -6,7 +6,12 @@ disjoint.  Strand i of the family consists of the middle band
 i <= u <= p-i+1 of the levels p in {a_i, a_i+1} together with the two
 rail positions u in {i, p-i+1} of every higher level; it depends only on
 (a_i, i) and is realized once, by ``strand``.  Each strand is a chain and
-distinct strands are disjoint.
+distinct strands are disjoint.  ``strand_table`` realizes all O(M^2)
+strands (i, a) of one partition (M its largest part) at once; the sweep's
+strand check and the process layer's prefix-union check both read it.
+It keeps only the most recent partition's table: a sweep and the process
+checks within it visit one partition at a time, so one entry serves every
+repeat, and memory stays at one table however many partitions are seen.
 
 The closed-form size of a family is additive: anchor a in slot i
 contributes its simple size minus 2*(i-1)*(mult(a)+mult(a+1)).  It is the
@@ -21,7 +26,9 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .errors import NonMonotoneProfile, NotMaximumSimpleChain
 from .partitions import Partition
@@ -88,6 +95,20 @@ def strand(P: Partition, a: int, i: int) -> frozenset[Vertex]:
     return frozenset(out)
 
 
+@lru_cache(maxsize=1)
+def strand_table(P: Partition) -> Mapping[tuple[int, int], frozenset[Vertex]]:
+    """All strands of P that a specification of ``iter_specs(M)`` can use.
+
+    Keyed by (slot i, anchor a) for 1 <= i <= (M+1)//2 and 2i-1 <= a <= M,
+    M the largest part; the value is ``strand(P, a, i)``.  Only the latest
+    partition's table is cached; it is shared by every caller, hence
+    read-only.
+    """
+    M = P.max_part
+    return MappingProxyType({(i, a): strand(P, a, i)
+                             for i in range(1, (M + 1) // 2 + 1) for a in range(2 * i - 1, M + 1)})
+
+
 def materialize(P: Partition, spec: UChainSpec) -> UChainInstance:
     """Realize the strands of ``spec`` inside the basis poset of P.
 
@@ -146,7 +167,7 @@ def strand_failures(P: Partition) -> list[str]:
     """
     M = P.max_part
     slots = range(1, (M + 1) // 2 + 1)
-    strands = {(i, a): strand(P, a, i) for i in slots for a in range(2 * i - 1, M + 1)}
+    strands = strand_table(P)
     failures = []
     for (i, a), s in strands.items():
         weight = _slot_weight(P, a, i)
@@ -166,25 +187,33 @@ def max_simple_u_chains(P: Partition) -> tuple[int, tuple[int, ...]]:
     Anchors run over 1..max part (larger anchors select nothing); anchors
     realizing the same vertex set count once, represented by the largest,
     which is always a part value.
+
+    Anchor a selects nothing below level a, full levels a and a+1, and
+    the two rails of every higher level.  Anchors a-1 and a therefore
+    select the same set exactly when neither a-1 nor a+1 is a part: a
+    part a-1 is taken only by a-1, and a part a+1 >= 3 is full under a
+    but only railed under a-1.  Their sizes differ by
+    (a-1)(mult(a-1) - mult(a+1)), so for a tied pair a-1 is a part
+    exactly when a+1 is, and testing a-1 suffices.  Equal sets come in
+    runs of consecutive anchors, so a tied anchor joins the previous
+    class when it directly follows that class's representative and a-1
+    is not a part.  No vertex set is realized.
     """
     if P.n < 1:
         raise ValueError("needs a nonempty partition")
     best = -1
-    classes: list[tuple[frozenset[Vertex], int]] = []
+    reps: list[int] = []
     for a in range(1, P.max_part + 1):
         card = simple_cardinality(P, a)
         if card > best:
             best = card
-            classes = [(materialize(P, UChainSpec((a,))).union, a)]
+            reps = [a]
         elif card == best:
-            vs = materialize(P, UChainSpec((a,))).union
-            for i, (seen, _) in enumerate(classes):
-                if seen == vs:
-                    classes[i] = (seen, a)
-                    break
+            if reps[-1] == a - 1 and not P.mult(a - 1):
+                reps[-1] = a
             else:
-                classes.append((vs, a))
-    return best, tuple(rep for _, rep in classes)
+                reps.append(a)
+    return best, tuple(reps)
 
 
 def max_u_chain_cardinality(P: Partition, k: int) -> int:

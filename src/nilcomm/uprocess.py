@@ -11,6 +11,21 @@ A *trace* records the anchors chosen step by step, the intermediate
 partitions, and the removed vertex sets pulled back to the original
 poset.  A trace is full when the removals exhaust the poset; the removal
 sizes of a full trace form a partition of n.
+
+The traces are the root-to-leaf paths of a DAG whose nodes are the
+intermediate partitions: what a step can do depends only on the current
+partition, not on how it was reached.  So the search solves each state
+once (its maximizing anchors and their removals) and walks the paths
+depth-first, and ``count_full_processes`` counts the paths by a dynamic
+program over the same states without listing them.  The table of solved
+states lives for one search only: it holds removed vertex sets of every
+reachable state, which a later call for another partition never reuses.
+
+A removed set is pulled back to the start poset in closed form.  Each
+relabeling moves whole levels, so the composite of the relabelings along
+the anchor history shifts a level p by some t >= 0 to
+(u, p, k) -> (u+t, p+2t, k); t is read off by pushing one vertex per
+level through ``_relabel_vertex``, latest anchor first.
 """
 from __future__ import annotations
 
@@ -26,18 +41,17 @@ from .errors import (
 )
 from .partitions import Partition
 from .poset import Vertex, sort_key, vertex_list
-from .uchains import UChainSpec, materialize, max_simple_u_chains
+from .uchains import UChainSpec, materialize, max_simple_u_chains, strand_table
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelabelMap:
     """Embedding of the post-removal poset into its parent, for anchor a."""
 
     anchor: int
-    forward: dict[Vertex, Vertex]
 
     def apply(self, v: Vertex) -> Vertex:
-        return self.forward[v]
+        return _relabel_vertex(v, self.anchor)
 
 
 def _relabel_vertex(v: Vertex, a: int) -> Vertex:
@@ -45,6 +59,26 @@ def _relabel_vertex(v: Vertex, a: int) -> Vertex:
     if p < a:
         return v
     return (u + 1, p + 2, k)
+
+
+def _pull_back(removed: frozenset[Vertex], history: list[int]) -> frozenset[Vertex]:
+    """Relabel ``removed`` into the start poset.
+
+    ``removed`` is in the labels of the state that the removals at the
+    anchors ``history``, in order, lead to.
+    """
+    shift = {}
+    for p in {p for _, p, _ in removed}:
+        v = (0, p, 0)
+        for a in reversed(history):
+            v = _relabel_vertex(v, a)
+        shift[p] = v[0]
+    return frozenset([(u + shift[p], p + 2 * shift[p], k) for u, p, k in removed])
+
+
+def _shrink(P: Partition, a: int) -> Partition:
+    """The partition left after removing the simple chain at anchor a."""
+    return Partition([p if p < a else p - 2 for p in P.parts if not a <= p <= a + 1])
 
 
 def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, RelabelMap, frozenset[Vertex]]:
@@ -56,18 +90,12 @@ def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, RelabelMap, fr
     removed = materialize(P, UChainSpec((a,))).union
     if not removed:
         raise EmptyChainRemoval(f"anchor {a} selects nothing in {P}")
-    next_parts: list[int] = []
-    for p in P.parts:
-        if p < a:
-            next_parts.append(p)
-        elif p > a + 1:
-            next_parts.append(p - 2)
-    P_next = Partition(next_parts)
-    forward = {v: _relabel_vertex(v, a) for v in vertex_list(P_next)}
-    for v, w in forward.items():
+    P_next = _shrink(P, a)
+    for v in vertex_list(P_next):
+        w = _relabel_vertex(v, a)
         if w in removed:
             raise AssertionError(f"relabeled vertex {v} -> {w} collides with the removed chain")
-    return P_next, RelabelMap(a, forward), removed
+    return P_next, RelabelMap(a), removed
 
 
 @dataclass
@@ -105,10 +133,18 @@ def q_of_trace(t: ProcessTrace) -> Partition:
 
 def _search(P: Partition, pick_all: bool, cap: int) -> list[ProcessTrace]:
     results: list[ProcessTrace] = []
-    identity = {v: v for v in vertex_list(P)}
+    moves: dict[Partition, list[tuple[int, Partition, frozenset[Vertex]]]] = {}
 
-    def rec(cur: Partition, comp: dict[Vertex, Vertex],
-            anchors: list[int], parts: list[Partition],
+    def moves_of(cur: Partition) -> list[tuple[int, Partition, frozenset[Vertex]]]:
+        if cur not in moves:
+            _, winners = max_simple_u_chains(cur)
+            moves[cur] = []
+            for a in (winners if pick_all else (max(winners),)):
+                nxt, _, rem = remove_simple_chain(cur, a)
+                moves[cur].append((a, nxt, rem))
+        return moves[cur]
+
+    def rec(cur: Partition, anchors: list[int], parts: list[Partition],
             removed: list[frozenset[Vertex]]) -> None:
         if cur.n == 0:
             if len(results) >= cap:
@@ -116,22 +152,38 @@ def _search(P: Partition, pick_all: bool, cap: int) -> list[ProcessTrace]:
             results.append(ProcessTrace(P, tuple(anchors), tuple(parts) + (cur,),
                                         tuple(removed), True))
             return
-        _, winners = max_simple_u_chains(cur)
-        choices = winners if pick_all else (max(winners),)
-        for a in choices:
-            nxt, iota, rem = remove_simple_chain(cur, a)
-            pulled = frozenset(comp[v] for v in rem)
-            comp_next = {v: comp[iota.apply(v)] for v in vertex_list(nxt)}
+        for a, nxt, rem in moves_of(cur):
+            removed.append(_pull_back(rem, anchors))
             anchors.append(a)
             parts.append(cur)
-            removed.append(pulled)
-            rec(nxt, comp_next, anchors, parts, removed)
+            rec(nxt, anchors, parts, removed)
             anchors.pop()
             parts.pop()
             removed.pop()
 
-    rec(P, identity, [], [], [])
+    rec(P, [], [], [])
     return results
+
+
+def count_full_processes(P: Partition) -> int:
+    """The number of full traces of P, without listing them.
+
+    A dynamic program over the intermediate partitions: the empty one
+    ends one trace, and any other state has as many as the states its
+    maximizing anchors lead to, summed.  Equals
+    ``len(enumerate_full_processes(P))``, with no cap.
+    """
+    if P.n < 1:
+        raise ValueError("needs a nonempty partition")
+    counts = {Partition(): 1}
+
+    def count(cur: Partition) -> int:
+        if cur not in counts:
+            _, winners = max_simple_u_chains(cur)
+            counts[cur] = sum(count(_shrink(cur, a)) for a in winners)
+        return counts[cur]
+
+    return count(P)
 
 
 def enumerate_full_processes(P: Partition, cap: int = 10 ** 6) -> list[ProcessTrace]:
@@ -164,8 +216,9 @@ def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
     Built by transporting the anchor pairs of later steps through the
     relabelings of earlier ones: a level from step i+1 keeps its value
     below the step-i anchor and moves up by two otherwise.  The collected
-    values always regroup into adjacent pairs; the result is verified
-    against the actual union and a mismatch raises NoMatchingSpec.
+    values always regroup into adjacent pairs.  The family is realized
+    from the strands of ``strand_table(t.start)``, checked to be disjoint,
+    and compared with the actual union; a mismatch raises NoMatchingSpec.
     """
     if not 1 <= r <= t.steps:
         raise ValueError(f"prefix length {r} out of range 1..{t.steps}")
@@ -186,7 +239,13 @@ def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
         spec = UChainSpec(tuple(anchors))
     except ValueError as exc:
         raise NoMatchingSpec(f"transported anchors invalid: {anchors} ({exc})") from None
-    realized = materialize(t.start, spec).union
+    # Anchors of a specification satisfy a >= 2i-1 in slot i, so a strand
+    # missing from the table has its anchor above the largest part: empty.
+    table = strand_table(t.start)
+    strands = [table.get((i, a), frozenset()) for i, a in enumerate(anchors, start=1)]
+    realized = frozenset().union(*strands)
+    if len(realized) != sum(len(s) for s in strands):
+        raise AssertionError(f"strands of {spec} overlap in {t.start}")
     actual = frozenset().union(*t.removed[:r])
     if realized != actual:
         raise NoMatchingSpec(

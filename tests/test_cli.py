@@ -12,6 +12,7 @@ def test_invariants_headline(capsys):
     assert "lambda_U" in out
     assert "r_P       3" in out
     assert "anchors [2, 3]" in out
+    assert "full processes: 4" in out
 
 
 def test_invariants_singleton(capsys):

@@ -8,7 +8,13 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from nilcomm import matrixlab
-from nilcomm.errors import IncomparableSamples, Int64BoundExceeded, NotNilpotent, PosetTooLarge
+from nilcomm.errors import (
+    CommutationCheckFailed,
+    IncomparableSamples,
+    Int64BoundExceeded,
+    NotNilpotent,
+    PosetTooLarge,
+)
 from nilcomm.matrixlab import (
     PrimeField,
     conjecture_report,
@@ -140,6 +146,52 @@ def test_planted_entry_against_key_order_raises():
     assert not squaring_is_nilpotent(diagonal, FIELD.p)
     with pytest.raises(NotNilpotent, match="key order"):
         matrixlab._check_key_triangular(P, diagonal)
+
+
+def commutes_by_products(P, A, p):
+    """The sampler's former commutation check: both products with the Jordan matrix."""
+    B = jordan_matrix(P)
+    return np.array_equal(matrixlab._matmul(A, B, p), matrixlab._matmul(B, A, p))
+
+
+def test_shift_commutation_agrees_with_products():
+    for n in range(1, 11):
+        for P in all_partitions(n):
+            for seed in range(2):
+                A = sample_nilpotent_commutant(P, FIELD, seed).matrix  # shift check passed
+                assert commutes_by_products(P, A, FIELD.p), (P, seed)
+
+
+def test_shift_commutation_agrees_with_products_on_every_planted_entry():
+    broken = 0
+    for n in range(1, 7):
+        for P in all_partitions(n):
+            blocks = matrixlab._blocks(P)
+            A = sample_nilpotent_commutant(P, FIELD, seed=1).matrix
+            for i in range(n):
+                for j in range(n):
+                    planted = A.copy()
+                    planted[i, j] = (planted[i, j] + 1) % FIELD.p
+                    verdict = matrixlab._commutes_with_jordan(blocks, planted)
+                    assert verdict == commutes_by_products(P, planted, FIELD.p), (P, i, j)
+                    broken += not verdict
+    assert broken
+
+
+def test_planted_off_band_entry_raises(monkeypatch):
+    # Basis order: (1,2,1), (2,2,1), then (1,4,1) .. (4,4,1).  Entry [0, 4]
+    # would carry (3,4,1) to (1,2,1), down from position 3 to 1, which no
+    # shift j >= 1 does.
+    P = from_parts([4, 2])
+    check = matrixlab._commutes_with_jordan
+
+    def planted(blocks, A):
+        A[0, 4] = 1
+        return check(blocks, A)
+
+    monkeypatch.setattr(matrixlab, "_commutes_with_jordan", planted)
+    with pytest.raises(CommutationCheckFailed):
+        sample_nilpotent_commutant(P, FIELD, seed=0)
 
 
 def test_two_singletons_couple_one_way():

@@ -151,7 +151,16 @@ def test_strand_check_catches_a_wrong_slot_weight(monkeypatch):
                                     if P.max_part >= 3]
 
 
-def test_strand_check_catches_overlapping_strands(monkeypatch):
+@pytest.fixture
+def fresh_strand_table():
+    """A strand table cached before or during the test must not outlive a
+    patched ``strand``."""
+    uchains.strand_table.cache_clear()
+    yield
+    uchains.strand_table.cache_clear()
+
+
+def test_strand_check_catches_overlapping_strands(monkeypatch, fresh_strand_table):
     # Strand 1 of anchor 1 also takes the rail vertex (2, M, 1) of every
     # slot-2 strand; its weight grows to match, so only disjointness sees it.
     strand, slot_weight = uchains.strand, uchains._slot_weight
@@ -176,6 +185,33 @@ def test_max_simple_examples():
     assert max_simple_u_chains(from_parts([1, 1])) == (2, (1,))
     # anchors 6 and 7 select the same row; the larger represents the pair
     assert max_simple_u_chains(from_parts([7])) == (7, (7,))
+
+
+def _materialized_max_simple(P):
+    """Maximizing anchors deduplicated by comparing realized vertex sets,
+    each class represented by its largest anchor."""
+    best = -1
+    classes = []
+    for a in range(1, P.max_part + 1):
+        card = simple_cardinality(P, a)
+        if card > best:
+            best = card
+            classes = [(materialize(P, UChainSpec((a,))).union, a)]
+        elif card == best:
+            vs = materialize(P, UChainSpec((a,))).union
+            for i, (seen, _) in enumerate(classes):
+                if seen == vs:
+                    classes[i] = (seen, a)
+                    break
+            else:
+                classes.append((vs, a))
+    return best, tuple(rep for _, rep in classes)
+
+
+def test_arithmetic_dedup_matches_materialized_sets():
+    for n in range(1, 15):
+        for P in all_partitions(n):
+            assert max_simple_u_chains(P) == _materialized_max_simple(P), P
 
 
 def test_lambda_u_examples():

@@ -9,10 +9,19 @@ from nilcomm.errors import (
 )
 from nilcomm.partitions import Partition, all_partitions, from_parts, is_almost_rectangular
 from nilcomm.poset import build_poset, vertex_list
-from nilcomm.uchains import lambda_u, materialize, max_u_chain_cardinality, UChainSpec
+from nilcomm.uchains import (
+    UChainSpec,
+    lambda_u,
+    materialize,
+    max_simple_u_chains,
+    max_u_chain_cardinality,
+    strand,
+    strand_table,
+)
 from nilcomm.uprocess import (
     ProcessTrace,
     canonical_process,
+    count_full_processes,
     enumerate_full_processes,
     q_of_trace,
     remove_simple_chain,
@@ -21,14 +30,43 @@ from nilcomm.uprocess import (
 )
 
 
+def staircase(k):
+    return Partition(range(k, 0, -1))
+
+
+ORACLE_RANGE = [P for n in range(1, 13) for P in all_partitions(n)] + [staircase(k) for k in range(5, 11)]
+
+
+def per_node_search(P, pick_all):
+    """The search as a tree: every node solves its state again and carries
+    the pull-back to P as a vertex dict composed step by step."""
+    results = []
+
+    def rec(cur, comp, anchors, parts, removed):
+        if cur.n == 0:
+            results.append(ProcessTrace(P, tuple(anchors), tuple(parts) + (cur,),
+                                        tuple(removed), True))
+            return
+        _, winners = max_simple_u_chains(cur)
+        for a in (winners if pick_all else (max(winners),)):
+            nxt, iota, rem = remove_simple_chain(cur, a)
+            comp_next = {v: comp[iota.apply(v)] for v in vertex_list(nxt)}
+            rec(nxt, comp_next, anchors + [a], parts + [cur],
+                removed + [frozenset(comp[v] for v in rem)])
+
+    rec(P, {v: v for v in vertex_list(P)}, [], [], [])
+    return results
+
+
 def test_removal_complement_matches_hand_computation():
     P = from_parts([5, 4, 3, 3, 2, 1])
     P_next, iota, removed = remove_simple_chain(P, 3)
     assert P_next.parts == (3, 2, 1)
     complement = set(vertex_list(P)) - removed
     assert complement == {(2, 5, 1), (3, 5, 1), (4, 5, 1), (1, 2, 1), (2, 2, 1), (1, 1, 1)}
-    assert set(iota.forward.values()) == complement
-    assert len(set(iota.forward.values())) == len(iota.forward)
+    image = [iota.apply(v) for v in vertex_list(P_next)]
+    assert set(image) == complement
+    assert len(set(image)) == len(image)
 
 
 def test_removal_of_whole_row():
@@ -61,7 +99,7 @@ def test_relabeling_preserves_surviving_order():
                 if nxt.n == 0:
                     continue
                 Dn = build_poset(nxt)
-                inverse = {w: v for v, w in iota.forward.items()}
+                inverse = {iota.apply(v): v for v in vertex_list(nxt)}
                 for x in D.vertices:
                     if x in removed:
                         continue
@@ -180,3 +218,45 @@ def test_trace_json():
     assert data["steps"][0]["a"] == 3
     assert data["steps"][0]["P_next"] == [3, 2, 1]
     assert len(data["steps"][0]["removed"]) == 12
+
+
+def test_state_dag_search_matches_per_node_search():
+    for P in ORACLE_RANGE:
+        assert enumerate_full_processes(P) == per_node_search(P, pick_all=True), P
+        assert [canonical_process(P)] == per_node_search(P, pick_all=False), P
+
+
+def test_search_solves_each_state_once(monkeypatch):
+    import nilcomm.uprocess as uprocess
+
+    calls = []
+
+    def counted(P, a):
+        calls.append((P, a))
+        return remove_simple_chain(P, a)
+
+    monkeypatch.setattr(uprocess, "remove_simple_chain", counted)
+    traces = enumerate_full_processes(staircase(10))
+    assert len(traces) == 945
+    assert len(calls) == len(set(calls))
+    assert {(t.partitions[i], a) for t in traces for i, a in enumerate(t.anchors)} == set(calls)
+
+
+def test_strand_table_matches_strand():
+    for P in ORACLE_RANGE:
+        table = strand_table(P)
+        M = P.max_part
+        assert set(table) == {(i, a) for i in range(1, (M + 1) // 2 + 1) for a in range(2 * i - 1, M + 1)}
+        for (i, a), s in table.items():
+            assert s == strand(P, a, i), (P, i, a)
+    assert strand_table.cache_info().currsize == 1
+
+
+def test_count_full_processes_matches_enumeration():
+    for n in range(1, 13):
+        for P in all_partitions(n):
+            assert count_full_processes(P) == len(enumerate_full_processes(P)), P
+    counts = [count_full_processes(staircase(k)) for k in (10, 11, 14, 18)]
+    assert counts == [945, 3840, 135_135, 34_459_425]  # 34,459,425 = 17!!
+    with pytest.raises(ValueError):
+        count_full_processes(Partition())
