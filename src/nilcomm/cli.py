@@ -108,8 +108,10 @@ def _check_partition(P: Partition, *, with_matrix: bool, prime: int, samples: in
         q = uprocess.q_of_trace(t)
         if q != lam_u:
             fail(f"{name}: trace {t.anchors} gives {q} != {lam_u}")
-        for r in range(1, t.steps + 1):
-            union_size = len(frozenset().union(*t.removed[:r]))
+        covered = set()
+        for r, removed in enumerate(t.removed, start=1):
+            covered |= removed
+            union_size = len(covered)
             want = u[min(r, len(u) - 1)]
             if union_size != want:
                 fail(f"{name}: trace {t.anchors} prefix {r} covers {union_size} != u_{r}={want}")

@@ -15,19 +15,27 @@ order of 1/p per minor, so taking the dominance maximum over a handful of
 samples recovers the generic type with overwhelming probability.
 
 A sample's Jordan type is read from the ranks of its powers, which come
-from restriction to the image instead of from the powers themselves: the
-matrix is restricted to its own image, written in the reduced echelon
-basis of that image, and the step repeats on the smaller matrix.  One
-exact elimination kernel, ``_rref``, serves this and ``rank_mod``.
+from one block-Krylov elimination instead of from the powers themselves:
+with l = n - rank(A) and an n x l block V drawn from a fixed seed, the
+stack [A^(m-1) V | ... | A V | V] (A^m V = 0) is reduced once, and the
+pivots among the blocks of power >= j count rank(A^j).  The result is
+certified, not probable: it is used only when the stack has rank n, so
+that the Krylov space is the whole space; otherwise the unit vectors are
+appended to V and the stack is rebuilt once (Keller-Gehrig, TCS 36, 1985).
+One exact elimination kernel, ``_rref``, serves this and ``rank_mod``.
 
 All arithmetic is in int64 on entries reduced to [0, p).  A product of
 inner dimension n is exact only while n*(p-1)^2 < 2^63; every product
 checks this where it is formed and raises ``Int64BoundExceeded`` past it,
-so no result is ever computed from a wrapped sum.
+so no result is ever computed from a wrapped sum.  The Krylov blocks
+A^i V are such products, of inner dimension n, formed by ``_matmul``.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,11 +103,6 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return (A @ B) % p
 
 
-def basis_index(P: Partition) -> dict[Vertex, int]:
-    """Position of each basis triple in the canonical order."""
-    return {v: i for i, v in enumerate(vertex_list(P))}
-
-
 def _blocks(P: Partition) -> list[tuple[int, int, int]]:
     """(length, row, starting index) for each row, in basis order."""
     out = []
@@ -145,39 +148,74 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     (``_check_key_triangular``) are checked in O(n^2) before returning; a
     failure of either signals a parametrization bug.
     """
-    rng = np.random.default_rng(seed)
     n = P.n
-    p_mod = field.p
     # Forming the sample takes no product, but its rank profile takes
     # products of inner dimension up to n: refuse what it could not use.
-    _check_int64(n, p_mod)
+    _check_int64(n, field.p)
+    layout = _sample_layout(P)
+    # One array draw yields the same stream as one scalar draw per coefficient.
+    draws = np.random.default_rng(seed).integers(0, field.p, size=layout.count)
     A = np.zeros((n, n), dtype=np.int64)
-    params: dict[tuple[tuple[int, int], tuple[int, int]], tuple[int, ...]] = {}
-    blocks = _blocks(P)
-    steps = np.arange(n)
-    for p, k, start in blocks:
-        for p2, k2, start2 in blocks:
-            jmin = max(1, p2 - p + 1)
-            coeffs = []
-            for j in range(jmin, p2 + 1):
-                if j == 1 and p == p2 and k >= k2:
-                    coeffs.append(0)
-                    continue
-                t = int(rng.integers(0, p_mod))
-                coeffs.append(t)
-                # Shift j carries basis index u of row (p, k) to u + j - 1 of
-                # row (p2, k2), for the p2 - j + 1 values of u that stay in it.
-                band = steps[:p2 - j + 1]
-                A[start2 + j - 1 + band, start + band] = t
-            params[((p, k), (p2, k2))] = tuple(coeffs)
+    A[layout.targets, layout.sources] = draws[layout.entry_coefficient]
+    values = np.append(draws, 0)[layout.param_coefficient].tolist()
+    params = {pair: tuple(values[lo:hi]) for pair, lo, hi in layout.pairs}
 
-    if not _commutes_with_jordan(blocks, A):
+    if not _commutes_with_jordan(layout.blocks, A):
         raise CommutationCheckFailed(f"sampled matrix does not commute for {P} (seed {seed})")
     _check_key_triangular(P, A)
     return CommutantSample(P, field, seed, params, A)
 
 
-def _commutes_with_jordan(blocks: list[tuple[int, int, int]], A: np.ndarray) -> bool:
+@dataclass(frozen=True)
+class _SampleLayout:
+    """Where each free coefficient of a sample goes, for one partition.
+
+    Coefficient c is the c-th draw.  Matrix entry (targets[e], sources[e])
+    holds coefficient entry_coefficient[e]; the params vector of pairs[i]
+    = (pair, lo, hi) is param_coefficient[lo:hi], where index -1 stands for
+    a forced zero (it picks a zero appended after the draws).
+    """
+
+    blocks: tuple[tuple[int, int, int], ...]
+    count: int
+    targets: np.ndarray
+    sources: np.ndarray
+    entry_coefficient: np.ndarray
+    param_coefficient: np.ndarray
+    pairs: tuple[tuple[tuple[tuple[int, int], tuple[int, int]], int, int], ...]
+
+
+@lru_cache(maxsize=1)
+def _sample_layout(P: Partition) -> _SampleLayout:
+    """The coefficient layout of P's samples, built once and shared by
+    consecutive samples of one partition (only the latest is cached)."""
+    blocks = _blocks(P)
+    targets, sources, entry_coefficient, param_coefficient, pairs = [], [], [], [], []
+    count = 0
+    for p, k, start in blocks:
+        for p2, k2, start2 in blocks:
+            lo = len(param_coefficient)
+            for j in range(max(1, p2 - p + 1), p2 + 1):
+                if j == 1 and p == p2 and k >= k2:
+                    param_coefficient.append(-1)
+                    continue
+                param_coefficient.append(count)
+                # Shift j carries basis index u of row (p, k) to u + j - 1 of
+                # row (p2, k2), for the p2 - j + 1 values of u that stay in it.
+                band = range(p2 - j + 1)
+                targets.extend(start2 + j - 1 + u for u in band)
+                sources.extend(start + u for u in band)
+                entry_coefficient.extend([count] * len(band))
+                count += 1
+            pairs.append((((p, k), (p2, k2)), lo, len(param_coefficient)))
+    arrays = [np.array(a, dtype=np.int64)
+              for a in (targets, sources, entry_coefficient, param_coefficient)]
+    for a in arrays:
+        a.flags.writeable = False
+    return _SampleLayout(tuple(blocks), count, *arrays, tuple(pairs))
+
+
+def _commutes_with_jordan(blocks: Sequence[tuple[int, int, int]], A: np.ndarray) -> bool:
     """Whether A commutes with the Jordan matrix B of the given row blocks,
     in O(n^2) and without forming a product.
 
@@ -281,31 +319,57 @@ def rank_mod(A: np.ndarray, p: int) -> int:
     return len(_rref(A, p)[1])
 
 
+def _krylov_start(n: int, width: int, p: int) -> np.ndarray:
+    """The n x width starting block of the Krylov stack, from a fixed seed.
+
+    Its values affect only the running time of ``jordan_type_from_ranks``,
+    never its result.
+    """
+    return np.random.default_rng(0).integers(0, p, size=(n, width))
+
+
 def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
     """Jordan partition of a nilpotent matrix from its power-rank profile.
 
     rank(A^(k-1)) - rank(A^k) blocks have size >= k; the conjugate of
     these counts is the type.
 
-    No power of A is formed.  Start from X = A.  The rows of the reduced
-    echelon form R of X^T are a basis of im X with R[i, piv_j] = [i == j],
-    so a vector of im X has its entries at the pivots as coordinates in
-    that basis.  X restricted to im X is therefore (X R^T)[piv, :] =
-    X[piv, :] R^T, a rank(X) x rank(X) matrix.  Its image is X(im X) =
-    im X^2, so repeating the step on it records rank(A), rank(A^2), ...
-    on matrices that shrink at every level, down to rank 0.  A level of
-    full rank means the matrix is not nilpotent.
+    No power of A is formed; one elimination gives every rank.  A has
+    l = n - rank(A) Jordan blocks, so l vectors can generate F^n under A.
+    For an n x l block V, form A V, A^2 V, ... until A^m V = 0, and reduce
+    the stack [A^(m-1) V | ... | A V | V] once.  Its pivot columns are the
+    leftmost independent ones, so the pivots among the blocks of power
+    >= j number dim span{A^i V : i >= j}.
+
+    Certificate: if the stack has rank n, then W = span{A^i V} is F^n, so
+    im A^j = A^j W = span{A^i V : i >= j} and the count above is
+    rank(A^j); A^m V = 0 then gives A^m = 0.  The result is exact whatever
+    V was; a random V merely makes rank n likely on the first try.  If the
+    rank falls short, the n unit vectors are appended to V and the stack
+    is rebuilt; unit vectors span F^n, so the second stack has rank n
+    whenever the powers vanish.  A full-rank A, or powers of V that have
+    not vanished after n steps, mean A is not nilpotent.
     """
     n = A.shape[0]
-    X = (A % p).astype(np.int64, copy=False)
-    ranks = [n]
-    while ranks[-1]:
-        R, piv = _rref(X.T, p)
-        if len(piv) == ranks[-1]:
-            raise NotNilpotent(f"matrix of size {n} has no vanishing power")
-        ranks.append(len(piv))
-        X = _matmul(X[piv], R.T, p)
-    return conjugate(Partition(ranks[k - 1] - ranks[k] for k in range(1, len(ranks))))
+    A = (A % p).astype(np.int64, copy=False)
+    jordan_blocks = n - rank_mod(A, p)
+    if n and not jordan_blocks:
+        raise NotNilpotent(f"matrix of size {n} has full rank")
+    V = _krylov_start(n, jordan_blocks, p)
+    while True:  # at most twice: a stack holding the unit vectors has rank n
+        powers = [V]
+        while powers[-1].any():
+            if len(powers) > n:
+                raise NotNilpotent(f"matrix of size {n} has no vanishing power")
+            powers.append(_matmul(A, powers[-1], p))
+        m = len(powers) - 1
+        _, piv = _rref(np.hstack(powers[-2::-1]) if m else V, p)
+        if len(piv) == n:
+            break
+        V = np.hstack([V, np.eye(n, dtype=np.int64)])
+    width = V.shape[1]
+    ranks = [bisect_left(piv, (m - j) * width) for j in range(m + 1)]
+    return conjugate(Partition(ranks[k - 1] - ranks[k] for k in range(1, m + 1)))
 
 
 @dataclass(frozen=True)
@@ -379,7 +443,7 @@ def order_criterion_check(P: Partition, field: PrimeField, samples: int, seed: i
     if P.n > 8:
         raise PosetTooLarge(f"order check is exhaustive over pairs; n={P.n} > 8")
     D = build_poset(P)
-    index = basis_index(P)
+    index = {v: i for i, v in enumerate(vertex_list(P))}
     structural = structural_action_pairs(P)
     seeds = tuple(seed + i for i in range(samples))
     mats = [sample_nilpotent_commutant(P, field, s).matrix for s in seeds]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,16 @@ def test_verify_small_range(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "n=6: 11 partitions checked" in out
+
+
+def test_module_entry_point_runs_verify():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "nilcomm", "verify", "1", "3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "PASS" in done.stdout
+    assert "n=3: 3 partitions checked" in done.stdout
 
 
 def test_verify_rejects_bad_range(capsys):

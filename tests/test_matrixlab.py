@@ -26,7 +26,7 @@ from nilcomm.matrixlab import (
     sample_nilpotent_commutant,
     structural_action_pairs,
 )
-from nilcomm.partitions import Partition, all_partitions, from_parts
+from nilcomm.partitions import Partition, all_partitions, conjugate, from_parts
 from nilcomm.uchains import lambda_u
 
 from strategies import partitions
@@ -65,6 +65,52 @@ def reference_sample(P, field, seed):
                             A[start2 + u2 - 1, start + u - 1] = t
             params[((p, k), (p2, k2))] = tuple(coeffs)
     return params, A
+
+
+def restriction_profile(A, p):
+    """The former rank profile: restrict A to its image, level by level.
+
+    The rows of the RREF R of X^T are a basis of im X with R[i, piv_j] =
+    [i == j], so X restricted to im X is X[piv] R^T, whose image is im X^2;
+    the levels record rank(A), rank(A^2), ... down to 0.
+    """
+    X = A % p
+    ranks = [len(A)]
+    while ranks[-1]:
+        R, piv = matrixlab._rref(X.T, p)
+        if len(piv) == ranks[-1]:
+            raise NotNilpotent("full-rank level")
+        ranks.append(len(piv))
+        X = matrixlab._matmul(X[piv], R.T, p)
+    return conjugate(Partition(ranks[k - 1] - ranks[k] for k in range(1, len(ranks))))
+
+
+def sympy_jordan_type(A, p):
+    """Jordan type from sympy ranks of successive powers over GF(p)."""
+    M = sympy_matrix(A, p)
+    ranks = [len(A)]
+    power = M
+    while ranks[-1]:
+        assert len(ranks) <= len(A)
+        ranks.append(power.rank())
+        power = power * M
+    ranks.append(0)
+    # rank(A^(k-1)) - 2 rank(A^k) + rank(A^(k+1)) blocks have size exactly k
+    return Partition(k for k in range(1, len(ranks) - 1)
+                     for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]))
+
+
+def conjugated_jordan_matrix(P, p, seed):
+    """S J_P S^-1 mod p for a random invertible S = L U (L unit lower,
+    U upper triangular with nonzero diagonal)."""
+    rng = np.random.default_rng(seed)
+    n = P.n
+    L = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    U = np.triu(rng.integers(0, p, (n, n)), 1) + np.diag(rng.integers(1, p, n))
+    S = sympy_matrix((L.astype(object).dot(U.astype(object)) % p).astype(np.int64), p)
+    conj = S * sympy_matrix(jordan_matrix(P), p) * S.inv()
+    return np.array([[int(x) for x in row] for row in conj.to_Matrix().tolist()],
+                    dtype=np.int64) % p
 
 
 def squaring_is_nilpotent(A, p):
@@ -289,18 +335,70 @@ def test_rank_mod_matches_sympy(rows, cols, rank, p, seed):
 @given(P=partitions(30), seed=SEEDS)
 def test_jordan_type_matches_sympy_power_ranks(P, seed):
     A = sample_nilpotent_commutant(P, FIELD, seed).matrix
-    M = sympy_matrix(A, FIELD.p)
-    ranks = [P.n]
-    power = M
-    while ranks[-1]:
-        assert len(ranks) <= P.n
-        ranks.append(power.rank())
-        power = power * M
-    ranks.append(0)
-    # rank(A^(k-1)) - 2 rank(A^k) + rank(A^(k+1)) blocks have size exactly k
-    parts = [k for k in range(1, len(ranks) - 1)
-             for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]
-    assert jordan_type_from_ranks(A, FIELD.p) == Partition(parts)
+    assert jordan_type_from_ranks(A, FIELD.p) == sympy_jordan_type(A, FIELD.p)
+
+
+@settings(max_examples=60)
+@given(P=partitions(12), p=st.sampled_from([2, 3, 7, 1_000_003]), seed=SEEDS)
+def test_krylov_profile_matches_oracles_on_conjugated_jordan_matrices(P, p, seed):
+    # At p = 2 and 3 the random Krylov start is often deficient, so the
+    # unit-vector retry runs on many of these examples.
+    A = conjugated_jordan_matrix(P, p, seed)
+    assert sympy_jordan_type(A, p) == P
+    assert restriction_profile(A, p) == P
+    assert jordan_type_from_ranks(A, p) == P
+
+
+def spy_on_rref(monkeypatch):
+    shapes = []
+    rref = matrixlab._rref
+
+    def spy(M, p):
+        shapes.append(M.shape)
+        return rref(M, p)
+
+    monkeypatch.setattr(matrixlab, "_rref", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("start", ["zero", "one block"])
+def test_rank_deficient_krylov_start_is_retried_with_unit_vectors(monkeypatch, start):
+    P = from_parts([4, 2, 2, 1])  # 4 blocks
+    A = conjugated_jordan_matrix(P, 7, seed=3)
+    if start == "zero":
+        V = np.zeros((P.n, 4), dtype=np.int64)
+    else:  # four copies of one vector: its cyclic span has dimension <= 4 < 9
+        V = np.repeat(np.random.default_rng(1).integers(0, 7, (P.n, 1)), 4, axis=1)
+    monkeypatch.setattr(matrixlab, "_krylov_start", lambda n, width, p: V)
+    shapes = spy_on_rref(monkeypatch)
+    assert jordan_type_from_ranks(A, 7) == P
+    # rank(A), the deficient stack, then the stack with the unit vectors appended
+    assert len(shapes) == 3
+    assert shapes[-1] == (P.n, 4 * (4 + P.n))
+
+
+def test_generic_krylov_start_needs_no_retry(monkeypatch):
+    P = from_parts([4, 2, 2, 1])
+    A = conjugated_jordan_matrix(P, FIELD.p, seed=3)
+    shapes = spy_on_rref(monkeypatch)
+    assert jordan_type_from_ranks(A, FIELD.p) == P
+    assert shapes == [(P.n, P.n), (P.n, 4 * 4)]
+
+
+def test_not_nilpotent_when_part_of_the_matrix_is_invertible(monkeypatch):
+    # blockdiag(J_(3), [1]): rank 3 of 4, so one Krylov vector, and e_1
+    # (inside the nilpotent block) vanishes after three steps.
+    A = np.zeros((4, 4), dtype=np.int64)
+    A[1, 0] = A[2, 1] = A[3, 3] = 1
+    with pytest.raises(NotNilpotent):
+        jordan_type_from_ranks(A, FIELD.p)
+    inside = np.zeros((4, 1), dtype=np.int64)
+    inside[0, 0] = 1
+    monkeypatch.setattr(matrixlab, "_krylov_start", lambda n, width, p: inside)
+    with pytest.raises(NotNilpotent):
+        jordan_type_from_ranks(A, FIELD.p)
+    with pytest.raises(NotNilpotent):
+        jordan_type_from_ranks(np.eye(4, dtype=np.int64), FIELD.p)
 
 
 def test_sampler_matches_reference_loop():
@@ -311,6 +409,32 @@ def test_sampler_matches_reference_loop():
                 params, A = reference_sample(P, FIELD, seed)
                 assert s.params == params
                 assert np.array_equal(s.matrix, A), (P, seed)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, BIG_PRIME])
+def test_array_draw_matches_scalar_draws(p):
+    scalar = np.random.default_rng(5)
+    assert (np.random.default_rng(5).integers(0, p, size=500).tolist()
+            == [int(scalar.integers(0, p)) for _ in range(500)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, BIG_PRIME])
+def test_sampler_matches_reference_loop_for_other_primes(p):
+    field = PrimeField(p)
+    for n in range(1, 9):
+        for P in all_partitions(n):
+            for seed in range(2):
+                s = sample_nilpotent_commutant(P, field, seed)
+                params, A = reference_sample(P, field, seed)
+                assert s.params == params
+                assert np.array_equal(s.matrix, A), (P, p, seed)
+
+
+def test_sample_layout_is_built_once_per_partition():
+    matrixlab._sample_layout.cache_clear()
+    generic_jordan_type(from_parts([4, 2, 2, 1]), FIELD, 5, seed=0)
+    info = matrixlab._sample_layout.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 
 def test_sampling_refuses_int64_overflow():
