@@ -24,7 +24,6 @@ from .greene import (
     ChainUnionProfile,
     chain_union_profile,
     greene_lambda,
-    max_k_chain_union,
     oracle_max_k_chain_union,
 )
 from .uchains import (
@@ -42,7 +41,6 @@ from .uchains import (
 )
 from .uprocess import (
     ProcessTrace,
-    RelabelMap,
     canonical_process,
     count_full_processes,
     enumerate_full_processes,

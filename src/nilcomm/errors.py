@@ -35,6 +35,10 @@ class VertexNotInPoset(NilcommError):
     """Raised when a vertex subset refers to labels outside the poset."""
 
 
+class CyclicCovers(NilcommError, ValueError):
+    """Raised when a cover list has a cycle, so it describes no partial order."""
+
+
 class PosetTooLarge(NilcommError):
     """Raised when an exhaustive routine is asked to handle too many vertices."""
 

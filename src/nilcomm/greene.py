@@ -21,18 +21,20 @@ may count: the pass-through arcs make that possible.  The minimum cost
 of k units is therefore exactly -c_k.
 
 Search.  Successive shortest paths: the initial potentials are the
-shortest distances from the source, one pass over a topological order of
-the covers (Kahn's algorithm; ``sort_key`` order is not a linear
-extension, since ``beta`` covers go to lower levels).  Each augmentation
+shortest distances from the source, one pass over the poset's
+topological order ``Poset.topo``.  Each augmentation
 is then one Dijkstra search on reduced costs, which the potentials keep
 nonnegative, followed by a potential update.  The path costs increase
 weakly, which makes the profile concave; that is checked, not assumed.
 
 Certificate.  After augmentation k the flow is broken into its k unit
-source-sink paths.  The counted vertices of each path, in path order,
-must be strictly increasing under ``Poset.less`` (so each is a chain);
-the chains must be pairwise disjoint and cover exactly ``c_k`` vertices.
-A failure raises ``ChainCertificateFailed``.  This certifies that each
+source-sink paths, each with every vertex it visits, counted or passed
+through.  Each consecutive pair on a path must be a cover of the poset,
+checked against the set of ``Poset.covers`` and not against the flow's
+own arcs, so the counted vertices of a path form a chain; the chains
+must be pairwise disjoint and cover exactly ``c_k`` vertices.  No order
+query, and so no closure, is needed.  A failure raises
+``ChainCertificateFailed``.  This certifies that each
 ``c_k`` is attained; its optimality rests on the flow and, for small
 posets, on the exhaustive oracle.
 """
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import ChainCertificateFailed, NonMonotoneProfile, PosetTooLarge
 from .partitions import Partition
-from .poset import Poset, Vertex
+from .poset import Poset
 
 _INF = 10 ** 18
 
@@ -59,14 +61,12 @@ class _CoverFlow:
 
     def __init__(self, D: Poset):
         m = len(D)
-        self.vertices = D.vertices
         self.source, self.sink = 2 * m, 2 * m + 1
         unbounded = m + 1  # no arc ever carries more than m units
-        index = {v: i for i, v in enumerate(D.vertices)}
-        cover_pairs = [(index[a], index[b]) for a, b in D.covers]
         ins, outs = range(0, 2 * m, 2), range(1, 2 * m, 2)
-        tails = [*ins, *ins, *[self.source] * m, *outs, *(2 * i + 1 for i, _ in cover_pairs)]
-        heads = [*outs, *outs, *ins, *[self.sink] * m, *(2 * j for _, j in cover_pairs)]
+        tails = [*ins, *ins, *[self.source] * m, *outs,
+                 *(2 * i + 1 for i, js in enumerate(D.succ) for _ in js)]
+        heads = [*outs, *outs, *ins, *[self.sink] * m, *(2 * j for js in D.succ for j in js)]
         num_arcs = 2 * len(tails)
         self.to = [0] * num_arcs
         self.to[0::2], self.to[1::2] = heads, tails
@@ -79,31 +79,22 @@ class _CoverFlow:
         for f, (u, v) in enumerate(zip(tails, heads)):
             self.adj[u].append(2 * f)
             self.adj[v].append(2 * f + 1)
-        self.potential = self._initial_potentials(m, cover_pairs)
+        self.potential = self._initial_potentials(D)
 
-    def _initial_potentials(self, m: int, cover_pairs: list[tuple[int, int]]) -> list[int]:
+    def _initial_potentials(self, D: Poset) -> list[int]:
         """Shortest distances from the source in the empty-flow network.
 
         in(v) is at minus the longest chain strictly below v, out(v) one
-        lower; the covers are relaxed in a Kahn topological order.
+        lower; the covers are relaxed in the topological order of D.
         """
-        succ: list[list[int]] = [[] for _ in range(m)]
-        indeg = [0] * m
-        for i, j in cover_pairs:
-            succ[i].append(j)
-            indeg[j] += 1
+        m = len(D)
         dist = [0] * (2 * m + 2)
-        ready = [i for i in range(m) if indeg[i] == 0]
-        while ready:
-            i = ready.pop()
+        for i in D.topo:
             out = dist[2 * i] - 1
             dist[2 * i + 1] = out
-            for j in succ[i]:
+            for j in D.succ[i]:
                 if out < dist[2 * j]:
                     dist[2 * j] = out
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
         dist[self.sink] = min(dist[1:2 * m:2], default=0)
         return dist
 
@@ -146,17 +137,19 @@ class _CoverFlow:
             v = to[eid ^ 1]
         return pot[t] - pot[s]
 
-    def chains(self) -> list[list[Vertex]]:
-        """Break the flow into unit source-sink paths; the counted vertices
-        of each, in path order."""
-        to, adj, vertices = self.to, self.adj, self.vertices
-        m = len(vertices)
+    def paths(self) -> list[list[int]]:
+        """Break the flow into unit source-sink paths.
+
+        Each path lists the in-out arcs it takes, in path order: i where
+        it counts vertex v_i and m + i where it passes through v_i.
+        """
+        to, adj, split = self.to, self.adj, self.source  # arcs f < 2m join in(v) to out(v)
         flow = self.cap[1::2]  # flow on arc 2f is the residual capacity of its twin
         nxt = [0] * len(adj)  # per node, the first arc that may still carry flow
-        out: list[list[Vertex]] = []
+        out: list[list[int]] = []
         while True:
             u = self.source
-            chain: list[Vertex] = []
+            path: list[int] = []
             while u != self.sink:
                 eids = adj[u]
                 i = nxt[u]
@@ -169,10 +162,10 @@ class _CoverFlow:
                     raise ChainCertificateFailed(f"flow is not conserved at node {u}")
                 f = eids[i] >> 1
                 flow[f] -= 1
-                if f < m:
-                    chain.append(vertices[f])
+                if f < split:
+                    path.append(f)
                 u = to[2 * f]
-            out.append(chain)
+            out.append(path)
 
 
 @dataclass(frozen=True)
@@ -183,18 +176,25 @@ class ChainUnionProfile:
     lam: Partition
 
 
-def _certify(D: Poset, chains: list[list[Vertex]], k: int, c_k: int) -> None:
-    """Check that ``chains`` are k disjoint chains of D covering c_k vertices."""
-    if len(chains) != k:
-        raise ChainCertificateFailed(f"flow of value {k} splits into {len(chains)} paths")
-    covered: set[Vertex] = set()
-    for chain in chains:
-        for v, w in zip(chain, chain[1:]):
-            if not D.less(v, w):
-                raise ChainCertificateFailed(f"path counts {v} then {w}, which is not above it")
-        covered.update(chain)
-    size = sum(len(chain) for chain in chains)
-    if len(covered) != size:
+def _certify(D: Poset, covers: set[tuple[int, int]], paths: list[list[int]],
+             k: int, c_k: int) -> None:
+    """Check that ``paths``, as from ``_CoverFlow.paths``, are k cover
+    paths of D whose counted vertices are disjoint and number c_k.
+
+    ``covers`` holds the index pairs (i, j) of the covers v_i < v_j.
+    """
+    if len(paths) != k:
+        raise ChainCertificateFailed(f"flow of value {k} splits into {len(paths)} paths")
+    m = len(D)
+    counted: list[int] = []
+    for path in paths:
+        for f, g in zip(path, path[1:]):
+            if (f % m, g % m) not in covers:
+                raise ChainCertificateFailed(f"path steps from {D.vertices[f % m]} to "
+                                             f"{D.vertices[g % m]}, which is not a cover")
+        counted.extend(f for f in path if f < m)
+    size = len(counted)
+    if len(set(counted)) != size:
         raise ChainCertificateFailed(f"the {k} chains of the flow overlap")
     if size != c_k:
         raise ChainCertificateFailed(f"the {k} chains of the flow cover {size} vertices, "
@@ -207,6 +207,7 @@ def chain_union_profile(D: Poset) -> ChainUnionProfile:
     if m == 0:
         return ChainUnionProfile((0,), Partition())
     flow = _CoverFlow(D)
+    covers = {(D.index[a], D.index[b]) for a, b in D.covers}
     cumulative = [0]
     total = 0
     while cumulative[-1] < m:
@@ -215,21 +216,13 @@ def chain_union_profile(D: Poset) -> ChainUnionProfile:
             raise NonMonotoneProfile("flow stalled before covering the poset")
         total += cost
         cumulative.append(-total)
-        _certify(D, flow.chains(), len(cumulative) - 1, cumulative[-1])
+        _certify(D, covers, flow.paths(), len(cumulative) - 1, cumulative[-1])
 
     parts = [cumulative[k] - cumulative[k - 1] for k in range(1, len(cumulative))]
     for i in range(1, len(parts)):
         if parts[i] > parts[i - 1]:
             raise NonMonotoneProfile(f"profile differences increase: {parts}")
     return ChainUnionProfile(tuple(cumulative), Partition(parts))
-
-
-def max_k_chain_union(D: Poset, k: int) -> int:
-    """Maximum number of vertices covered by a union of k chains."""
-    if k <= 0:
-        return 0
-    profile = chain_union_profile(D).cumulative
-    return profile[k] if k < len(profile) else profile[-1]
 
 
 def greene_lambda(D: Poset) -> Partition:

@@ -126,17 +126,11 @@ def jordan_matrix(P: Partition) -> np.ndarray:
 
 @dataclass
 class CommutantSample:
-    """A sampled matrix commuting with the Jordan matrix of a partition.
-
-    ``params`` maps an ordered pair of rows ((p, k), (p2, k2)) to its
-    coefficient vector, indexed by the shift j = max(1, p2-p+1) .. p2;
-    forced zeros (the strictly-triangular constraint) are stored as 0.
-    """
+    """A sampled matrix commuting with the Jordan matrix of a partition."""
 
     partition: Partition
     field: PrimeField
     seed: int
-    params: dict[tuple[tuple[int, int], tuple[int, int]], tuple[int, ...]]
     matrix: np.ndarray
 
 
@@ -157,13 +151,11 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     draws = np.random.default_rng(seed).integers(0, field.p, size=layout.count)
     A = np.zeros((n, n), dtype=np.int64)
     A[layout.targets, layout.sources] = draws[layout.entry_coefficient]
-    values = np.append(draws, 0)[layout.param_coefficient].tolist()
-    params = {pair: tuple(values[lo:hi]) for pair, lo, hi in layout.pairs}
 
     if not _commutes_with_jordan(layout.blocks, A):
         raise CommutationCheckFailed(f"sampled matrix does not commute for {P} (seed {seed})")
     _check_key_triangular(P, A)
-    return CommutantSample(P, field, seed, params, A)
+    return CommutantSample(P, field, seed, A)
 
 
 @dataclass(frozen=True)
@@ -171,9 +163,7 @@ class _SampleLayout:
     """Where each free coefficient of a sample goes, for one partition.
 
     Coefficient c is the c-th draw.  Matrix entry (targets[e], sources[e])
-    holds coefficient entry_coefficient[e]; the params vector of pairs[i]
-    = (pair, lo, hi) is param_coefficient[lo:hi], where index -1 stands for
-    a forced zero (it picks a zero appended after the draws).
+    holds coefficient entry_coefficient[e].
     """
 
     blocks: tuple[tuple[int, int, int], ...]
@@ -181,8 +171,6 @@ class _SampleLayout:
     targets: np.ndarray
     sources: np.ndarray
     entry_coefficient: np.ndarray
-    param_coefficient: np.ndarray
-    pairs: tuple[tuple[tuple[tuple[int, int], tuple[int, int]], int, int], ...]
 
 
 @lru_cache(maxsize=1)
@@ -190,16 +178,13 @@ def _sample_layout(P: Partition) -> _SampleLayout:
     """The coefficient layout of P's samples, built once and shared by
     consecutive samples of one partition (only the latest is cached)."""
     blocks = _blocks(P)
-    targets, sources, entry_coefficient, param_coefficient, pairs = [], [], [], [], []
+    targets, sources, entry_coefficient = [], [], []
     count = 0
     for p, k, start in blocks:
         for p2, k2, start2 in blocks:
-            lo = len(param_coefficient)
             for j in range(max(1, p2 - p + 1), p2 + 1):
                 if j == 1 and p == p2 and k >= k2:
-                    param_coefficient.append(-1)
                     continue
-                param_coefficient.append(count)
                 # Shift j carries basis index u of row (p, k) to u + j - 1 of
                 # row (p2, k2), for the p2 - j + 1 values of u that stay in it.
                 band = range(p2 - j + 1)
@@ -207,12 +192,10 @@ def _sample_layout(P: Partition) -> _SampleLayout:
                 sources.extend(start + u for u in band)
                 entry_coefficient.extend([count] * len(band))
                 count += 1
-            pairs.append((((p, k), (p2, k2)), lo, len(param_coefficient)))
-    arrays = [np.array(a, dtype=np.int64)
-              for a in (targets, sources, entry_coefficient, param_coefficient)]
+    arrays = [np.array(a, dtype=np.int64) for a in (targets, sources, entry_coefficient)]
     for a in arrays:
         a.flags.writeable = False
-    return _SampleLayout(tuple(blocks), count, *arrays, tuple(pairs))
+    return _SampleLayout(tuple(blocks), count, *arrays)
 
 
 def _commutes_with_jordan(blocks: Sequence[tuple[int, int, int]], A: np.ndarray) -> bool:

@@ -13,14 +13,17 @@ edges come in four families:
                present, differ by more than one), stepping one position to
                the right from the top row to the bottom row.
 
-The partial order is the reflexive-transitive closure of the covers.
+The partial order is the reflexive-transitive closure of the covers; a
+``Poset`` stores the covers and computes the closure only when an order
+query needs it.
 """
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Iterable
 
-from .errors import VertexNotInPoset
+from .errors import CyclicCovers, VertexNotInPoset
 from .partitions import Partition
 
 Vertex = tuple[int, int, int]
@@ -55,7 +58,15 @@ def _is_isolated(levels: tuple[int, ...], i: int) -> bool:
 
 
 class Poset:
-    """Covering digraph of a partition's basis poset plus its closure.
+    """Covering digraph of a partition's basis poset.
+
+    The order is held once, by position in ``vertices`` (``index``):
+    ``succ[i]`` lists the vertices that cover vertex i, in canonical order,
+    and ``topo`` is one topological order; both take O(m + covers) to
+    build, and a cyclic cover list is refused there.  ``less``, ``leq``
+    and ``is_chain`` read an int-bitset closure computed on the first such
+    query, in one pass over the reverse topological order; the flow and its
+    certificate read only the covers, so they never build it.
 
     Immutable after construction; all queries are pure.
     """
@@ -65,65 +76,70 @@ class Poset:
         self.covers: tuple[tuple[Vertex, Vertex], ...] = tuple(
             sorted(set(covers), key=lambda e: (sort_key(e[0]), sort_key(e[1])))
         )
-        vset = set(self.vertices)
+        self.index: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
+        m = len(self.vertices)
+        succ: list[list[int]] = [[] for _ in range(m)]
+        indeg = [0] * m
         for a, b in self.covers:
-            if a not in vset or b not in vset:
+            if a not in self.index or b not in self.index:
                 raise VertexNotInPoset(f"cover ({a}, {b}) uses unknown vertices")
-        self._vset = vset
-        adj: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
-        for a, b in self.covers:
-            adj[a].append(b)
-        # strictly-above sets by DFS from each vertex
-        up: dict[Vertex, frozenset[Vertex]] = {}
-        for v in self.vertices:
-            seen: set[Vertex] = set()
-            stack = list(adj[v])
-            while stack:
-                w = stack.pop()
-                if w not in seen:
-                    seen.add(w)
-                    stack.extend(adj[w])
-            if v in seen:
-                raise ValueError(f"covering digraph has a cycle through {v}")
-            up[v] = frozenset(seen)
-        self._up = up
+            j = self.index[b]
+            succ[self.index[a]].append(j)
+            indeg[j] += 1
+        # Kahn's algorithm; ``sort_key`` order is not topological, since
+        # ``beta`` covers go to lower levels.
+        topo = [i for i in range(m) if not indeg[i]]
+        for i in topo:
+            for j in succ[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    topo.append(j)
+        if len(topo) < m:
+            raise CyclicCovers(f"covering digraph has a cycle: {m - len(topo)} vertices "
+                               "lie on or above one")
+        self.succ: tuple[tuple[int, ...], ...] = tuple(map(tuple, succ))
+        self.topo: tuple[int, ...] = tuple(topo)
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self._vset
+        return v in self.index
+
+    @cached_property
+    def _up(self) -> list[int]:
+        """Bit j of ``_up[i]`` is set iff vertex j is strictly above vertex i."""
+        up = [0] * len(self.vertices)
+        for i in reversed(self.topo):
+            mask = 0
+            for j in self.succ[i]:
+                mask |= up[j] | 1 << j
+            up[i] = mask
+        return up
 
     def less(self, v: Vertex, w: Vertex) -> bool:
         """Strict order: v < w."""
-        self._check(v)
-        self._check(w)
-        return w in self._up[v]
+        return bool(self._up[self._index(v)] >> self._index(w) & 1)
 
     def leq(self, v: Vertex, w: Vertex) -> bool:
-        self._check(v)
-        self._check(w)
-        return v == w or w in self._up[v]
-
-    def above(self, v: Vertex) -> frozenset[Vertex]:
-        """All vertices strictly above v."""
-        self._check(v)
-        return self._up[v]
+        return self.less(v, w) or v == w
 
     def is_chain(self, S: Iterable[Vertex]) -> bool:
         """True iff every pair of S is comparable (empty sets vacuously so)."""
         elems = list(set(S))
         for v in elems:
-            self._check(v)
+            self._index(v)
         for i, v in enumerate(elems):
             for w in elems[i + 1:]:
                 if not (self.less(v, w) or self.less(w, v)):
                     return False
         return True
 
-    def _check(self, v: Vertex) -> None:
-        if v not in self._vset:
-            raise VertexNotInPoset(f"{v} is not a vertex of this poset")
+    def _index(self, v: Vertex) -> int:
+        try:
+            return self.index[v]
+        except KeyError:
+            raise VertexNotInPoset(f"{v} is not a vertex of this poset") from None
 
 
 def build_poset(P: Partition) -> Poset:

@@ -44,17 +44,8 @@ from .poset import Vertex, sort_key, vertex_list
 from .uchains import UChainSpec, materialize, max_simple_u_chains, strand_table
 
 
-@dataclass(frozen=True)
-class RelabelMap:
-    """Embedding of the post-removal poset into its parent, for anchor a."""
-
-    anchor: int
-
-    def apply(self, v: Vertex) -> Vertex:
-        return _relabel_vertex(v, self.anchor)
-
-
 def _relabel_vertex(v: Vertex, a: int) -> Vertex:
+    """Embed vertex v of the poset left by removal at anchor a into its parent."""
     u, p, k = v
     if p < a:
         return v
@@ -81,11 +72,12 @@ def _shrink(P: Partition, a: int) -> Partition:
     return Partition([p if p < a else p - 2 for p in P.parts if not a <= p <= a + 1])
 
 
-def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, RelabelMap, frozenset[Vertex]]:
+def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, frozenset[Vertex]]:
     """Remove the simple chain at anchor ``a`` from the poset of P.
 
-    Returns the surviving partition, the relabeling into P's poset, and
-    the removed vertex set (in P's labels).
+    Returns the surviving partition and the removed vertex set (in P's
+    labels).  The surviving poset embeds back into P's by the relabeling
+    described in the module docstring.
     """
     removed = materialize(P, UChainSpec((a,))).union
     if not removed:
@@ -95,7 +87,7 @@ def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, RelabelMap, fr
         w = _relabel_vertex(v, a)
         if w in removed:
             raise AssertionError(f"relabeled vertex {v} -> {w} collides with the removed chain")
-    return P_next, RelabelMap(a), removed
+    return P_next, removed
 
 
 @dataclass
@@ -140,7 +132,7 @@ def _search(P: Partition, pick_all: bool, cap: int) -> list[ProcessTrace]:
             _, winners = max_simple_u_chains(cur)
             moves[cur] = []
             for a in (winners if pick_all else (max(winners),)):
-                nxt, _, rem = remove_simple_chain(cur, a)
+                nxt, rem = remove_simple_chain(cur, a)
                 moves[cur].append((a, nxt, rem))
         return moves[cur]
 

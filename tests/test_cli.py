@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -141,3 +142,11 @@ def test_export_to_file(tmp_path, capsys):
 def test_export_unknown_format_rejected():
     with pytest.raises(SystemExit):
         main(["export", "-p", "2,1", "--format", "yaml"])
+
+
+def test_sweep_report_is_pinned():
+    # sha256 of the n = 1..12 report as first recorded; any change to a
+    # record, a count or the JSON layout shows here
+    blob = run_sweep(1, 12).to_json().encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "98007eaf9be0a524f86cd709292eb511f3fcd2415937fcb0a521bf7760628b0f")

@@ -4,12 +4,7 @@ from hypothesis import given, settings
 
 from nilcomm import greene
 from nilcomm.errors import ChainCertificateFailed, PosetTooLarge
-from nilcomm.greene import (
-    chain_union_profile,
-    greene_lambda,
-    max_k_chain_union,
-    oracle_max_k_chain_union,
-)
+from nilcomm.greene import chain_union_profile, greene_lambda, oracle_max_k_chain_union
 from nilcomm.partitions import all_partitions, from_parts
 from nilcomm.poset import build_poset
 
@@ -42,14 +37,14 @@ def networkx_profile(D):
 
 def test_zero_chains_cover_nothing():
     D = build_poset(from_parts([3, 2]))
-    assert max_k_chain_union(D, 0) == 0
+    assert chain_union_profile(D).cumulative[0] == 0
     assert oracle_max_k_chain_union(D, 0) == 0
 
 
 def test_three_vertex_poset_is_a_chain():
     D = build_poset(from_parts([2, 1]))
     assert oracle_max_k_chain_union(D, 1) == 3
-    assert max_k_chain_union(D, 1) == 3
+    assert chain_union_profile(D).cumulative[1] == 3
     assert greene_lambda(D).parts == (3,)
 
 
@@ -57,9 +52,8 @@ def test_single_row_and_single_column():
     for m in (1, 2, 5, 9):
         assert greene_lambda(build_poset(from_parts([1] * m))).parts == (m,)
         assert greene_lambda(build_poset(from_parts([m]))).parts == (m,)
-    D = build_poset(from_parts([6]))
-    for k in range(1, 4):
-        assert max_k_chain_union(D, k) == 6
+    # one chain already covers all six vertices, so c_k = 6 for every k >= 1
+    assert chain_union_profile(build_poset(from_parts([6]))).cumulative == (0, 6)
 
 
 def test_ten_vertex_example_profile():
@@ -96,8 +90,10 @@ def test_profile_is_concave_and_exhaustive():
 def test_k_beyond_width_saturates():
     D = build_poset(from_parts([3, 2, 2]))
     n = len(D)
-    assert max_k_chain_union(D, n) == n
-    assert max_k_chain_union(D, n + 5) == n
+    c = chain_union_profile(D).cumulative
+    # the profile stops at the width, where c reaches n; beyond it c_k = n
+    assert len(c) - 1 < n and c[-1] == n
+    assert oracle_max_k_chain_union(D, n) == oracle_max_k_chain_union(D, n + 5) == n
 
 
 def test_oracle_guards_size():
@@ -134,13 +130,39 @@ def test_certificate_catches_a_wrong_path_cost(monkeypatch):
 
 def test_certificate_refuses_bad_chains():
     D = build_poset(from_parts([2, 1]))
-    low, mid, top = (1, 2, 1), (1, 1, 1), (2, 2, 1)  # the chain low < mid < top
-    greene._certify(D, [[low, mid, top]], 1, 3)
+    m = len(D)
+    # the covers low < mid < top; a path entry i counts vertex i, m + i passes through it
+    low, mid, top = (D.index[v] for v in [(1, 2, 1), (1, 1, 1), (2, 2, 1)])
+    covers = {(D.index[a], D.index[b]) for a, b in D.covers}
+
+    def certify(paths, k, c_k):
+        greene._certify(D, covers, paths, k, c_k)
+
+    certify([[low, mid, top]], 1, 3)
+    certify([[low, mid], [m + mid, top]], 2, 3)  # passing through a counted vertex is fine
     with pytest.raises(ChainCertificateFailed, match="splits into"):
-        greene._certify(D, [[low, mid, top]], 2, 3)
-    with pytest.raises(ChainCertificateFailed, match="not above"):
-        greene._certify(D, [[mid, low, top]], 1, 3)
+        certify([[low, mid, top]], 2, 3)
+    with pytest.raises(ChainCertificateFailed, match="not a cover"):
+        certify([[mid, low, top]], 1, 3)
+    with pytest.raises(ChainCertificateFailed, match="not a cover"):
+        certify([[low, top]], 1, 2)  # low < top, but top does not cover low
     with pytest.raises(ChainCertificateFailed, match="overlap"):
-        greene._certify(D, [[low, mid], [mid, top]], 2, 4)
+        certify([[low, mid], [mid, top]], 2, 4)
     with pytest.raises(ChainCertificateFailed, match="claims"):
-        greene._certify(D, [[low, top]], 1, 3)
+        certify([[low, m + mid, top]], 1, 3)
+
+
+def test_certificate_catches_a_dropped_pass_through(monkeypatch):
+    # in (4,3,2) a flow path passes through a vertex that another path counts;
+    # leaving it out joins two vertices that are comparable but not a cover
+    paths = greene._CoverFlow.paths
+
+    def counted_only(flow):
+        m = flow.source // 2
+        return [[f for f in path if f < m] for path in paths(flow)]
+
+    D = build_poset(from_parts([4, 3, 2]))
+    assert chain_union_profile(D).cumulative == networkx_profile(D)
+    monkeypatch.setattr(greene._CoverFlow, "paths", counted_only)
+    with pytest.raises(ChainCertificateFailed, match="not a cover"):
+        chain_union_profile(D)

@@ -1,10 +1,16 @@
 import json
 
+import networkx as nx
 import pytest
+from hypothesis import given
 
-from nilcomm.errors import VertexNotInPoset
+from nilcomm.cli import main, run_sweep
+from nilcomm.errors import CyclicCovers, NilcommError, VertexNotInPoset
+from nilcomm.greene import chain_union_profile
 from nilcomm.partitions import all_partitions, from_parts
-from nilcomm.poset import build_poset, export_dot, export_json, vertex_list
+from nilcomm.poset import Poset, build_poset, export_dot, export_json, vertex_list
+
+from strategies import partitions
 
 # Cover edges of the ten-vertex poset of (4,2,2,1,1), derived by hand from
 # the four families: three within-level steps, three drops to the next
@@ -63,11 +69,58 @@ def test_covers_are_exactly_the_covering_relation():
             D = build_poset(P)
             recomputed = set()
             for v in D.vertices:
-                above = D.above(v)
+                above = {w for w in D.vertices if D.less(v, w)}
                 for w in above:
                     if not any(D.less(z, w) for z in above if z != w):
                         recomputed.add((v, w))
             assert recomputed == set(D.covers), P
+
+
+def assert_closure_matches_networkx(D):
+    G = nx.DiGraph(D.covers)
+    G.add_nodes_from(D.vertices)
+    for v in D.vertices:
+        above = nx.descendants(G, v)
+        for w in D.vertices:
+            assert D.less(v, w) == (w in above), (v, w)
+            assert D.leq(v, w) == (w in above or v == w), (v, w)
+
+
+def test_closure_matches_networkx_descendants():
+    for n in range(1, 11):
+        for P in all_partitions(n):
+            assert_closure_matches_networkx(build_poset(P))
+
+
+@given(P=partitions(40))
+def test_closure_matches_networkx_descendants_random(P):
+    assert_closure_matches_networkx(build_poset(P))
+
+
+def test_sweep_and_export_build_no_closure(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("the order closure was computed")
+
+    monkeypatch.setattr(Poset, "_up", property(refuse))
+    D = build_poset(from_parts([5, 4, 3, 3, 2, 1]))
+    chain_union_profile(D)
+    # the oracles still run on small posets, so only sweeps above n = 8 are closure-free
+    assert run_sweep(9, 10).ok
+    assert main(["export", "-p", "5,4,3,3,2,1", "--format", "json"]) == 0
+    assert main(["invariants", "-p", "5,4,3,3,2,1"]) == 0
+    monkeypatch.undo()
+    assert D.less((1, 1, 1), (2, 2, 1))
+    assert "_up" in vars(D)
+
+
+@pytest.mark.parametrize("covers", [
+    [((1, 1, 1), (1, 1, 2)), ((1, 1, 2), (1, 1, 1))],
+    [((1, 1, 1), (1, 1, 2)), ((1, 1, 2), (1, 1, 2))],
+])
+def test_cyclic_covers_are_refused(covers):
+    with pytest.raises(CyclicCovers) as info:
+        Poset([(1, 1, 1), (1, 1, 2)], covers)
+    assert isinstance(info.value, NilcommError) and isinstance(info.value, ValueError)
 
 
 def test_is_chain_cases():

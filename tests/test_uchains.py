@@ -1,10 +1,11 @@
 from itertools import accumulate
 
 import pytest
+from hypothesis import given
 
 from nilcomm import uchains
 from nilcomm.errors import NotMaximumSimpleChain
-from nilcomm.partitions import all_partitions, dominance_leq, from_parts
+from nilcomm.partitions import all_partitions, dominance_leq, from_parts, r_of
 from nilcomm.poset import build_poset
 from nilcomm.greene import greene_lambda
 from nilcomm.uchains import (
@@ -20,6 +21,8 @@ from nilcomm.uchains import (
     strand_failures,
     u_table,
 )
+
+from strategies import partitions
 
 
 def test_spec_validation():
@@ -262,6 +265,14 @@ def test_lambda_u_dominated_by_chain_invariant():
     for n in range(1, 11):
         for P in all_partitions(n):
             assert dominance_leq(lambda_u(P), greene_lambda(build_poset(P))), P
+
+
+@given(P=partitions(40))
+def test_lambda_u_properties_random(P):
+    lam = lambda_u(P)
+    assert dominance_leq(lam, greene_lambda(build_poset(P)))
+    assert all(a - b >= 2 for a, b in zip(lam.parts, lam.parts[1:]))
+    assert len(lam) == r_of(P)
 
 
 def test_iter_specs_census():

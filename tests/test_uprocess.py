@@ -23,6 +23,7 @@ from nilcomm.uprocess import (
     canonical_process,
     count_full_processes,
     enumerate_full_processes,
+    _relabel_vertex,
     q_of_trace,
     remove_simple_chain,
     trace_to_json,
@@ -49,8 +50,8 @@ def per_node_search(P, pick_all):
             return
         _, winners = max_simple_u_chains(cur)
         for a in (winners if pick_all else (max(winners),)):
-            nxt, iota, rem = remove_simple_chain(cur, a)
-            comp_next = {v: comp[iota.apply(v)] for v in vertex_list(nxt)}
+            nxt, rem = remove_simple_chain(cur, a)
+            comp_next = {v: comp[_relabel_vertex(v, a)] for v in vertex_list(nxt)}
             rec(nxt, comp_next, anchors + [a], parts + [cur],
                 removed + [frozenset(comp[v] for v in rem)])
 
@@ -60,25 +61,25 @@ def per_node_search(P, pick_all):
 
 def test_removal_complement_matches_hand_computation():
     P = from_parts([5, 4, 3, 3, 2, 1])
-    P_next, iota, removed = remove_simple_chain(P, 3)
+    P_next, removed = remove_simple_chain(P, 3)
     assert P_next.parts == (3, 2, 1)
     complement = set(vertex_list(P)) - removed
     assert complement == {(2, 5, 1), (3, 5, 1), (4, 5, 1), (1, 2, 1), (2, 2, 1), (1, 1, 1)}
-    image = [iota.apply(v) for v in vertex_list(P_next)]
+    image = [_relabel_vertex(v, 3) for v in vertex_list(P_next)]
     assert set(image) == complement
     assert len(set(image)) == len(image)
 
 
 def test_removal_of_whole_row():
     P = from_parts([6])
-    P_next, _, removed = remove_simple_chain(P, 6)
+    P_next, removed = remove_simple_chain(P, 6)
     assert P_next.n == 0
     assert removed == frozenset((u, 6, 1) for u in range(1, 7))
 
 
 def test_removal_low_anchor():
     P = from_parts([4, 2, 2, 1, 1])
-    P_next, _, removed = remove_simple_chain(P, 1)
+    P_next, removed = remove_simple_chain(P, 1)
     assert len(removed) == 8
     assert P_next.parts == (2,)
 
@@ -95,16 +96,16 @@ def test_relabeling_preserves_surviving_order():
         for P in all_partitions(n):
             D = build_poset(P)
             for a in range(1, P.max_part + 1):
-                nxt, iota, removed = remove_simple_chain(P, a)
+                nxt, removed = remove_simple_chain(P, a)
                 if nxt.n == 0:
                     continue
                 Dn = build_poset(nxt)
-                inverse = {iota.apply(v): v for v in vertex_list(nxt)}
+                inverse = {_relabel_vertex(v, a): v for v in vertex_list(nxt)}
                 for x in D.vertices:
                     if x in removed:
                         continue
-                    for y in D.above(x):
-                        if y not in removed:
+                    for y in D.vertices:
+                        if D.less(x, y) and y not in removed:
                             assert Dn.less(inverse[x], inverse[y]), (P, a, x, y)
 
 
