@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from . import greene, matrixlab, uchains, uprocess
 from .errors import EnumerationCapExceeded, NilcommError
@@ -32,6 +33,7 @@ from .poset import build_poset, export_dot, export_json
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0
 MAX_SWEEP_N = 16
+TRACE_CAP = 10 ** 6  # no partition of n <= 28 has more than 48 full traces
 PRIME_ENV_VAR = "NILCOMM_PRIME"
 
 
@@ -66,8 +68,7 @@ class SweepReport:
 
 
 def _check_partition(P: Partition, *, with_matrix: bool, prime: int, samples: int,
-                     seed: int, strict_conjecture: bool, trace_cap: int,
-                     report: SweepReport) -> dict:
+                     seed: int, strict_conjecture: bool, report: SweepReport) -> dict:
     fail = report.failures.append
     name = format_partition(P)
     record: dict = {"P": list(P.parts), "n": P.n}
@@ -98,12 +99,13 @@ def _check_partition(P: Partition, *, with_matrix: bool, prime: int, samples: in
                 fail(f"{name}: flow c_{k}={got} != oracle {want}")
 
     try:
-        traces = uprocess.enumerate_full_processes(P, cap=trace_cap)
+        traces = uprocess.enumerate_full_processes(P, cap=TRACE_CAP)
     except EnumerationCapExceeded as exc:
         fail(f"{name}: {exc}")
         return record
     record["processes"] = len(traces)
-    u = uchains.u_table(P)
+    # lambda_U is the difference sequence of u_table, so its running sums are u_table
+    u = list(accumulate(lam_u.parts, initial=0))
     for t in traces:
         q = uprocess.q_of_trace(t)
         if q != lam_u:
@@ -139,8 +141,7 @@ def _check_partition(P: Partition, *, with_matrix: bool, prime: int, samples: in
 
 def run_sweep(n_min: int, n_max: int, *, with_matrix: bool = False,
               prime: int = matrixlab.DEFAULT_PRIME, samples: int = 5,
-              seed: int = DEFAULT_SEED, strict_conjecture: bool = False,
-              trace_cap: int = 10 ** 6) -> SweepReport:
+              seed: int = DEFAULT_SEED, strict_conjecture: bool = False) -> SweepReport:
     """Verify the theorem suite for every partition of every n in range."""
     report = SweepReport(n_min, n_max)
     for n in range(n_min, n_max + 1):
@@ -149,8 +150,7 @@ def run_sweep(n_min: int, n_max: int, *, with_matrix: bool = False,
             count += 1
             record = _check_partition(
                 P, with_matrix=with_matrix, prime=prime, samples=samples,
-                seed=seed, strict_conjecture=strict_conjecture,
-                trace_cap=trace_cap, report=report,
+                seed=seed, strict_conjecture=strict_conjecture, report=report,
             )
             report.records.append(record)
         if count != partition_count(n):
@@ -195,7 +195,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.n_min, args.n_max,
         with_matrix=args.with_matrix, prime=args.prime, samples=args.samples,
         seed=args.seed, strict_conjecture=args.strict_conjecture,
-        trace_cap=args.trace_cap,
     )
     if args.json:
         print(report.to_json())
@@ -268,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ver.add_argument("--strict-conjecture", action="store_true",
                      help="treat a conjecture-equality miss as a failure")
-    ver.add_argument("--trace-cap", type=int, default=10 ** 6)
     ver.add_argument("--json", action="store_true", help="emit the sweep report as JSON")
     ver.set_defaults(func=_cmd_verify)
 

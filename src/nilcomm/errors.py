@@ -17,7 +17,7 @@ class InvalidParameter(NilcommError, ValueError):
 
 # -- partition input errors -------------------------------------------------
 
-class EmptyPartition(NilcommError):
+class EmptyPartition(NilcommError, ValueError):
     """Raised when a partition is built from no parts."""
 
 

@@ -7,30 +7,35 @@ i <= u <= p-i+1 of the levels p in {a_i, a_i+1} together with the two
 rail positions u in {i, p-i+1} of every higher level; it depends only on
 (a_i, i) and is realized once, by ``strand``.  Each strand is a chain and
 distinct strands are disjoint.  ``strand_table`` realizes all O(M^2)
-strands (i, a) of one partition (M its largest part) at once; the sweep's
-strand check and the process layer's prefix-union check both read it.
-It keeps only the most recent partition's table: a sweep and the process
-checks within it visit one partition at a time, so one entry serves every
-repeat, and memory stays at one table however many partitions are seen.
+strands (i, a) of one partition (M its largest part) at once;
+``materialize``, the sweep's strand check and, through ``materialize``,
+the process layer's prefix-union check read it.  It keeps only the most
+recent partition's table: a sweep and the process checks within it visit
+one partition at a time, so one entry serves every repeat, and memory
+stays at one table however many partitions are seen.
 
 The closed-form size of a family is additive: anchor a in slot i
 contributes its simple size minus 2*(i-1)*(mult(a)+mult(a+1)).  It is the
 expansion of a peeling recurrence (removing the lowest anchor a costs the
 simple-chain size of a minus twice the multiplicity mass of every
-remaining anchor pair), which the tests keep as an oracle.  The same slot
-weights drive the profile solver.  ``strand_failures`` verifies the
-closed form against the realized vertex sets for all specifications at
-once, strand by strand; the per-specification comparison is the tests'
-oracle.
+remaining anchor pair), which the tests keep as an oracle.
+``_slot_weights`` gives the weight of every strand (i, a) of one
+partition from one suffix sum of multiplicities and, like
+``strand_table``, keeps the latest partition's; the simple sizes (slot
+1), the closed form, the maximum simple chains, the profile solver and
+the strand check all read it.  ``strand_failures`` verifies the closed
+form against the realized vertex sets for all specifications at once,
+strand by strand; the per-specification comparison is the tests' oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import NonMonotoneProfile, NotMaximumSimpleChain
+from .errors import EmptyPartition, NonMonotoneProfile, NotMaximumSimpleChain
 from .partitions import Partition
 from .poset import Vertex
 
@@ -114,34 +119,46 @@ def materialize(P: Partition, spec: UChainSpec) -> UChainInstance:
 
     Strands may be empty (anchors above the largest part select nothing).
     """
-    strands = tuple([strand(P, a, i) for i, a in enumerate(spec.anchors, start=1)])
+    # Anchors of a specification satisfy a >= 2i-1 in slot i, so a strand
+    # missing from the table has its anchor above the largest part: empty.
+    table = strand_table(P)
+    strands = tuple([table.get((i, a), frozenset()) for i, a in enumerate(spec.anchors, start=1)])
     union = frozenset().union(*strands)
-    if len(union) != sum(len(s) for s in strands):
+    if len(union) != sum(map(len, strands)):
         raise AssertionError(f"strands of {spec} overlap in {P}")
     return UChainInstance(spec, strands, union)
 
 
-def simple_cardinality(P: Partition, a: int) -> int:
-    """Size of the one-anchor family at a.
+@lru_cache(maxsize=1)
+def _slot_weights(P: Partition) -> Mapping[tuple[int, int], int]:
+    """The closed-form size of every strand of ``strand_table(P)``, same keys.
 
-    Counts a full level a, a full level a+1, and two rail vertices per row
-    of every higher level.
+    Anchor a in slot i weighs its simple size -- a full level a, a full
+    level a+1 and two rail vertices per row of every higher level -- minus
+    2*(i-1)*(mult(a)+mult(a+1)).  ``above`` counts the rows longer than
+    a+1, one suffix sum of multiplicities.  Only the latest partition's
+    weights are cached; they are shared by every caller, hence read-only.
     """
-    return (
-        a * P.mult(a)
-        + (a + 1) * P.mult(a + 1)
-        + 2 * sum(P.mult(p) for p in P.distinct_parts() if p > a + 1)
-    )
+    weights = {}
+    above = 0
+    for a in range(P.max_part, 0, -1):
+        simple = a * P.mult(a) + (a + 1) * P.mult(a + 1) + 2 * above
+        mass = P.mult(a) + P.mult(a + 1)
+        for i in range(1, (a + 1) // 2 + 1):
+            weights[i, a] = simple - 2 * (i - 1) * mass
+        above += P.mult(a + 1)
+    return MappingProxyType(weights)
+
+
+def simple_cardinality(P: Partition, a: int) -> int:
+    """Size of the one-anchor family at a: its weight in slot 1."""
+    return _slot_weights(P).get((1, a), 0)
 
 
 def cardinality_closed_form(P: Partition, spec: UChainSpec) -> int:
     """Size of the family: the sum of its anchors' slot weights."""
-    return sum(_slot_weight(P, a, i) for i, a in enumerate(spec.anchors, start=1))
-
-
-def _slot_weight(P: Partition, a: int, slot: int) -> int:
-    """Contribution of anchor a when it sits in 1-based slot i."""
-    return simple_cardinality(P, a) - 2 * (slot - 1) * (P.mult(a) + P.mult(a + 1))
+    weights = _slot_weights(P)
+    return sum(weights.get((i, a), 0) for i, a in enumerate(spec.anchors, start=1))
 
 
 def strand_failures(P: Partition) -> list[str]:
@@ -151,8 +168,8 @@ def strand_failures(P: Partition) -> list[str]:
     Slot i of such a specification holds an anchor 2i-1 <= a <= M (M the
     largest part), and its strand is ``strand(P, a, i)``.  Two checks:
 
-    * size: ``|strand(P, a, i)| == _slot_weight(P, a, i)`` for every such
-      slot and anchor;
+    * size: ``|strand(P, a, i)|`` equals the slot weight of (i, a) for
+      every such slot and anchor;
     * disjointness: ``strand(P, a, i)`` and ``strand(P, b, j)`` share no
       vertex for i < j and a + 2(j-i) <= b <= M.  Anchors of a
       specification increase by at least 2, so a_j >= a_i + 2(j-i): these
@@ -168,9 +185,10 @@ def strand_failures(P: Partition) -> list[str]:
     M = P.max_part
     slots = range(1, (M + 1) // 2 + 1)
     strands = strand_table(P)
+    weights = _slot_weights(P)
     failures = []
     for (i, a), s in strands.items():
-        weight = _slot_weight(P, a, i)
+        weight = weights[i, a]
         if len(s) != weight:
             failures.append(f"strand {i} of anchor {a} has {len(s)} vertices != slot weight {weight}")
     for (i, a), s in strands.items():
@@ -200,11 +218,12 @@ def max_simple_u_chains(P: Partition) -> tuple[int, tuple[int, ...]]:
     is not a part.  No vertex set is realized.
     """
     if P.n < 1:
-        raise ValueError("needs a nonempty partition")
+        raise EmptyPartition("needs a nonempty partition")
+    weights = _slot_weights(P)
     best = -1
     reps: list[int] = []
     for a in range(1, P.max_part + 1):
-        card = simple_cardinality(P, a)
+        card = weights[1, a]
         if card > best:
             best = card
             reps = [a]
@@ -233,66 +252,34 @@ def max_u_chain_cardinality(P: Partition, k: int) -> int:
 def u_table(P: Partition) -> list[int]:
     """Running maxima u_0, u_1, ..., one slot count per feasible length.
 
-    u_k for k past the end equals the last entry.  The slot weights are
-    ``_slot_weight`` read off one suffix sum of multiplicities:
-    ``above[x]`` rows are longer than x.
+    u_k for k past the end equals the last entry.  Slot i extends the best
+    family of i-1 slots whose last anchor lies at least 2 below its own.
     """
     M = P.max_part
-    max_slots = (M + 1) // 2
-    above = [0] * (M + 2)
-    for x in range(M - 1, -1, -1):
-        above[x] = above[x + 1] + P.mult(x + 1)
-    simple = [0] * (M + 1)  # simple[a] == simple_cardinality(P, a)
-    mass = [0] * (M + 1)  # mass[a] == mult(a) + mult(a + 1)
-    for a in range(1, M + 1):
-        simple[a] = a * P.mult(a) + (a + 1) * P.mult(a + 1) + 2 * above[a + 1]
-        mass[a] = P.mult(a) + P.mult(a + 1)
-    best_exact: list[int] = []
-    prev: list[int] = []
-    for i in range(1, max_slots + 1):
-        cur = [-1] * (M + 1)
-        if i == 1:
-            for a in range(1, M + 1):
-                cur[a] = simple[a]
-        else:
-            prefix = [-1] * (M + 1)  # prefix[a] = max(prev[0..a])
-            run = -1
-            for a in range(M + 1):
-                run = max(run, prev[a])
-                prefix[a] = run
-            for a in range(2 * i - 1, M + 1):
-                base = prefix[a - 2]
-                if base >= 0:
-                    cur[a] = base + simple[a] - 2 * (i - 1) * mass[a]
-        best_exact.append(max(cur))
-        prev = cur
+    weights = _slot_weights(P)
     table = [0]
-    for val in best_exact:
-        table.append(max(table[-1], val))
+    lead = [0] * (M + 1)  # lead[a]: the largest family of i-1 slots that anchor a can follow
+    for i in range(1, (M + 1) // 2 + 1):
+        first = 2 * i - 1
+        exact = [lead[a] + weights[i, a] for a in range(first, M + 1)]
+        table.append(max(table[-1], max(exact)))
+        lead = [0] * (first + 2) + list(accumulate(exact, max))
     return table
 
 
 def lambda_u(P: Partition) -> Partition:
     """Partition of successive differences of the k-strand maxima.
 
-    Trailing zero differences are dropped; a non-monotone difference
-    sequence would signal a solver bug and is raised, not sorted away.
+    The differences run up to the first maximum that covers all of P; a
+    non-monotone difference sequence would signal a solver bug and is
+    raised, not sorted away.
     """
     if P.n < 1:
-        raise ValueError("needs a nonempty partition")
+        raise EmptyPartition("needs a nonempty partition")
     table = u_table(P)
-    k = 1
-    diffs: list[int] = []
-    while True:
-        u_prev = table[min(k - 1, len(table) - 1)]
-        u_k = table[min(k, len(table) - 1)]
-        d = u_k - u_prev
-        if d == 0 and u_k == P.n:
-            break
-        diffs.append(d)
-        k += 1
-        if k > P.n + 1:
-            raise NonMonotoneProfile(f"profile never reaches {P.n}: {table}")
+    if P.n not in table:
+        raise NonMonotoneProfile(f"profile never reaches {P.n}: {table}")
+    diffs = [table[k] - table[k - 1] for k in range(1, table.index(P.n) + 1)]
     for i in range(1, len(diffs)):
         if diffs[i] > diffs[i - 1]:
             raise NonMonotoneProfile(f"differences increase: {diffs}")

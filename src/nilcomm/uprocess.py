@@ -24,32 +24,51 @@ reachable state, which a later call for another partition never reuses.
 A removed set is pulled back to the start poset in closed form.  Each
 relabeling moves whole levels, so the composite of the relabelings along
 the anchor history shifts a level p by some t >= 0 to
-(u, p, k) -> (u+t, p+2t, k); t is read off by pushing one vertex per
-level through ``_relabel_vertex``, latest anchor first.
+(u, p, k) -> (u+t, p+2t, k).  ``_lift`` computes t, latest anchor first;
+it is the only statement of the relabeling rule: ``_relabel_vertex``,
+the pull-back of removed sets and the anchor transport of
+``union_as_uchain`` all call it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import (
     EmptyChainRemoval,
+    EmptyPartition,
     EnumerationCapExceeded,
+    InvalidParameter,
     NoMatchingSpec,
     NonMonotoneSizes,
     NotFullProcess,
 )
 from .partitions import Partition
 from .poset import Vertex, sort_key, vertex_list
-from .uchains import UChainSpec, materialize, max_simple_u_chains, strand_table
+from .uchains import UChainSpec, materialize, max_simple_u_chains, strand
+
+
+def _lift(p: int, history: Sequence[int]) -> int:
+    """The shift t that embeds level p of a later state into the start.
+
+    The state is the one that the removals at the anchors ``history``, in
+    order, lead to; its vertex (u, p, k) is (u+t, p+2t, k) at the start.
+    Each removal at anchor a embeds a level q >= a of what is left as
+    level q + 2 of its parent, and its positions one higher; q < a stays.
+    """
+    q = p
+    for a in reversed(history):
+        if q >= a:
+            q += 2
+    return (q - p) // 2
 
 
 def _relabel_vertex(v: Vertex, a: int) -> Vertex:
     """Embed vertex v of the poset left by removal at anchor a into its parent."""
     u, p, k = v
-    if p < a:
-        return v
-    return (u + 1, p + 2, k)
+    t = _lift(p, (a,))
+    return (u + t, p + 2 * t, k)
 
 
 def _pull_back(removed: frozenset[Vertex], history: list[int]) -> frozenset[Vertex]:
@@ -58,12 +77,7 @@ def _pull_back(removed: frozenset[Vertex], history: list[int]) -> frozenset[Vert
     ``removed`` is in the labels of the state that the removals at the
     anchors ``history``, in order, lead to.
     """
-    shift = {}
-    for p in {p for _, p, _ in removed}:
-        v = (0, p, 0)
-        for a in reversed(history):
-            v = _relabel_vertex(v, a)
-        shift[p] = v[0]
+    shift = {p: _lift(p, history) for p in {p for _, p, _ in removed}}
     return frozenset([(u + shift[p], p + 2 * shift[p], k) for u, p, k in removed])
 
 
@@ -79,7 +93,7 @@ def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, frozenset[Vert
     labels).  The surviving poset embeds back into P's by the relabeling
     described in the module docstring.
     """
-    removed = materialize(P, UChainSpec((a,))).union
+    removed = strand(P, a, 1)
     if not removed:
         raise EmptyChainRemoval(f"anchor {a} selects nothing in {P}")
     P_next = _shrink(P, a)
@@ -105,7 +119,10 @@ class ProcessTrace:
     anchors: tuple[int, ...]
     partitions: tuple[Partition, ...]
     removed: tuple[frozenset[Vertex], ...]
-    full: bool
+
+    @property
+    def full(self) -> bool:
+        return not self.partitions[-1]
 
     @property
     def steps(self) -> int:
@@ -124,6 +141,8 @@ def q_of_trace(t: ProcessTrace) -> Partition:
 
 
 def _search(P: Partition, pick_all: bool, cap: int) -> list[ProcessTrace]:
+    if P.n < 1:
+        raise EmptyPartition("needs a nonempty partition")
     results: list[ProcessTrace] = []
     moves: dict[Partition, list[tuple[int, Partition, frozenset[Vertex]]]] = {}
 
@@ -141,8 +160,7 @@ def _search(P: Partition, pick_all: bool, cap: int) -> list[ProcessTrace]:
         if cur.n == 0:
             if len(results) >= cap:
                 raise EnumerationCapExceeded(f"more than {cap} full traces for {P}")
-            results.append(ProcessTrace(P, tuple(anchors), tuple(parts) + (cur,),
-                                        tuple(removed), True))
+            results.append(ProcessTrace(P, tuple(anchors), tuple(parts) + (cur,), tuple(removed)))
             return
         for a, nxt, rem in moves_of(cur):
             removed.append(_pull_back(rem, anchors))
@@ -166,7 +184,7 @@ def count_full_processes(P: Partition) -> int:
     ``len(enumerate_full_processes(P))``, with no cap.
     """
     if P.n < 1:
-        raise ValueError("needs a nonempty partition")
+        raise EmptyPartition("needs a nonempty partition")
     counts = {Partition(): 1}
 
     def count(cur: Partition) -> int:
@@ -185,8 +203,6 @@ def enumerate_full_processes(P: Partition, cap: int = 10 ** 6) -> list[ProcessTr
     selecting the same set are one choice).  Raises when the number of
     traces exceeds ``cap`` rather than truncating silently.
     """
-    if P.n < 1:
-        raise ValueError("needs a nonempty partition")
     return _search(P, pick_all=True, cap=cap)
 
 
@@ -197,47 +213,32 @@ def canonical_process(P: Partition) -> ProcessTrace:
     by the agreement of all full traces the resulting partition does not
     depend on this tie-break.
     """
-    if P.n < 1:
-        raise ValueError("needs a nonempty partition")
     return _search(P, pick_all=False, cap=2)[0]
 
 
 def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
     """An anchor set whose chain family equals C_1 ∪ ... ∪ C_r as vertices.
 
-    Built by transporting the anchor pairs of later steps through the
-    relabelings of earlier ones: a level from step i+1 keeps its value
-    below the step-i anchor and moves up by two otherwise.  The collected
-    values always regroup into adjacent pairs.  The family is realized
-    from the strands of ``strand_table(t.start)``, checked to be disjoint,
-    and compared with the actual union; a mismatch raises NoMatchingSpec.
+    Built by lifting the anchor pair of every step into the start poset
+    with ``_lift``; the collected values always regroup into adjacent
+    pairs.  The family is realized by ``materialize`` and compared with
+    the actual union; a mismatch raises NoMatchingSpec.
     """
     if not 1 <= r <= t.steps:
-        raise ValueError(f"prefix length {r} out of range 1..{t.steps}")
-    expanded: set[int] = set()
-    for i in range(r - 1, -1, -1):
-        a = t.anchors[i]
-        expanded = {lv if lv < a else lv + 2 for lv in expanded}
-        expanded |= {a, a + 1}
-    values = sorted(expanded)
-    anchors: list[int] = []
-    pos = 0
-    while pos < len(values):
-        if pos + 1 >= len(values) or values[pos + 1] != values[pos] + 1:
-            raise NoMatchingSpec(f"transported values {values} do not pair up")
-        anchors.append(values[pos])
-        pos += 2
+        raise InvalidParameter(f"prefix length {r} out of range 1..{t.steps}")
+    values = []
+    for i, a in enumerate(t.anchors[:r]):
+        history = t.anchors[:i]
+        values += (a + 2 * _lift(a, history), a + 1 + 2 * _lift(a + 1, history))
+    values.sort()
+    anchors = values[::2]
+    if values[1::2] != [a + 1 for a in anchors]:
+        raise NoMatchingSpec(f"transported values {values} do not pair up")
     try:
         spec = UChainSpec(tuple(anchors))
     except ValueError as exc:
         raise NoMatchingSpec(f"transported anchors invalid: {anchors} ({exc})") from None
-    # Anchors of a specification satisfy a >= 2i-1 in slot i, so a strand
-    # missing from the table has its anchor above the largest part: empty.
-    table = strand_table(t.start)
-    strands = [table.get((i, a), frozenset()) for i, a in enumerate(anchors, start=1)]
-    realized = frozenset().union(*strands)
-    if len(realized) != sum(len(s) for s in strands):
-        raise AssertionError(f"strands of {spec} overlap in {t.start}")
+    realized = materialize(t.start, spec).union
     actual = frozenset().union(*t.removed[:r])
     if realized != actual:
         raise NoMatchingSpec(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from nilcomm import cli
 from nilcomm.cli import main, run_sweep
 
 
@@ -93,10 +94,12 @@ def test_run_sweep_records():
     assert rec["Q_est"] == [3]
 
 
-def test_verify_trace_cap_overflow_is_a_hard_failure(capsys):
-    assert main(["verify", "6", "6", "--trace-cap", "1"]) == 1
+def test_verify_trace_cap_overflow_is_a_hard_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "TRACE_CAP", 1)
+    assert main(["verify", "6", "6"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+    assert "more than 1 full traces" in out
 
 
 def test_verify_strict_conjecture_passes_when_types_agree(capsys):
@@ -150,3 +153,13 @@ def test_sweep_report_is_pinned():
     blob = run_sweep(1, 12).to_json().encode()
     assert hashlib.sha256(blob).hexdigest() == (
         "98007eaf9be0a524f86cd709292eb511f3fcd2415937fcb0a521bf7760628b0f")
+
+
+def test_matrix_sweep_report_is_pinned(monkeypatch, capsys):
+    # sha256 of `nilcomm verify 1 10 --with-matrix --json` at the default
+    # prime, samples and seed; pins the Q estimates beside every record
+    monkeypatch.delenv("NILCOMM_PRIME", raising=False)
+    assert main(["verify", "1", "10", "--with-matrix", "--json"]) == 0
+    blob = capsys.readouterr().out.encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "07cd501fdf4923b729ef2682bde83e39d4884948c7e3f40a23b04d3f0e0d011a")

@@ -86,6 +86,38 @@ def test_closed_form_known_values():
     assert simple_cardinality(P2, 2) == 12
 
 
+def _summed_simple_cardinality(P, a):
+    """Size of the one-anchor family at a, summed part by part: a full
+    level a, a full level a+1, and two rail vertices per row of every
+    higher level."""
+    return (
+        a * P.mult(a)
+        + (a + 1) * P.mult(a + 1)
+        + 2 * sum(P.mult(p) for p in P.distinct_parts() if p > a + 1)
+    )
+
+
+def _assert_slot_weights_match_summed_oracle(P):
+    M = P.max_part
+    want = {(i, a): _summed_simple_cardinality(P, a) - 2 * (i - 1) * (P.mult(a) + P.mult(a + 1))
+            for i in range(1, (M + 1) // 2 + 1) for a in range(2 * i - 1, M + 1)}
+    assert dict(uchains._slot_weights(P)) == want, P
+    anchors = range(1, M + 2)
+    assert ([simple_cardinality(P, a) for a in anchors]
+            == [_summed_simple_cardinality(P, a) for a in anchors]), P
+
+
+def test_slot_weights_match_summed_oracle():
+    for n in range(1, 15):
+        for P in all_partitions(n):
+            _assert_slot_weights_match_summed_oracle(P)
+
+
+@given(P=partitions(40))
+def test_slot_weights_match_summed_oracle_random(P):
+    _assert_slot_weights_match_summed_oracle(P)
+
+
 def _peeled_cardinality(P, spec):
     """Size of the family by repeatedly peeling the lowest anchor: it costs
     the simple size of that anchor minus twice the multiplicity mass of
@@ -142,12 +174,15 @@ def test_strand_check_agrees_with_per_spec_loop():
 
 
 def test_strand_check_catches_a_wrong_slot_weight(monkeypatch):
-    slot_weight = uchains._slot_weight
+    slot_weights = uchains._slot_weights
 
-    def off_by_one(P, a, slot):
-        return slot_weight(P, a, slot) + (slot == 2 and a == P.max_part)
+    def off_by_one(P):
+        weights = dict(slot_weights(P))
+        if (2, P.max_part) in weights:
+            weights[2, P.max_part] += 1
+        return weights
 
-    monkeypatch.setattr(uchains, "_slot_weight", off_by_one)
+    monkeypatch.setattr(uchains, "_slot_weights", off_by_one)
     by_strand, by_spec = _failing_partitions(9)
     # anchor M fits slot 2 only when M >= 3
     assert by_strand == by_spec == [P for n in range(1, 10) for P in all_partitions(n)
@@ -166,17 +201,20 @@ def fresh_strand_table():
 def test_strand_check_catches_overlapping_strands(monkeypatch, fresh_strand_table):
     # Strand 1 of anchor 1 also takes the rail vertex (2, M, 1) of every
     # slot-2 strand; its weight grows to match, so only disjointness sees it.
-    strand, slot_weight = uchains.strand, uchains._slot_weight
+    strand, slot_weights = uchains.strand, uchains._slot_weights
 
     def grabs_rail(P, a, i):
         s = strand(P, a, i)
         return s | {(2, P.max_part, 1)} if (a, i) == (1, 1) and P.max_part > 4 else s
 
-    def matching_weight(P, a, slot):
-        return slot_weight(P, a, slot) + ((a, slot) == (1, 1) and P.max_part > 4)
+    def matching_weights(P):
+        weights = dict(slot_weights(P))
+        if P.max_part > 4:
+            weights[1, 1] += 1
+        return weights
 
     monkeypatch.setattr(uchains, "strand", grabs_rail)
-    monkeypatch.setattr(uchains, "_slot_weight", matching_weight)
+    monkeypatch.setattr(uchains, "_slot_weights", matching_weights)
     by_strand, by_spec = _failing_partitions(9)
     assert by_strand == by_spec == [P for n in range(1, 10) for P in all_partitions(n)
                                     if P.max_part > 4]
@@ -242,7 +280,7 @@ def test_solver_matches_enumeration():
 
 
 def test_u_table_matches_slot_weight_maxima():
-    # The table reads its weights off suffix sums; the closed form calls _slot_weight.
+    # The profile solver against the best closed form of every specification.
     for n in range(1, 13):
         for P in all_partitions(n):
             table = u_table(P)

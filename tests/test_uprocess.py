@@ -5,6 +5,7 @@ import pytest
 from nilcomm.errors import (
     EmptyChainRemoval,
     EnumerationCapExceeded,
+    NilcommError,
     NotFullProcess,
 )
 from nilcomm.partitions import Partition, all_partitions, from_parts, is_almost_rectangular
@@ -45,8 +46,7 @@ def per_node_search(P, pick_all):
 
     def rec(cur, comp, anchors, parts, removed):
         if cur.n == 0:
-            results.append(ProcessTrace(P, tuple(anchors), tuple(parts) + (cur,),
-                                        tuple(removed), True))
+            results.append(ProcessTrace(P, tuple(anchors), tuple(parts) + (cur,), tuple(removed)))
             return
         _, winners = max_simple_u_chains(cur)
         for a in (winners if pick_all else (max(winners),)):
@@ -168,7 +168,7 @@ def test_trace_structure_invariants():
 
 def test_q_requires_full_trace():
     P = from_parts([3, 1])
-    stub = ProcessTrace(P, (), (P,), (), full=False)
+    stub = ProcessTrace(P, (), (P,), ())
     with pytest.raises(NotFullProcess):
         q_of_trace(stub)
 
@@ -261,3 +261,17 @@ def test_count_full_processes_matches_enumeration():
     assert counts == [945, 3840, 135_135, 34_459_425]  # 34,459,425 = 17!!
     with pytest.raises(ValueError):
         count_full_processes(Partition())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lambda_u(Partition()),
+    lambda: max_simple_u_chains(Partition()),
+    lambda: count_full_processes(Partition()),
+    lambda: enumerate_full_processes(Partition()),
+    lambda: canonical_process(Partition()),
+    lambda: union_as_uchain(canonical_process(from_parts([3, 1])), 0),
+], ids=["lambda_u", "max_simple_u_chains", "count_full_processes", "enumerate_full_processes",
+        "canonical_process", "union_as_uchain"])
+def test_refused_input_raises_a_nilcomm_error(call):
+    with pytest.raises(NilcommError):
+        call()
