@@ -55,7 +55,6 @@ from .matrixlab import (
     GenericTypeEstimate,
     OrderCheckReport,
     PrimeField,
-    conjecture_report,
     generic_jordan_type,
     jordan_matrix,
     jordan_type_from_ranks,

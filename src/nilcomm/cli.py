@@ -160,11 +160,6 @@ def run_sweep(n_min: int, n_max: int, *, with_matrix: bool = False,
     return report
 
 
-def _default_prime() -> int:
-    env = os.environ.get(PRIME_ENV_VAR)
-    return int(env) if env else matrixlab.DEFAULT_PRIME
-
-
 def _cmd_invariants(args: argparse.Namespace) -> int:
     P = parse_partition(args.partition)
     best, anchors = uchains.max_simple_u_chains(P)
@@ -261,10 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("n_max", type=int)
     ver.add_argument("--with-matrix", action="store_true",
                      help="include finite-field sampling checks")
-    ver.add_argument("--prime", type=int, default=_default_prime(),
+    # A string default is converted by ``type`` only when ``verify`` is
+    # parsed, so a malformed variable is argparse's usage error there, exit 2.
+    ver.add_argument("--prime", type=int,
+                     default=os.environ.get(PRIME_ENV_VAR) or str(matrixlab.DEFAULT_PRIME),
                      help=f"field modulus (default {matrixlab.DEFAULT_PRIME}, env {PRIME_ENV_VAR})")
     ver.add_argument("--samples", type=int, default=5)
-    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ver.add_argument("--seed", type=int, default=DEFAULT_SEED, help="first sample's seed, >= 0")
     ver.add_argument("--strict-conjecture", action="store_true",
                      help="treat a conjecture-equality miss as a failure")
     ver.add_argument("--json", action="store_true", help="emit the sweep report as JSON")

@@ -1,7 +1,9 @@
 """Finite-field sampling from the triangular part of a Jordan centralizer.
 
-The Jordan matrix of a partition acts on the basis triples (u, p, k) by
-stepping u forward within each row.  A matrix commuting with it is
+Basis index i is the triple ``vertex_list(P)[i]``: rows ascend by length
+p, then by row k, and u runs along each row.  The Jordan matrix of a
+partition acts on the basis triples (u, p, k) by stepping u forward
+within each row.  A matrix commuting with it is
 determined, block pair by block pair, by one coefficient per diagonal of
 a shifted Toeplitz band; couplings between rows of equal length at shift
 zero form, per level, a matrix that we force to be strictly triangular in
@@ -22,7 +24,9 @@ pivots among the blocks of power >= j count rank(A^j).  The result is
 certified, not probable: it is used only when the stack has rank n, so
 that the Krylov space is the whole space; otherwise the unit vectors are
 appended to V and the stack is rebuilt once (Keller-Gehrig, TCS 36, 1985).
-One exact elimination kernel, ``_rref``, serves this and ``rank_mod``.
+One exact elimination kernel, ``_pivots``, serves this and ``rank_mod``;
+it eliminates forward only and returns the pivot columns, which are all
+that either reads.
 
 All arithmetic is in int64 on entries reduced to [0, p).  A product of
 inner dimension n is exact only while n*(p-1)^2 < 2^63; every product
@@ -33,7 +37,6 @@ A^i V are such products, of inner dimension n, formed by ``_matmul``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,7 +52,6 @@ from .errors import (
 )
 from .partitions import Partition, conjugate, dominance_leq
 from .poset import Vertex, build_poset, vertex_list
-from .uchains import lambda_u
 
 DEFAULT_PRIME = 1_000_003
 INT64_LIMIT = 1 << 63
@@ -103,24 +105,13 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return (A @ B) % p
 
 
-def _blocks(P: Partition) -> list[tuple[int, int, int]]:
-    """(length, row, starting index) for each row, in basis order."""
-    out = []
-    start = 0
-    for p in P.distinct_parts():
-        for k in range(1, P.mult(p) + 1):
-            out.append((p, k, start))
-            start += p
-    return out
-
-
 def jordan_matrix(P: Partition) -> np.ndarray:
     """Block-diagonal nilpotent matrix stepping u -> u+1 within each row."""
-    n = P.n
-    B = np.zeros((n, n), dtype=np.int64)
-    for p, _, start in _blocks(P):
-        for u in range(p - 1):
-            B[start + u + 1, start + u] = 1
+    index = {v: i for i, v in enumerate(vertex_list(P))}
+    B = np.zeros((P.n, P.n), dtype=np.int64)
+    for (u, p, k), i in index.items():
+        if u < p:
+            B[index[u + 1, p, k], i] = 1
     return B
 
 
@@ -137,11 +128,13 @@ class CommutantSample:
 def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> CommutantSample:
     """Draw a uniform element of the triangular part of the centralizer.
 
-    All free coefficients are uniform in the field.  Commutation with the
-    Jordan matrix (``_commutes_with_jordan``) and nilpotency
-    (``_check_key_triangular``) are checked in O(n^2) before returning; a
-    failure of either signals a parametrization bug.
+    All free coefficients are uniform in the field; ``seed`` must be >= 0.
+    Commutation with the Jordan matrix (``_commutes_with_jordan``) and
+    nilpotency (``_check_key_triangular``) are checked in O(n^2) before
+    returning; a failure of either signals a parametrization bug.
     """
+    if seed < 0:
+        raise InvalidParameter(f"seed {seed} is negative; seeds must be >= 0")
     n = P.n
     # Forming the sample takes no product, but its rank profile takes
     # products of inner dimension up to n: refuse what it could not use.
@@ -152,36 +145,45 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     A = np.zeros((n, n), dtype=np.int64)
     A[layout.targets, layout.sources] = draws[layout.entry_coefficient]
 
-    if not _commutes_with_jordan(layout.blocks, A):
+    if not _commutes_with_jordan(layout, A):
         raise CommutationCheckFailed(f"sampled matrix does not commute for {P} (seed {seed})")
-    _check_key_triangular(P, A)
+    _check_key_triangular(layout, A)
     return CommutantSample(P, field, seed, A)
 
 
 @dataclass(frozen=True)
 class _SampleLayout:
-    """Where each free coefficient of a sample goes, for one partition.
+    """The basis and the free coefficients of one partition's samples.
 
+    Basis index i is ``vertices[i]``, taken from ``vertex_list``.
     Coefficient c is the c-th draw.  Matrix entry (targets[e], sources[e])
-    holds coefficient entry_coefficient[e].
+    holds coefficient entry_coefficient[e], and no entry is listed twice,
+    so an entry can be nonzero exactly when it is listed.  For the two
+    certificates, which run on every sample, ``first`` and ``last`` mark
+    the indices that start and end a row (u == 1, u == p), and
+    ``position[i]`` is the rank of index i in the key order (2u - p, p, k).
     """
 
-    blocks: tuple[tuple[int, int, int], ...]
+    vertices: tuple[Vertex, ...]
     count: int
     targets: np.ndarray
     sources: np.ndarray
     entry_coefficient: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    position: np.ndarray
 
 
 @lru_cache(maxsize=1)
 def _sample_layout(P: Partition) -> _SampleLayout:
     """The coefficient layout of P's samples, built once and shared by
     consecutive samples of one partition (only the latest is cached)."""
-    blocks = _blocks(P)
+    vertices = tuple(vertex_list(P))
+    rows = [(p, k, start) for start, (u, p, k) in enumerate(vertices) if u == 1]
     targets, sources, entry_coefficient = [], [], []
     count = 0
-    for p, k, start in blocks:
-        for p2, k2, start2 in blocks:
+    for p, k, start in rows:
+        for p2, k2, start2 in rows:
             for j in range(max(1, p2 - p + 1), p2 + 1):
                 if j == 1 and p == p2 and k >= k2:
                     continue
@@ -192,37 +194,36 @@ def _sample_layout(P: Partition) -> _SampleLayout:
                 sources.extend(start + u for u in band)
                 entry_coefficient.extend([count] * len(band))
                 count += 1
+    keys = [(2 * u - p, p, k) for u, p, k in vertices]
+    position = np.empty(len(vertices), dtype=np.int64)
+    position[sorted(range(len(vertices)), key=keys.__getitem__)] = np.arange(len(vertices))
     arrays = [np.array(a, dtype=np.int64) for a in (targets, sources, entry_coefficient)]
+    arrays += [np.array([u == 1 for u, _, _ in vertices], dtype=bool),
+               np.array([u == p for u, p, _ in vertices], dtype=bool), position]
     for a in arrays:
         a.flags.writeable = False
-    return _SampleLayout(tuple(blocks), count, *arrays)
+    return _SampleLayout(vertices, count, *arrays)
 
 
-def _commutes_with_jordan(blocks: Sequence[tuple[int, int, int]], A: np.ndarray) -> bool:
-    """Whether A commutes with the Jordan matrix B of the given row blocks,
-    in O(n^2) and without forming a product.
+def _commutes_with_jordan(layout: _SampleLayout, A: np.ndarray) -> bool:
+    """Whether A commutes with the Jordan matrix B of the layout's rows, in
+    O(n^2) and without forming a product.
 
-    B[i+1, i] = 1 exactly when i and i+1 lie in one block, so (A B)[:, i]
-    is A[:, i+1] for i not last in its block and zero otherwise, and
-    (B A)[i, :] is A[i-1, :] for i not first in its block and zero
-    otherwise: a column shift and a row shift of A inside the blocks.
+    B[i+1, i] = 1 exactly when i and i+1 lie in one row, so (A B)[:, i]
+    is A[:, i+1] for i not last in its row and zero otherwise, and
+    (B A)[i, :] is A[i-1, :] for i not first in its row and zero
+    otherwise: a column shift and a row shift of A inside the rows.
     """
-    n = A.shape[0]
-    first = np.zeros(n, dtype=bool)
-    last = np.zeros(n, dtype=bool)
-    for length, _, start in blocks:
-        first[start] = True
-        last[start + length - 1] = True
     AB = np.zeros_like(A)
     AB[:, :-1] = A[:, 1:]
-    AB[:, last] = 0
+    AB[:, layout.last] = 0
     BA = np.zeros_like(A)
     BA[1:] = A[:-1]
-    BA[first] = 0
+    BA[layout.first] = 0
     return np.array_equal(AB, BA)
 
 
-def _check_key_triangular(P: Partition, A: np.ndarray) -> None:
+def _check_key_triangular(layout: _SampleLayout, A: np.ndarray) -> None:
     """Certify that A is nilpotent: strictly lower triangular once rows and
     columns are ordered by the key (2u - p, p, k) of their basis triples.
 
@@ -234,46 +235,38 @@ def _check_key_triangular(P: Partition, A: np.ndarray) -> None:
     samples only k < k2, so the key still increases.  A strictly triangular
     matrix is nilpotent; the check costs O(n^2) instead of forming powers.
     """
-    keys = [(2 * u - p, p, k) for u, p, k in vertex_list(P)]
-    position = np.empty(P.n, dtype=np.int64)
-    position[sorted(range(P.n), key=keys.__getitem__)] = np.arange(P.n)
+    position = layout.position
     targets, sources = A.nonzero()
     bad = (position[targets] <= position[sources]).nonzero()[0]
     if bad.size:
         dst, src = targets[bad[0]], sources[bad[0]]
-        raise NotNilpotent(f"sampled matrix for {P} moves basis index {src} to {dst}, "
-                           "against the key order (2u - p, p, k): nilpotency is not certified")
+        raise NotNilpotent(f"sampled matrix moves {layout.vertices[src]} (basis index {src}) "
+                           f"to {layout.vertices[dst]} (basis index {dst}), against the key "
+                           "order (2u - p, p, k): nilpotency is not certified")
 
 
 def structural_action_pairs(P: Partition) -> frozenset[tuple[Vertex, Vertex]]:
     """Ordered pairs (v, w) where some sampled matrix can move v onto w.
 
     Every matrix entry is carried by a single free coefficient, so the
-    pair is possible exactly when that coefficient exists.
+    pairs are exactly the layout's (source, target) entries.
     """
-    pairs: set[tuple[Vertex, Vertex]] = set()
-    verts = vertex_list(P)
-    for v in verts:
-        u, p, k = v
-        for w in verts:
-            u2, p2, k2 = w
-            if u2 < u or u2 - u < p2 - p:
-                continue
-            if p == p2 and u == u2 and k >= k2:
-                continue
-            pairs.add((v, w))
-    return frozenset(pairs)
+    layout = _sample_layout(P)
+    vertices = layout.vertices
+    return frozenset((vertices[src], vertices[dst])
+                     for src, dst in zip(layout.sources.tolist(), layout.targets.tolist()))
 
 
-def _rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of M over the field with p elements.
+def _pivots(M: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of M over the field with p elements.
 
-    Returns the nonzero rows R of the form and the pivot columns, so that
-    R[i, pivots[j]] == (i == j).  Each pivot clears its column in all rows
-    with one outer-product update, after which the scaled pivot row is
-    written back.  The update touches only the pivot column and those right
-    of it, because the pivot row, taken from the rows not yet used as
-    pivots, is zero left of its pivot.
+    Forward elimination only: each pivot clears its column in the rows
+    below it with one outer-product update over the rows nonzero there,
+    and the scaled pivot row is not written back.  The update touches only
+    the pivot column and those right of it, because the pivot row, taken
+    from the rows not yet used as pivots, is zero left of its pivot.  The
+    pivots are those of the reduced row echelon form: the columns that are
+    independent of the columns left of them.
     """
     _check_int64(1, p)
     R = (M % p).astype(np.int64, copy=False)
@@ -289,17 +282,19 @@ def _rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         i = r + below[0]
         if i != r:
             R[[r, i], c:] = R[[i, r], c:]
-        row = R[r, c:] * pow(int(R[r, c]), -1, p) % p
-        hits = R[:, c].nonzero()[0]
-        R[hits, c:] = (R[hits, c:] - R[hits, c, None] * row) % p
-        R[r, c:] = row
+        # Rows r..i-1 were zero in column c, so after the swap the rows
+        # below r that are nonzero there are the rest of ``below``.
+        hits = r + below[1:]
+        if hits.size:
+            row = R[r, c:] * pow(int(R[r, c]), -1, p) % p
+            R[hits, c:] = (R[hits, c:] - R[hits, c, None] * row) % p
         pivots.append(c)
-    return R[:len(pivots)], pivots
+    return pivots
 
 
 def rank_mod(A: np.ndarray, p: int) -> int:
     """Rank over the prime field by Gaussian elimination."""
-    return len(_rref(A, p)[1])
+    return len(_pivots(A, p))
 
 
 def _krylov_start(n: int, width: int, p: int) -> np.ndarray:
@@ -346,7 +341,7 @@ def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
                 raise NotNilpotent(f"matrix of size {n} has no vanishing power")
             powers.append(_matmul(A, powers[-1], p))
         m = len(powers) - 1
-        _, piv = _rref(np.hstack(powers[-2::-1]) if m else V, p)
+        piv = _pivots(np.hstack(powers[-2::-1]) if m else V, p)
         if len(piv) == n:
             break
         V = np.hstack([V, np.eye(n, dtype=np.int64)])
@@ -426,7 +421,6 @@ def order_criterion_check(P: Partition, field: PrimeField, samples: int, seed: i
     if P.n > 8:
         raise PosetTooLarge(f"order check is exhaustive over pairs; n={P.n} > 8")
     D = build_poset(P)
-    index = {v: i for i, v in enumerate(vertex_list(P))}
     structural = structural_action_pairs(P)
     seeds = tuple(seed + i for i in range(samples))
     mats = [sample_nilpotent_commutant(P, field, s).matrix for s in seeds]
@@ -445,21 +439,7 @@ def order_criterion_check(P: Partition, field: PrimeField, samples: int, seed: i
                 kind = "order-without-coefficient" if ordered else "coefficient-without-order"
                 hard.append((v, w, kind))
                 continue
-            if ordered and not any(m[index[w], index[v]] for m in mats):
+            if ordered and not any(m[D.index[w], D.index[v]] for m in mats):
                 soft.append((v, w))
     return OrderCheckReport(P, field.p, seeds, checked, tuple(hard), tuple(soft))
 
-
-def conjecture_report(P: Partition, field: PrimeField, samples: int, seed: int) -> dict:
-    """Record comparing the sampled generic type with the chain invariant."""
-    est = generic_jordan_type(P, field, samples, seed)
-    lu = lambda_u(P)
-    return {
-        "P": list(P.parts),
-        "prime": field.p,
-        "seeds": list(est.seeds),
-        "types": [list(t.parts) for t in est.types],
-        "Q_est": list(est.q.parts),
-        "lambda_U": list(lu.parts),
-        "agree": est.q == lu,
-    }

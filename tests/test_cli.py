@@ -46,14 +46,39 @@ def test_verify_small_range(capsys):
     assert "n=6: 11 partitions checked" in out
 
 
-def test_module_entry_point_runs_verify():
+def module_env(**extra):
+    """The environment for ``python -m nilcomm`` run from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in os.environ.items() if k != "NILCOMM_PRIME"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+def test_module_entry_point_runs_verify():
     done = subprocess.run([sys.executable, "-m", "nilcomm", "verify", "1", "3"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=module_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert "PASS" in done.stdout
     assert "n=3: 3 partitions checked" in done.stdout
+
+
+def test_exit_codes_through_the_module_entry_point():
+    # The codes users and scripts see, argparse's own exits included: 1 is
+    # kept for a failed theorem check, 2 for bad input of any kind.
+    cases = [
+        (["verify", "1", "3"], {}, 0),
+        (["verify", "1", "3", "--with-matrix", "--seed", "-1"], {}, 2),
+        (["verify", "1", "17"], {}, 2),
+        (["invariants", "-p", "3,1"], {"NILCOMM_PRIME": "abc"}, 0),
+        (["verify", "1", "3"], {"NILCOMM_PRIME": "abc"}, 2),
+    ]
+    runs = [subprocess.Popen([sys.executable, "-m", "nilcomm", *argv], env=module_env(**extra),
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            for argv, extra, _ in cases]
+    for (argv, extra, code), run in zip(cases, runs):
+        _, err = run.communicate(timeout=120)
+        assert run.returncode == code, (argv, extra, err)
+        assert "Traceback" not in err, (argv, extra, err)
 
 
 def test_verify_rejects_bad_range(capsys):
@@ -113,6 +138,28 @@ def test_prime_env_override(monkeypatch):
     monkeypatch.setenv("NILCOMM_PRIME", "999983")
     args = build_parser().parse_args(["verify", "1", "2"])
     assert args.prime == 999983
+
+
+def test_negative_seed_exits_2_only_when_sampling(capsys):
+    assert main(["verify", "1", "3", "--with-matrix", "--seed", "-1"]) == 2
+    assert "error: seed -1 is negative" in capsys.readouterr().err
+    assert main(["verify", "1", "3", "--seed", "-1"]) == 0  # the seed is unused
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_malformed_prime_env_fails_only_verify(monkeypatch, capsys):
+    monkeypatch.setenv("NILCOMM_PRIME", "abc")
+    assert main(["invariants", "-p", "3,1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "1", "3"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    monkeypatch.setenv("NILCOMM_PRIME", "")
+    assert cli.build_parser().parse_args(["verify", "1", "2"]).prime == 1_000_003
+    monkeypatch.setenv("NILCOMM_PRIME", "4")
+    assert main(["verify", "1", "3", "--with-matrix"]) == 2
+    assert "error: 4 is not prime" in capsys.readouterr().err
 
 
 def test_export_dot(capsys):

@@ -1,8 +1,8 @@
-import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
@@ -12,12 +12,12 @@ from nilcomm.errors import (
     CommutationCheckFailed,
     IncomparableSamples,
     Int64BoundExceeded,
+    InvalidParameter,
     NotNilpotent,
     PosetTooLarge,
 )
 from nilcomm.matrixlab import (
     PrimeField,
-    conjecture_report,
     generic_jordan_type,
     jordan_matrix,
     jordan_type_from_ranks,
@@ -27,6 +27,7 @@ from nilcomm.matrixlab import (
     structural_action_pairs,
 )
 from nilcomm.partitions import Partition, all_partitions, conjugate, from_parts
+from nilcomm.poset import build_poset, vertex_list
 from nilcomm.uchains import lambda_u
 
 from strategies import partitions
@@ -47,9 +48,13 @@ def reference_sample(P, field, seed):
     """The sampler's per-coefficient loop, one matrix entry at a time."""
     rng = np.random.default_rng(seed)
     A = np.zeros((P.n, P.n), dtype=np.int64)
-    blocks = matrixlab._blocks(P)
-    for p, k, start in blocks:
-        for p2, k2, start2 in blocks:
+    rows, start = [], 0
+    for p in sorted(set(P.parts)):
+        for k in range(1, P.parts.count(p) + 1):
+            rows.append((p, k, start))
+            start += p
+    for p, k, start in rows:
+        for p2, k2, start2 in rows:
             for j in range(max(1, p2 - p + 1), p2 + 1):
                 if j == 1 and p == p2 and k >= k2:
                     continue
@@ -62,6 +67,25 @@ def reference_sample(P, field, seed):
     return A
 
 
+def rref_mod(M, p):
+    """Gauss-Jordan over GF(p), one row operation at a time: the nonzero
+    rows R of the reduced form and its pivot columns."""
+    R = np.array(M, dtype=np.int64) % p
+    pivots = []
+    for c in range(R.shape[1]):
+        r = len(pivots)
+        nonzero = [i for i in range(r, len(R)) if R[i, c]]
+        if not nonzero:
+            continue
+        R[[r, nonzero[0]]] = R[[nonzero[0], r]]
+        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
+        for i in range(len(R)):
+            if i != r:
+                R[i] = (R[i] - R[i, c] * R[r]) % p
+        pivots.append(c)
+    return R[:len(pivots)], pivots
+
+
 def restriction_profile(A, p):
     """The former rank profile: restrict A to its image, level by level.
 
@@ -72,7 +96,7 @@ def restriction_profile(A, p):
     X = A % p
     ranks = [len(A)]
     while ranks[-1]:
-        R, piv = matrixlab._rref(X.T, p)
+        R, piv = rref_mod(X.T, p)
         if len(piv) == ranks[-1]:
             raise NotNilpotent("full-rank level")
         ranks.append(len(piv))
@@ -136,6 +160,16 @@ def test_jordan_matrix_shapes():
     assert not ((B2 @ B2) % FIELD.p).any()
 
 
+def test_jordan_matrix_steps_along_each_row():
+    for n in range(1, 11):
+        for P in all_partitions(n):
+            # one shift block per row, rows by ascending length
+            shifts = [np.eye(p, k=-1, dtype=np.int64) for p in sorted(P.parts)]
+            B = jordan_matrix(P)
+            assert np.array_equal(B, scipy.linalg.block_diag(*shifts)), P
+            assert jordan_type_from_ranks(B, FIELD.p) == P
+
+
 def test_rank_mod_basics():
     A = np.array([[1, 2], [2, 4]], dtype=np.int64)
     assert rank_mod(A, 7) == 1
@@ -176,17 +210,18 @@ def test_key_order_certificate_agrees_with_squaring():
 def test_planted_entry_against_key_order_raises():
     P = from_parts([3, 2, 2, 1])
     A = sample_nilpotent_commutant(P, FIELD, seed=0).matrix
-    matrixlab._check_key_triangular(P, A)
+    layout = matrixlab._sample_layout(P)
+    matrixlab._check_key_triangular(layout, A)
     dst, src = np.argwhere(A)[0]  # a sampled coefficient carries src to dst
     reversed_entry = A.copy()
     reversed_entry[src, dst] = 1
     with pytest.raises(NotNilpotent, match="key order"):
-        matrixlab._check_key_triangular(P, reversed_entry)
+        matrixlab._check_key_triangular(layout, reversed_entry)
     diagonal = A.copy()
     diagonal[src, src] = 1
     assert not squaring_is_nilpotent(diagonal, FIELD.p)
     with pytest.raises(NotNilpotent, match="key order"):
-        matrixlab._check_key_triangular(P, diagonal)
+        matrixlab._check_key_triangular(layout, diagonal)
 
 
 def commutes_by_products(P, A, p):
@@ -207,13 +242,13 @@ def test_shift_commutation_agrees_with_products_on_every_planted_entry():
     broken = 0
     for n in range(1, 7):
         for P in all_partitions(n):
-            blocks = matrixlab._blocks(P)
             A = sample_nilpotent_commutant(P, FIELD, seed=1).matrix
+            layout = matrixlab._sample_layout(P)
             for i in range(n):
                 for j in range(n):
                     planted = A.copy()
                     planted[i, j] = (planted[i, j] + 1) % FIELD.p
-                    verdict = matrixlab._commutes_with_jordan(blocks, planted)
+                    verdict = matrixlab._commutes_with_jordan(layout, planted)
                     assert verdict == commutes_by_products(P, planted, FIELD.p), (P, i, j)
                     broken += not verdict
     assert broken
@@ -226,9 +261,9 @@ def test_planted_off_band_entry_raises(monkeypatch):
     P = from_parts([4, 2])
     check = matrixlab._commutes_with_jordan
 
-    def planted(blocks, A):
+    def planted(layout, A):
         A[0, 4] = 1
-        return check(blocks, A)
+        return check(layout, A)
 
     monkeypatch.setattr(matrixlab, "_commutes_with_jordan", planted)
     with pytest.raises(CommutationCheckFailed):
@@ -297,21 +332,42 @@ def test_order_check_guards_size():
         order_criterion_check(from_parts([9]), FIELD, 1, 0)
 
 
+def predicate_pairs(P):
+    """Pairs (v, w) that a commuting matrix can carry, from the shift rule:
+    w = (u2, p2, k2) lies at least 0 and at least p2 - p positions right of
+    v = (u, p, k), and a shift of 0 within one level only raises the row."""
+    verts = vertex_list(P)
+    return frozenset(
+        (v, w) for v in verts for w in verts
+        if w[0] >= v[0] and w[0] - v[0] >= w[1] - v[1]
+        and not (v[1] == w[1] and v[0] == w[0] and v[2] >= w[2]))
+
+
+def test_layout_entries_match_pair_predicate():
+    checked = 0
+    for n in range(1, 11):
+        for P in all_partitions(n):
+            layout = matrixlab._sample_layout(P)
+            entries = list(zip(layout.sources.tolist(), layout.targets.tolist()))
+            assert len(set(entries)) == len(entries), P  # one coefficient per entry
+            assert structural_action_pairs(P) == predicate_pairs(P), P
+            # order_criterion_check reads sample entries through the poset's index
+            assert build_poset(P).vertices == tuple(vertex_list(P)), P
+            checked += 1
+    assert checked == 138
+
+
+def test_negative_seed_is_refused():
+    P = from_parts([2, 1])
+    with pytest.raises(InvalidParameter, match="seed -1 is negative"):
+        sample_nilpotent_commutant(P, FIELD, -1)
+    with pytest.raises(InvalidParameter, match="seed -5 is negative"):
+        generic_jordan_type(P, PrimeField(), 2, -5)
+
+
 def test_structural_pairs_exclude_reflexive():
     pairs = structural_action_pairs(from_parts([2, 1]))
     assert all(v != w for v, w in pairs)
-
-
-def test_conjecture_report_wire_format():
-    rec = conjecture_report(from_parts([2, 1]), FIELD, 3, 42)
-    assert set(rec) == {"P", "prime", "seeds", "types", "Q_est", "lambda_U", "agree"}
-    assert rec["P"] == [2, 1]
-    assert rec["prime"] == FIELD.p
-    assert rec["Q_est"] == [3]
-    assert rec["lambda_U"] == [3]
-    assert rec["agree"] is True
-    assert len(rec["types"]) == 3
-    json.dumps(rec)  # serializable as-is
 
 
 @given(rows=st.integers(0, 12), cols=st.integers(0, 12), rank=st.integers(0, 12),
@@ -343,15 +399,15 @@ def test_krylov_profile_matches_oracles_on_conjugated_jordan_matrices(P, p, seed
     assert jordan_type_from_ranks(A, p) == P
 
 
-def spy_on_rref(monkeypatch):
+def spy_on_pivots(monkeypatch):
     shapes = []
-    rref = matrixlab._rref
+    pivots = matrixlab._pivots
 
     def spy(M, p):
         shapes.append(M.shape)
-        return rref(M, p)
+        return pivots(M, p)
 
-    monkeypatch.setattr(matrixlab, "_rref", spy)
+    monkeypatch.setattr(matrixlab, "_pivots", spy)
     return shapes
 
 
@@ -364,7 +420,7 @@ def test_rank_deficient_krylov_start_is_retried_with_unit_vectors(monkeypatch, s
     else:  # four copies of one vector: its cyclic span has dimension <= 4 < 9
         V = np.repeat(np.random.default_rng(1).integers(0, 7, (P.n, 1)), 4, axis=1)
     monkeypatch.setattr(matrixlab, "_krylov_start", lambda n, width, p: V)
-    shapes = spy_on_rref(monkeypatch)
+    shapes = spy_on_pivots(monkeypatch)
     assert jordan_type_from_ranks(A, 7) == P
     # rank(A), the deficient stack, then the stack with the unit vectors appended
     assert len(shapes) == 3
@@ -374,7 +430,7 @@ def test_rank_deficient_krylov_start_is_retried_with_unit_vectors(monkeypatch, s
 def test_generic_krylov_start_needs_no_retry(monkeypatch):
     P = from_parts([4, 2, 2, 1])
     A = conjugated_jordan_matrix(P, FIELD.p, seed=3)
-    shapes = spy_on_rref(monkeypatch)
+    shapes = spy_on_pivots(monkeypatch)
     assert jordan_type_from_ranks(A, FIELD.p) == P
     assert shapes == [(P.n, P.n), (P.n, 4 * 4)]
 
