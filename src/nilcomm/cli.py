@@ -33,7 +33,6 @@ from .poset import build_poset, export_dot, export_json
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0
 MAX_SWEEP_N = 16
-TRACE_CAP = 10 ** 6  # no partition of n <= 28 has more than 48 full traces
 PRIME_ENV_VAR = "NILCOMM_PRIME"
 
 
@@ -99,7 +98,7 @@ def _check_partition(P: Partition, *, with_matrix: bool, prime: int, samples: in
                 fail(f"{name}: flow c_{k}={got} != oracle {want}")
 
     try:
-        traces = uprocess.enumerate_full_processes(P, cap=TRACE_CAP)
+        traces = uprocess.enumerate_full_processes(P)
     except EnumerationCapExceeded as exc:
         fail(f"{name}: {exc}")
         return record

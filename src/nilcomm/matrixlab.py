@@ -115,9 +115,9 @@ def jordan_matrix(P: Partition) -> np.ndarray:
     return B
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommutantSample:
-    """A sampled matrix commuting with the Jordan matrix of a partition."""
+    """A sampled matrix commuting with the Jordan matrix of a partition (read-only)."""
 
     partition: Partition
     field: PrimeField
@@ -148,6 +148,7 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     if not _commutes_with_jordan(layout, A):
         raise CommutationCheckFailed(f"sampled matrix does not commute for {P} (seed {seed})")
     _check_key_triangular(layout, A)
+    A.flags.writeable = False
     return CommutantSample(P, field, seed, A)
 
 
@@ -418,6 +419,8 @@ def order_criterion_check(P: Partition, field: PrimeField, samples: int, seed: i
     Restricted to ordered pairs v != w; the reflexive case is excluded.
     Desk-scale only (n <= 8).
     """
+    if samples < 1:
+        raise InvalidParameter("need at least one sample")
     if P.n > 8:
         raise PosetTooLarge(f"order check is exhaustive over pairs; n={P.n} > 8")
     D = build_poset(P)

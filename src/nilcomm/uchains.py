@@ -19,13 +19,13 @@ contributes its simple size minus 2*(i-1)*(mult(a)+mult(a+1)).  It is the
 expansion of a peeling recurrence (removing the lowest anchor a costs the
 simple-chain size of a minus twice the multiplicity mass of every
 remaining anchor pair), which the tests keep as an oracle.
-``_slot_weights`` gives the weight of every strand (i, a) of one
-partition from one suffix sum of multiplicities and, like
-``strand_table``, keeps the latest partition's; the simple sizes (slot
-1), the closed form, the maximum simple chains, the profile solver and
-the strand check all read it.  ``strand_failures`` verifies the closed
-form against the realized vertex sets for all specifications at once,
-strand by strand; the per-specification comparison is the tests' oracle.
+``_anchor_sizes`` gives the simple size and the mass of every anchor, two
+arrays from one suffix sum of multiplicities; ``_weights_in_slot`` states
+the slot weight once, for the closed form, the profile solver and the
+strand check.  The maximum simple chains are the parts of largest simple
+size.  ``strand_failures`` verifies the closed form against the realized
+vertex sets for all specifications at once, strand by strand; the
+per-specification comparison is the tests' oracle.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import EmptyPartition, NonMonotoneProfile, NotMaximumSimpleChain
+from .errors import EmptyPartition, InvalidParameter, NonMonotoneProfile, NotMaximumSimpleChain
 from .partitions import Partition
 from .poset import Vertex
 
@@ -49,12 +49,12 @@ class UChainSpec:
     def __post_init__(self):
         a = self.anchors
         if not a:
-            raise ValueError("a specification needs at least one anchor")
+            raise InvalidParameter("a specification needs at least one anchor")
         if any(not isinstance(x, int) or x < 1 for x in a):
-            raise ValueError(f"anchors must be positive integers: {a}")
+            raise InvalidParameter(f"anchors must be positive integers: {a}")
         for i in range(1, len(a)):
             if a[i] < a[i - 1] + 2:
-                raise ValueError(f"anchors must increase by at least 2: {a}")
+                raise InvalidParameter(f"anchors must increase by at least 2: {a}")
 
     @property
     def r(self) -> int:
@@ -129,36 +129,39 @@ def materialize(P: Partition, spec: UChainSpec) -> UChainInstance:
     return UChainInstance(spec, strands, union)
 
 
-@lru_cache(maxsize=1)
-def _slot_weights(P: Partition) -> Mapping[tuple[int, int], int]:
-    """The closed-form size of every strand of ``strand_table(P)``, same keys.
+def _anchor_sizes(P: Partition) -> tuple[list[int], list[int]]:
+    """The two facts of every anchor a in 1..M (M the largest part).
 
-    Anchor a in slot i weighs its simple size -- a full level a, a full
-    level a+1 and two rail vertices per row of every higher level -- minus
-    2*(i-1)*(mult(a)+mult(a+1)).  ``above`` counts the rows longer than
-    a+1, one suffix sum of multiplicities.  Only the latest partition's
-    weights are cached; they are shared by every caller, hence read-only.
+    ``simple[a]`` counts a full level a, a full level a+1 and two rail
+    vertices per row longer than a+1 (one suffix sum of multiplicities);
+    ``mass[a]`` is mult(a) + mult(a+1).  Index 0 holds 0 in both.
     """
-    weights = {}
+    M = P.max_part
+    simple, mass = [0] * (M + 1), [0] * (M + 1)
     above = 0
-    for a in range(P.max_part, 0, -1):
-        simple = a * P.mult(a) + (a + 1) * P.mult(a + 1) + 2 * above
-        mass = P.mult(a) + P.mult(a + 1)
-        for i in range(1, (a + 1) // 2 + 1):
-            weights[i, a] = simple - 2 * (i - 1) * mass
+    for a in range(M, 0, -1):
+        simple[a] = a * P.mult(a) + (a + 1) * P.mult(a + 1) + 2 * above
+        mass[a] = P.mult(a) + P.mult(a + 1)
         above += P.mult(a + 1)
-    return MappingProxyType(weights)
+    return simple, mass
+
+
+def _weights_in_slot(simple: list[int], mass: list[int], i: int) -> list[int]:
+    """The closed-form size of strand (i, a) at index a (a >= 2i-1 has one)."""
+    return [s - 2 * (i - 1) * m for s, m in zip(simple, mass)]
 
 
 def simple_cardinality(P: Partition, a: int) -> int:
-    """Size of the one-anchor family at a: its weight in slot 1."""
-    return _slot_weights(P).get((1, a), 0)
+    """Size of the one-anchor family at a; 0 off the anchors 1..M."""
+    simple, _ = _anchor_sizes(P)
+    return simple[a] if 1 <= a < len(simple) else 0
 
 
 def cardinality_closed_form(P: Partition, spec: UChainSpec) -> int:
     """Size of the family: the sum of its anchors' slot weights."""
-    weights = _slot_weights(P)
-    return sum(weights.get((i, a), 0) for i, a in enumerate(spec.anchors, start=1))
+    simple, mass = _anchor_sizes(P)
+    return sum(_weights_in_slot(simple, mass, i)[a]
+               for i, a in enumerate(spec.anchors, start=1) if a < len(simple))
 
 
 def strand_failures(P: Partition) -> list[str]:
@@ -185,10 +188,11 @@ def strand_failures(P: Partition) -> list[str]:
     M = P.max_part
     slots = range(1, (M + 1) // 2 + 1)
     strands = strand_table(P)
-    weights = _slot_weights(P)
+    simple, mass = _anchor_sizes(P)
+    weights = {i: _weights_in_slot(simple, mass, i) for i in slots}
     failures = []
     for (i, a), s in strands.items():
-        weight = weights[i, a]
+        weight = weights[i][a]
         if len(s) != weight:
             failures.append(f"strand {i} of anchor {a} has {len(s)} vertices != slot weight {weight}")
     for (i, a), s in strands.items():
@@ -200,39 +204,22 @@ def strand_failures(P: Partition) -> list[str]:
 
 
 def max_simple_u_chains(P: Partition) -> tuple[int, tuple[int, ...]]:
-    """Largest simple-chain size and all maximizing anchors.
+    """Largest simple-chain size and the part values that attain it.
 
-    Anchors run over 1..max part (larger anchors select nothing); anchors
-    realizing the same vertex set count once, represented by the largest,
-    which is always a part value.
-
-    Anchor a selects nothing below level a, full levels a and a+1, and
-    the two rails of every higher level.  Anchors a-1 and a therefore
-    select the same set exactly when neither a-1 nor a+1 is a part: a
-    part a-1 is taken only by a-1, and a part a+1 >= 3 is full under a
-    but only railed under a-1.  Their sizes differ by
-    (a-1)(mult(a-1) - mult(a+1)), so for a tied pair a-1 is a part
-    exactly when a+1 is, and testing a-1 suffices.  Equal sets come in
-    runs of consecutive anchors, so a tied anchor joins the previous
-    class when it directly follows that class's representative and a-1
-    is not a part.  No vertex set is realized.
+    The maximizing parts are the maximizing vertex sets, one each.  The
+    simple sizes of consecutive anchors differ by
+    size(a+1) - size(a) = a*(mult(a+2) - mult(a)), so a maximizing anchor
+    a that is no part has mult(a+2) = 0, and anchors a and a+1 then select
+    the same set (level a+1 in full, rails on the levels above).  Going
+    up, every maximizing set is the set of a maximizing part.  Distinct
+    parts select distinct sets, since anchor a takes all of level a and
+    nothing below.  No vertex set is realized.
     """
     if P.n < 1:
         raise EmptyPartition("needs a nonempty partition")
-    weights = _slot_weights(P)
-    best = -1
-    reps: list[int] = []
-    for a in range(1, P.max_part + 1):
-        card = weights[1, a]
-        if card > best:
-            best = card
-            reps = [a]
-        elif card == best:
-            if reps[-1] == a - 1 and not P.mult(a - 1):
-                reps[-1] = a
-            else:
-                reps.append(a)
-    return best, tuple(reps)
+    simple, _ = _anchor_sizes(P)
+    best = max(simple)
+    return best, tuple(a for a in P.distinct_parts() if simple[a] == best)
 
 
 def max_u_chain_cardinality(P: Partition, k: int) -> int:
@@ -256,12 +243,13 @@ def u_table(P: Partition) -> list[int]:
     family of i-1 slots whose last anchor lies at least 2 below its own.
     """
     M = P.max_part
-    weights = _slot_weights(P)
+    simple, mass = _anchor_sizes(P)
     table = [0]
     lead = [0] * (M + 1)  # lead[a]: the largest family of i-1 slots that anchor a can follow
     for i in range(1, (M + 1) // 2 + 1):
         first = 2 * i - 1
-        exact = [lead[a] + weights[i, a] for a in range(first, M + 1)]
+        weights = _weights_in_slot(simple, mass, i)
+        exact = [lead[a] + weights[a] for a in range(first, M + 1)]
         table.append(max(table[-1], max(exact)))
         lead = [0] * (first + 2) + list(accumulate(exact, max))
     return table

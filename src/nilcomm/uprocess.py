@@ -15,11 +15,13 @@ sizes of a full trace form a partition of n.
 The traces are the root-to-leaf paths of a DAG whose nodes are the
 intermediate partitions: what a step can do depends only on the current
 partition, not on how it was reached.  So the search solves each state
-once (its maximizing anchors and their removals) and walks the paths
-depth-first, and ``count_full_processes`` counts the paths by a dynamic
-program over the same states without listing them.  The table of solved
-states lives for one search only: it holds removed vertex sets of every
-reachable state, which a later call for another partition never reuses.
+once (its maximizing anchors and their removals), counts the paths by a
+dynamic program over the solved states, refuses more than ``TRACE_CAP``
+before listing any, and walks the paths depth-first;
+``count_full_processes`` counts them without removing a vertex.  The
+table of solved states lives for one search only: it holds removed
+vertex sets of every reachable state, which a later call for another
+partition never reuses.
 
 A removed set is pulled back to the start poset in closed form.  Each
 relabeling moves whole levels, so the composite of the relabelings along
@@ -47,6 +49,8 @@ from .errors import (
 from .partitions import Partition
 from .poset import Vertex, sort_key, vertex_list
 from .uchains import UChainSpec, materialize, max_simple_u_chains, strand
+
+TRACE_CAP = 10 ** 6  # no partition of n <= 28 has more than 48 full traces
 
 
 def _lift(p: int, history: Sequence[int]) -> int:
@@ -104,7 +108,7 @@ def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, frozenset[Vert
     return P_next, removed
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessTrace:
     """One run of the recursive removal.
 
@@ -140,29 +144,30 @@ def q_of_trace(t: ProcessTrace) -> Partition:
     return Partition(sizes)
 
 
-def _search(P: Partition, pick_all: bool, cap: int) -> list[ProcessTrace]:
+def _search(P: Partition, pick_all: bool) -> list[ProcessTrace]:
     if P.n < 1:
         raise EmptyPartition("needs a nonempty partition")
-    results: list[ProcessTrace] = []
     moves: dict[Partition, list[tuple[int, Partition, frozenset[Vertex]]]] = {}
+    paths = {Partition(): 1}
 
-    def moves_of(cur: Partition) -> list[tuple[int, Partition, frozenset[Vertex]]]:
-        if cur not in moves:
+    def solve(cur: Partition) -> int:
+        if cur not in paths:
             _, winners = max_simple_u_chains(cur)
-            moves[cur] = []
-            for a in (winners if pick_all else (max(winners),)):
-                nxt, rem = remove_simple_chain(cur, a)
-                moves[cur].append((a, nxt, rem))
-        return moves[cur]
+            moves[cur] = [(a, *remove_simple_chain(cur, a))
+                          for a in (winners if pick_all else (max(winners),))]
+            paths[cur] = sum(solve(nxt) for _, nxt, _ in moves[cur])
+        return paths[cur]
+
+    if solve(P) > TRACE_CAP:
+        raise EnumerationCapExceeded(f"more than {TRACE_CAP} full traces for {P}: {paths[P]}")
+    results: list[ProcessTrace] = []
 
     def rec(cur: Partition, anchors: list[int], parts: list[Partition],
             removed: list[frozenset[Vertex]]) -> None:
         if cur.n == 0:
-            if len(results) >= cap:
-                raise EnumerationCapExceeded(f"more than {cap} full traces for {P}")
             results.append(ProcessTrace(P, tuple(anchors), tuple(parts) + (cur,), tuple(removed)))
             return
-        for a, nxt, rem in moves_of(cur):
+        for a, nxt, rem in moves[cur]:
             removed.append(_pull_back(rem, anchors))
             anchors.append(a)
             parts.append(cur)
@@ -196,14 +201,15 @@ def count_full_processes(P: Partition) -> int:
     return count(P)
 
 
-def enumerate_full_processes(P: Partition, cap: int = 10 ** 6) -> list[ProcessTrace]:
+def enumerate_full_processes(P: Partition) -> list[ProcessTrace]:
     """All full traces of P, branching over every maximum simple chain.
 
     Branches are deduplicated per step by the removed vertex set (anchors
-    selecting the same set are one choice).  Raises when the number of
-    traces exceeds ``cap`` rather than truncating silently.
+    selecting the same set are one choice).  Raises, before listing any,
+    when the number of traces exceeds ``TRACE_CAP`` rather than
+    truncating silently.
     """
-    return _search(P, pick_all=True, cap=cap)
+    return _search(P, pick_all=True)
 
 
 def canonical_process(P: Partition) -> ProcessTrace:
@@ -213,7 +219,7 @@ def canonical_process(P: Partition) -> ProcessTrace:
     by the agreement of all full traces the resulting partition does not
     depend on this tie-break.
     """
-    return _search(P, pick_all=False, cap=2)[0]
+    return _search(P, pick_all=False)[0]
 
 
 def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:

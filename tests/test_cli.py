@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nilcomm import cli
+from nilcomm import cli, uprocess
 from nilcomm.cli import main, run_sweep
 
 
@@ -120,7 +120,7 @@ def test_run_sweep_records():
 
 
 def test_verify_trace_cap_overflow_is_a_hard_failure(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "TRACE_CAP", 1)
+    monkeypatch.setattr(uprocess, "TRACE_CAP", 1)
     assert main(["verify", "6", "6"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out

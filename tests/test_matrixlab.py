@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -330,6 +331,17 @@ def test_structural_pairs_match_poset_order():
 def test_order_check_guards_size():
     with pytest.raises(PosetTooLarge):
         order_criterion_check(from_parts([9]), FIELD, 1, 0)
+    for samples in (0, -1):
+        with pytest.raises(InvalidParameter):
+            order_criterion_check(from_parts([2, 1]), FIELD, samples, 0)
+
+
+def test_sample_is_immutable():
+    s = sample_nilpotent_commutant(from_parts([2, 1]), FIELD, seed=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.seed = 1
+    with pytest.raises(ValueError):
+        s.matrix[0, 0] = 1
 
 
 def predicate_pairs(P):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import accumulate
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 
 from nilcomm import uchains
 from nilcomm.errors import NotMaximumSimpleChain
-from nilcomm.partitions import all_partitions, dominance_leq, from_parts, r_of
+from nilcomm.partitions import Partition, all_partitions, dominance_leq, from_parts, r_of
 from nilcomm.poset import build_poset
 from nilcomm.greene import greene_lambda
 from nilcomm.uchains import (
@@ -101,7 +102,8 @@ def _assert_slot_weights_match_summed_oracle(P):
     M = P.max_part
     want = {(i, a): _summed_simple_cardinality(P, a) - 2 * (i - 1) * (P.mult(a) + P.mult(a + 1))
             for i in range(1, (M + 1) // 2 + 1) for a in range(2 * i - 1, M + 1)}
-    assert dict(uchains._slot_weights(P)) == want, P
+    simple, mass = uchains._anchor_sizes(P)
+    assert {(i, a): uchains._weights_in_slot(simple, mass, i)[a] for i, a in want} == want, P
     anchors = range(1, M + 2)
     assert ([simple_cardinality(P, a) for a in anchors]
             == [_summed_simple_cardinality(P, a) for a in anchors]), P
@@ -116,6 +118,24 @@ def test_slot_weights_match_summed_oracle():
 @given(P=partitions(40))
 def test_slot_weights_match_summed_oracle_random(P):
     _assert_slot_weights_match_summed_oracle(P)
+
+
+def test_simple_cardinality_is_zero_off_the_anchors():
+    for P in (from_parts([1]), from_parts([5, 4, 3, 3, 2, 1]), Partition()):
+        for a in (-3, -1, 0, P.max_part + 1, P.max_part + 5):
+            assert simple_cardinality(P, a) == 0, (P, a)
+
+
+def test_lambda_u_of_a_long_row_allocates_little():
+    # the per-anchor arrays are O(M); a table over (slot, anchor) pairs
+    # for M = 300 peaks above 3 MB
+    tracemalloc.start()
+    try:
+        assert lambda_u(Partition([300])).parts == (300,)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20, peak
 
 
 def _peeled_cardinality(P, spec):
@@ -174,15 +194,15 @@ def test_strand_check_agrees_with_per_spec_loop():
 
 
 def test_strand_check_catches_a_wrong_slot_weight(monkeypatch):
-    slot_weights = uchains._slot_weights
+    weights_in_slot = uchains._weights_in_slot
 
-    def off_by_one(P):
-        weights = dict(slot_weights(P))
-        if (2, P.max_part) in weights:
-            weights[2, P.max_part] += 1
+    def off_by_one(simple, mass, i):
+        weights = weights_in_slot(simple, mass, i)
+        if i == 2:
+            weights[-1] += 1  # anchor M
         return weights
 
-    monkeypatch.setattr(uchains, "_slot_weights", off_by_one)
+    monkeypatch.setattr(uchains, "_weights_in_slot", off_by_one)
     by_strand, by_spec = _failing_partitions(9)
     # anchor M fits slot 2 only when M >= 3
     assert by_strand == by_spec == [P for n in range(1, 10) for P in all_partitions(n)
@@ -201,20 +221,20 @@ def fresh_strand_table():
 def test_strand_check_catches_overlapping_strands(monkeypatch, fresh_strand_table):
     # Strand 1 of anchor 1 also takes the rail vertex (2, M, 1) of every
     # slot-2 strand; its weight grows to match, so only disjointness sees it.
-    strand, slot_weights = uchains.strand, uchains._slot_weights
+    strand, weights_in_slot = uchains.strand, uchains._weights_in_slot
 
     def grabs_rail(P, a, i):
         s = strand(P, a, i)
         return s | {(2, P.max_part, 1)} if (a, i) == (1, 1) and P.max_part > 4 else s
 
-    def matching_weights(P):
-        weights = dict(slot_weights(P))
-        if P.max_part > 4:
-            weights[1, 1] += 1
+    def matching_weights(simple, mass, i):
+        weights = weights_in_slot(simple, mass, i)
+        if i == 1 and len(weights) > 5:  # M > 4
+            weights[1] += 1
         return weights
 
     monkeypatch.setattr(uchains, "strand", grabs_rail)
-    monkeypatch.setattr(uchains, "_slot_weights", matching_weights)
+    monkeypatch.setattr(uchains, "_weights_in_slot", matching_weights)
     by_strand, by_spec = _failing_partitions(9)
     assert by_strand == by_spec == [P for n in range(1, 10) for P in all_partitions(n)
                                     if P.max_part > 4]
@@ -253,6 +273,11 @@ def test_arithmetic_dedup_matches_materialized_sets():
     for n in range(1, 15):
         for P in all_partitions(n):
             assert max_simple_u_chains(P) == _materialized_max_simple(P), P
+
+
+@given(P=partitions(40))
+def test_max_simple_is_the_maximizing_parts_random(P):
+    assert max_simple_u_chains(P) == _materialized_max_simple(P)
 
 
 def test_lambda_u_examples():

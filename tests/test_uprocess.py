@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from nilcomm import uprocess
 from nilcomm.errors import (
     EmptyChainRemoval,
     EnumerationCapExceeded,
@@ -204,9 +206,25 @@ def test_canonical_process():
             assert q_of_trace(canonical_process(P)) == lambda_u(P)
 
 
-def test_enumeration_cap():
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_full_processes(from_parts([5, 4, 3, 3, 2, 1]), cap=3)
+def test_enumeration_cap(monkeypatch):
+    # the search counts its paths and refuses before it builds any trace
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return ProcessTrace(*args)
+
+    monkeypatch.setattr(uprocess, "TRACE_CAP", 100)
+    monkeypatch.setattr(uprocess, "ProcessTrace", counted)
+    with pytest.raises(EnumerationCapExceeded, match=r"more than 100 full traces for .*: 945"):
+        enumerate_full_processes(staircase(10))
+    assert built == []
+
+
+def test_trace_is_immutable():
+    t = canonical_process(from_parts([3, 1]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.anchors = ()
 
 
 def test_trace_json():
@@ -228,8 +246,6 @@ def test_state_dag_search_matches_per_node_search():
 
 
 def test_search_solves_each_state_once(monkeypatch):
-    import nilcomm.uprocess as uprocess
-
     calls = []
 
     def counted(P, a):
@@ -270,8 +286,9 @@ def test_count_full_processes_matches_enumeration():
     lambda: enumerate_full_processes(Partition()),
     lambda: canonical_process(Partition()),
     lambda: union_as_uchain(canonical_process(from_parts([3, 1])), 0),
+    lambda: UChainSpec((2, 3)),
 ], ids=["lambda_u", "max_simple_u_chains", "count_full_processes", "enumerate_full_processes",
-        "canonical_process", "union_as_uchain"])
+        "canonical_process", "union_as_uchain", "UChainSpec"])
 def test_refused_input_raises_a_nilcomm_error(call):
     with pytest.raises(NilcommError):
         call()
