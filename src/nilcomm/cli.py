@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from . import greene, matrixlab, uchains, uprocess
-from .errors import EnumerationCapExceeded, NilcommError
+from .errors import CheckFailed, EnumerationCapExceeded, NilcommError
 from .partitions import (
     Partition,
     all_partitions,
@@ -66,11 +66,11 @@ class SweepReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _check_partition(P: Partition, *, with_matrix: bool, prime: int, samples: int,
-                     seed: int, strict_conjecture: bool, report: SweepReport) -> dict:
+def _check_partition(P: Partition, record: dict, *, with_matrix: bool, prime: int, samples: int,
+                     seed: int, strict_conjecture: bool, report: SweepReport) -> None:
+    """Run the checks on P, filling ``record`` and appending failures to ``report``."""
     fail = report.failures.append
     name = format_partition(P)
-    record: dict = {"P": list(P.parts), "n": P.n}
 
     lam_u = uchains.lambda_u(P)
     record["lambda_U"] = list(lam_u.parts)
@@ -101,7 +101,7 @@ def _check_partition(P: Partition, *, with_matrix: bool, prime: int, samples: in
         traces = uprocess.enumerate_full_processes(P)
     except EnumerationCapExceeded as exc:
         fail(f"{name}: {exc}")
-        return record
+        return
     record["processes"] = len(traces)
     # lambda_U is the difference sequence of u_table, so its running sums are u_table
     u = list(accumulate(lam_u.parts, initial=0))
@@ -135,22 +135,28 @@ def _check_partition(P: Partition, *, with_matrix: bool, prime: int, samples: in
         elif strict_conjecture:
             fail(f"{name}: conjecture equality failed, {est.q} != {lam_u}")
 
-    return record
-
 
 def run_sweep(n_min: int, n_max: int, *, with_matrix: bool = False,
               prime: int = matrixlab.DEFAULT_PRIME, samples: int = 5,
               seed: int = DEFAULT_SEED, strict_conjecture: bool = False) -> SweepReport:
-    """Verify the theorem suite for every partition of every n in range."""
+    """Verify the theorem suite for every partition of every n in range.
+
+    A check that raises ``CheckFailed`` is a failure of that partition: its
+    record keeps what was filled in before, and the sweep goes on.
+    """
     report = SweepReport(n_min, n_max)
     for n in range(n_min, n_max + 1):
         count = 0
         for P in all_partitions(n):
             count += 1
-            record = _check_partition(
-                P, with_matrix=with_matrix, prime=prime, samples=samples,
-                seed=seed, strict_conjecture=strict_conjecture, report=report,
-            )
+            record: dict = {"P": list(P.parts), "n": P.n}
+            try:
+                _check_partition(
+                    P, record, with_matrix=with_matrix, prime=prime, samples=samples,
+                    seed=seed, strict_conjecture=strict_conjecture, report=report,
+                )
+            except CheckFailed as exc:
+                report.failures.append(f"{format_partition(P)}: {type(exc).__name__}: {exc}")
             report.records.append(record)
         if count != partition_count(n):
             report.failures.append(

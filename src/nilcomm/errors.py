@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Each exception marks a violated precondition or, for the *internal
-consistency* group, a situation that should be impossible if the
-underlying combinatorics is implemented correctly.  The latter are raised
-loudly instead of being repaired in place.
+Each exception marks a violated precondition or a failed check.  The
+checks are the ``CheckFailed`` family: a situation that should be
+impossible if the underlying combinatorics is implemented correctly.  It
+is raised loudly instead of being repaired in place, and a sweep reports
+it as a failure of the partition being checked.
 """
 
 
@@ -43,9 +44,30 @@ class PosetTooLarge(NilcommError):
     """Raised when an exhaustive routine is asked to handle too many vertices."""
 
 
-# -- internal consistency failures -------------------------------------------
+# -- process and sampling limits -------------------------------------------
 
-class NonMonotoneProfile(NilcommError):
+class NotMaximumSimpleChain(NilcommError):
+    """Replacement was attempted with an anchor that is not of maximum size."""
+
+
+class EnumerationCapExceeded(NilcommError):
+    """Process enumeration would produce more traces than ``uprocess.TRACE_CAP``."""
+
+
+class Int64BoundExceeded(NilcommError):
+    """A product mod p would leave int64: it is exact only while inner_dim*(p-1)^2 < 2^63."""
+
+
+# -- failed checks (internal consistency) -------------------------------------
+
+class CheckFailed(NilcommError):
+    """Base class for a check that fails: a bug, not bad input.
+
+    A sweep reports it as a failure of the partition being checked.
+    """
+
+
+class NonMonotoneProfile(CheckFailed):
     """Chain-union profile differences failed to be weakly decreasing.
 
     Signals a solver bug: the profile of maximum chain-union sizes is
@@ -53,52 +75,44 @@ class NonMonotoneProfile(NilcommError):
     """
 
 
-class ChainCertificateFailed(NilcommError):
+class ChainCertificateFailed(CheckFailed):
     """The chains read off a flow are not k disjoint chains covering c_k vertices.
 
     Signals a solver bug: every unit of a valid flow follows a chain.
     """
 
 
-class NonMonotoneSizes(NilcommError):
-    """Removal sizes of a full process failed to be weakly decreasing."""
+class StrandsOverlap(CheckFailed, AssertionError):
+    """Two strands of one specification share a vertex."""
 
 
-class NoMatchingSpec(NilcommError):
-    """No anchor set reproduces a process prefix union as a chain family."""
-
-
-# -- u-chain / process preconditions ------------------------------------------
-
-class NotMaximumSimpleChain(NilcommError):
-    """Replacement was attempted with an anchor that is not of maximum size."""
-
-
-class EmptyChainRemoval(NilcommError):
+class EmptyChainRemoval(CheckFailed):
     """A process step tried to remove an empty simple chain."""
 
 
-class NotFullProcess(NilcommError):
+class RelabelCollision(CheckFailed, AssertionError):
+    """A relabeled survivor of a removal lands on the removed chain."""
+
+
+class NotFullProcess(CheckFailed):
     """A partition was requested from a process that did not exhaust the poset."""
 
 
-class EnumerationCapExceeded(NilcommError):
-    """Process enumeration produced more traces than the configured cap."""
+class NonMonotoneSizes(CheckFailed):
+    """Removal sizes of a full process failed to be weakly decreasing."""
 
 
-# -- matrix sampling errors ----------------------------------------------------
+class NoMatchingSpec(CheckFailed):
+    """No anchor set reproduces a process prefix union as a chain family."""
 
-class CommutationCheckFailed(NilcommError):
+
+class CommutationCheckFailed(CheckFailed):
     """A sampled matrix does not commute with the Jordan matrix (parametrization bug)."""
 
 
-class NotNilpotent(NilcommError):
+class NotNilpotent(CheckFailed):
     """A matrix expected to be nilpotent is not."""
 
 
-class IncomparableSamples(NilcommError):
+class IncomparableSamples(CheckFailed):
     """Sampled Jordan types have no dominance-maximum; refusing to guess."""
-
-
-class Int64BoundExceeded(NilcommError):
-    """A product mod p would leave int64: it is exact only while inner_dim*(p-1)^2 < 2^63."""

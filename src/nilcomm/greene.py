@@ -30,7 +30,7 @@ weakly, which makes the profile concave; that is checked, not assumed.
 Certificate.  After augmentation k the flow is broken into its k unit
 source-sink paths, each with every vertex it visits, counted or passed
 through.  Each consecutive pair on a path must be a cover of the poset,
-checked against the set of ``Poset.covers`` and not against the flow's
+looked up in the successor lists ``Poset.succ`` and not in the flow's
 own arcs, so the counted vertices of a path form a chain; the chains
 must be pairwise disjoint and cover exactly ``c_k`` vertices.  No order
 query, and so no closure, is needed.  A failure raises
@@ -176,20 +176,16 @@ class ChainUnionProfile:
     lam: Partition
 
 
-def _certify(D: Poset, covers: set[tuple[int, int]], paths: list[list[int]],
-             k: int, c_k: int) -> None:
+def _certify(D: Poset, paths: list[list[int]], k: int, c_k: int) -> None:
     """Check that ``paths``, as from ``_CoverFlow.paths``, are k cover
-    paths of D whose counted vertices are disjoint and number c_k.
-
-    ``covers`` holds the index pairs (i, j) of the covers v_i < v_j.
-    """
+    paths of D whose counted vertices are disjoint and number c_k."""
     if len(paths) != k:
         raise ChainCertificateFailed(f"flow of value {k} splits into {len(paths)} paths")
     m = len(D)
     counted: list[int] = []
     for path in paths:
         for f, g in zip(path, path[1:]):
-            if (f % m, g % m) not in covers:
+            if g % m not in D.succ[f % m]:
                 raise ChainCertificateFailed(f"path steps from {D.vertices[f % m]} to "
                                              f"{D.vertices[g % m]}, which is not a cover")
         counted.extend(f for f in path if f < m)
@@ -207,7 +203,6 @@ def chain_union_profile(D: Poset) -> ChainUnionProfile:
     if m == 0:
         return ChainUnionProfile((0,), Partition())
     flow = _CoverFlow(D)
-    covers = {(D.index[a], D.index[b]) for a, b in D.covers}
     cumulative = [0]
     total = 0
     while cumulative[-1] < m:
@@ -216,7 +211,7 @@ def chain_union_profile(D: Poset) -> ChainUnionProfile:
             raise NonMonotoneProfile("flow stalled before covering the poset")
         total += cost
         cumulative.append(-total)
-        _certify(D, covers, flow.paths(), len(cumulative) - 1, cumulative[-1])
+        _certify(D, flow.paths(), len(cumulative) - 1, cumulative[-1])
 
     parts = [cumulative[k] - cumulative[k - 1] for k in range(1, len(cumulative))]
     for i in range(1, len(parts)):

@@ -14,13 +14,15 @@ edges come in four families:
                the right from the top row to the bottom row.
 
 The partial order is the reflexive-transitive closure of the covers; a
-``Poset`` stores the covers and computes the closure only when an order
-query needs it.
+``Poset`` stores the covers once, as successor lists, and computes the
+closure only when an order query needs it.
 """
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 from .errors import CyclicCovers, VertexNotInPoset
@@ -61,44 +63,46 @@ class Poset:
     """Covering digraph of a partition's basis poset.
 
     The order is held once, by position in ``vertices`` (``index``):
-    ``succ[i]`` lists the vertices that cover vertex i, in canonical order,
-    and ``topo`` is one topological order; both take O(m + covers) to
-    build, and a cyclic cover list is refused there.  ``less``, ``leq``
+    ``succ[i]`` lists the vertices that cover vertex i, ascending; it is
+    the one copy of the covers, which ``covers`` lists as vertex pairs.
+    ``topo`` is one topological order; both take O(m + covers) to build,
+    and a cyclic cover list is refused there.  ``less``, ``leq``
     and ``is_chain`` read an int-bitset closure computed on the first such
     query, in one pass over the reverse topological order; the flow and its
-    certificate read only the covers, so they never build it.
+    certificate read only ``succ``, so they never build it.
 
     Immutable after construction; all queries are pure.
     """
 
     def __init__(self, vertices: Iterable[Vertex], covers: Iterable[tuple[Vertex, Vertex]]):
         self.vertices: tuple[Vertex, ...] = tuple(sorted(set(vertices), key=sort_key))
-        self.covers: tuple[tuple[Vertex, Vertex], ...] = tuple(
-            sorted(set(covers), key=lambda e: (sort_key(e[0]), sort_key(e[1])))
-        )
         self.index: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
         m = len(self.vertices)
         succ: list[list[int]] = [[] for _ in range(m)]
-        indeg = [0] * m
-        for a, b in self.covers:
+        for a, b in covers:
             if a not in self.index or b not in self.index:
                 raise VertexNotInPoset(f"cover ({a}, {b}) uses unknown vertices")
-            j = self.index[b]
-            succ[self.index[a]].append(j)
-            indeg[j] += 1
+            succ[self.index[a]].append(self.index[b])
+        self.succ: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(set(js))) for js in succ)
+        indeg = Counter(chain.from_iterable(self.succ))
         # Kahn's algorithm; ``sort_key`` order is not topological, since
         # ``beta`` covers go to lower levels.
         topo = [i for i in range(m) if not indeg[i]]
         for i in topo:
-            for j in succ[i]:
+            for j in self.succ[i]:
                 indeg[j] -= 1
                 if not indeg[j]:
                     topo.append(j)
         if len(topo) < m:
             raise CyclicCovers(f"covering digraph has a cycle: {m - len(topo)} vertices "
                                "lie on or above one")
-        self.succ: tuple[tuple[int, ...], ...] = tuple(map(tuple, succ))
         self.topo: tuple[int, ...] = tuple(topo)
+
+    @property
+    def covers(self) -> tuple[tuple[Vertex, Vertex], ...]:
+        """Every cover (v, w), w covering v, ascending by (sort_key(v), sort_key(w))."""
+        vs = self.vertices
+        return tuple([(vs[i], vs[j]) for i, js in enumerate(self.succ) for j in js])
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -35,7 +35,8 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import EmptyPartition, InvalidParameter, NonMonotoneProfile, NotMaximumSimpleChain
+from .errors import (EmptyPartition, InvalidParameter, NonMonotoneProfile, NotMaximumSimpleChain,
+                     StrandsOverlap)
 from .partitions import Partition
 from .poset import Vertex
 
@@ -125,7 +126,7 @@ def materialize(P: Partition, spec: UChainSpec) -> UChainInstance:
     strands = tuple([table.get((i, a), frozenset()) for i, a in enumerate(spec.anchors, start=1)])
     union = frozenset().union(*strands)
     if len(union) != sum(map(len, strands)):
-        raise AssertionError(f"strands of {spec} overlap in {P}")
+        raise StrandsOverlap(f"strands of {spec} overlap in {P}")
     return UChainInstance(spec, strands, union)
 
 
@@ -308,11 +309,12 @@ def check_replacement(P: Partition, spec: UChainSpec, a: int) -> ReplacementResu
     """Find a slot where the maximum simple anchor ``a`` can replace one
     anchor of ``spec`` without shrinking the family.
 
-    The witness slot u satisfies b_{u-1} < a < b_{u+1} - 1 (with b_0 = 0
-    and b_{r+1} unbounded) and yields a valid specification.  When the
-    pair {a, a+1} already lies inside the expanded anchor set the family
-    needs no change and the identity substitution is reported.  A failed
-    search returns ok=False; it would falsify the replacement property.
+    The witness slot u is one where substituting a yields a valid
+    specification, by ``UChainSpec``'s gap rule, that is no smaller.  When
+    the pair {a, a+1} already lies inside the expanded anchor set the
+    family needs no change and the identity substitution is reported.  A
+    failed search returns ok=False; it would falsify the replacement
+    property.
     """
     best, _ = max_simple_u_chains(P)
     if simple_cardinality(P, a) != best:
@@ -327,13 +329,10 @@ def check_replacement(P: Partition, spec: UChainSpec, a: int) -> ReplacementResu
         return ReplacementResult(True, position, spec, original, original, True)
 
     for u in range(1, r + 1):
-        left = b[u - 2] if u >= 2 else 0
-        right = b[u] if u < r else None
-        if not (left < a and (right is None or a < right - 1)):
+        try:
+            candidate = UChainSpec(b[: u - 1] + (a,) + b[u:])
+        except InvalidParameter:
             continue
-        if u >= 2 and a - left < 2:
-            continue
-        candidate = UChainSpec(b[: u - 1] + (a,) + b[u:])
         size = cardinality_closed_form(P, candidate)
         if size >= original:
             return ReplacementResult(True, u, candidate, original, size, False)

@@ -14,14 +14,13 @@ sizes of a full trace form a partition of n.
 
 The traces are the root-to-leaf paths of a DAG whose nodes are the
 intermediate partitions: what a step can do depends only on the current
-partition, not on how it was reached.  So the search solves each state
-once (its maximizing anchors and their removals), counts the paths by a
-dynamic program over the solved states, refuses more than ``TRACE_CAP``
-before listing any, and walks the paths depth-first;
-``count_full_processes`` counts them without removing a vertex.  The
-table of solved states lives for one search only: it holds removed
-vertex sets of every reachable state, which a later call for another
-partition never reuses.
+partition, not on how it was reached.  ``_solve`` solves each state once
+(its maximizing anchors and the states they lead to) and counts the
+paths from it, removing no vertex; ``count_full_processes`` reads the
+count off it.  The search refuses more than ``TRACE_CAP`` traces before
+removing anything, then realizes each (state, anchor) removal once and
+walks the paths depth-first.  The solved DAG lives for one call only: a
+later call for another partition never reuses it.
 
 A removed set is pulled back to the start poset in closed form.  Each
 relabeling moves whole levels, so the composite of the relabelings along
@@ -45,6 +44,7 @@ from .errors import (
     NoMatchingSpec,
     NonMonotoneSizes,
     NotFullProcess,
+    RelabelCollision,
 )
 from .partitions import Partition
 from .poset import Vertex, sort_key, vertex_list
@@ -104,7 +104,7 @@ def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, frozenset[Vert
     for v in vertex_list(P_next):
         w = _relabel_vertex(v, a)
         if w in removed:
-            raise AssertionError(f"relabeled vertex {v} -> {w} collides with the removed chain")
+            raise RelabelCollision(f"relabeled vertex {v} -> {w} collides with the removed chain")
     return P_next, removed
 
 
@@ -144,22 +144,35 @@ def q_of_trace(t: ProcessTrace) -> Partition:
     return Partition(sizes)
 
 
-def _search(P: Partition, pick_all: bool) -> list[ProcessTrace]:
+def _solve(P: Partition, pick_all: bool) -> tuple[dict, dict[Partition, int]]:
+    """The process DAG from P, each state solved once; no vertex is removed.
+
+    ``moves[s]`` pairs each chosen maximizing anchor of state s (all, or
+    the largest) with the state it leads to; ``paths[s]`` counts the full
+    traces from s.
+    """
     if P.n < 1:
         raise EmptyPartition("needs a nonempty partition")
-    moves: dict[Partition, list[tuple[int, Partition, frozenset[Vertex]]]] = {}
+    moves: dict[Partition, list[tuple[int, Partition]]] = {}
     paths = {Partition(): 1}
 
     def solve(cur: Partition) -> int:
         if cur not in paths:
             _, winners = max_simple_u_chains(cur)
-            moves[cur] = [(a, *remove_simple_chain(cur, a))
-                          for a in (winners if pick_all else (max(winners),))]
-            paths[cur] = sum(solve(nxt) for _, nxt, _ in moves[cur])
+            moves[cur] = [(a, _shrink(cur, a)) for a in (winners if pick_all else (max(winners),))]
+            paths[cur] = sum(solve(nxt) for _, nxt in moves[cur])
         return paths[cur]
 
-    if solve(P) > TRACE_CAP:
+    solve(P)
+    return moves, paths
+
+
+def _search(P: Partition, pick_all: bool) -> list[ProcessTrace]:
+    moves, paths = _solve(P, pick_all)
+    if paths[P] > TRACE_CAP:
         raise EnumerationCapExceeded(f"more than {TRACE_CAP} full traces for {P}: {paths[P]}")
+    steps = {cur: [(a, nxt, remove_simple_chain(cur, a)[1]) for a, nxt in ms]
+             for cur, ms in moves.items()}
     results: list[ProcessTrace] = []
 
     def rec(cur: Partition, anchors: list[int], parts: list[Partition],
@@ -167,7 +180,7 @@ def _search(P: Partition, pick_all: bool) -> list[ProcessTrace]:
         if cur.n == 0:
             results.append(ProcessTrace(P, tuple(anchors), tuple(parts) + (cur,), tuple(removed)))
             return
-        for a, nxt, rem in moves[cur]:
+        for a, nxt, rem in steps[cur]:
             removed.append(_pull_back(rem, anchors))
             anchors.append(a)
             parts.append(cur)
@@ -183,22 +196,10 @@ def _search(P: Partition, pick_all: bool) -> list[ProcessTrace]:
 def count_full_processes(P: Partition) -> int:
     """The number of full traces of P, without listing them.
 
-    A dynamic program over the intermediate partitions: the empty one
-    ends one trace, and any other state has as many as the states its
-    maximizing anchors lead to, summed.  Equals
-    ``len(enumerate_full_processes(P))``, with no cap.
+    Read off the solved process DAG; equals ``len(enumerate_full_processes(P))``,
+    with no cap.
     """
-    if P.n < 1:
-        raise EmptyPartition("needs a nonempty partition")
-    counts = {Partition(): 1}
-
-    def count(cur: Partition) -> int:
-        if cur not in counts:
-            _, winners = max_simple_u_chains(cur)
-            counts[cur] = sum(count(_shrink(cur, a)) for a in winners)
-        return counts[cur]
-
-    return count(P)
+    return _solve(P, True)[1][P]
 
 
 def enumerate_full_processes(P: Partition) -> list[ProcessTrace]:

@@ -9,6 +9,8 @@ import pytest
 
 from nilcomm import cli, uprocess
 from nilcomm.cli import main, run_sweep
+from nilcomm.errors import CheckFailed, RelabelCollision, StrandsOverlap
+from nilcomm.partitions import all_partitions
 
 
 def test_invariants_headline(capsys):
@@ -71,6 +73,8 @@ def test_exit_codes_through_the_module_entry_point():
         (["verify", "1", "17"], {}, 2),
         (["invariants", "-p", "3,1"], {"NILCOMM_PRIME": "abc"}, 0),
         (["verify", "1", "3"], {"NILCOMM_PRIME": "abc"}, 2),
+        # over GF(2) the samples of (2,2,1,1) have no dominance maximum: a failed check
+        (["verify", "1", "10", "--with-matrix", "--prime", "2"], {}, 1),
     ]
     runs = [subprocess.Popen([sys.executable, "-m", "nilcomm", *argv], env=module_env(**extra),
                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -125,6 +129,37 @@ def test_verify_trace_cap_overflow_is_a_hard_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "more than 1 full traces" in out
+
+
+def test_a_check_that_raises_fails_its_partition_only(monkeypatch, capsys):
+    # a pull-back that drops the last anchor of the history breaks the prefix
+    # unions of (3,1); the sweep reports that and checks every other partition
+    pull_back = uprocess._pull_back
+    monkeypatch.setattr(uprocess, "_pull_back", lambda removed, history: pull_back(removed, history[:-1]))
+    assert main(["verify", "1", "4", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["failures"] and all(f.startswith("3,1: ") for f in data["failures"])
+    assert any(f.startswith("3,1: NoMatchingSpec: ") for f in data["failures"])
+    assert [r["P"] for r in data["records"]] == [list(P.parts) for n in range(1, 5)
+                                                 for P in all_partitions(n)]
+    assert main(["verify", "1", "4"]) == 1
+    assert "FAIL 3,1: NoMatchingSpec: " in capsys.readouterr().out
+
+
+def test_a_failed_assertion_inside_a_sweep_is_a_failure(monkeypatch, capsys):
+    # a level lift that moves level a itself relabels a survivor onto the removed chain
+    def lift_above(p, history):
+        q = p
+        for a in reversed(history):
+            if q > a:
+                q += 2
+        return (q - p) // 2
+
+    monkeypatch.setattr(uprocess, "_lift", lift_above)
+    assert main(["verify", "1", "8"]) == 1
+    assert "RelabelCollision: relabeled vertex" in capsys.readouterr().out
+    for exc in (RelabelCollision, StrandsOverlap):
+        assert issubclass(exc, CheckFailed) and issubclass(exc, AssertionError)
 
 
 def test_verify_strict_conjecture_passes_when_types_agree(capsys):

@@ -133,10 +133,9 @@ def test_certificate_refuses_bad_chains():
     m = len(D)
     # the covers low < mid < top; a path entry i counts vertex i, m + i passes through it
     low, mid, top = (D.index[v] for v in [(1, 2, 1), (1, 1, 1), (2, 2, 1)])
-    covers = {(D.index[a], D.index[b]) for a, b in D.covers}
 
     def certify(paths, k, c_k):
-        greene._certify(D, covers, paths, k, c_k)
+        greene._certify(D, paths, k, c_k)
 
     certify([[low, mid, top]], 1, 3)
     certify([[low, mid], [m + mid, top]], 2, 3)  # passing through a counted vertex is fine

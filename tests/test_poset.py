@@ -8,7 +8,7 @@ from nilcomm.cli import main, run_sweep
 from nilcomm.errors import CyclicCovers, NilcommError, VertexNotInPoset
 from nilcomm.greene import chain_union_profile
 from nilcomm.partitions import all_partitions, from_parts
-from nilcomm.poset import Poset, build_poset, export_dot, export_json, vertex_list
+from nilcomm.poset import Poset, build_poset, export_dot, export_json, sort_key, vertex_list
 
 from strategies import partitions
 
@@ -74,6 +74,25 @@ def test_covers_are_exactly_the_covering_relation():
                     if not any(D.less(z, w) for z in above if z != w):
                         recomputed.add((v, w))
             assert recomputed == set(D.covers), P
+
+
+def assert_covers_ascend(D):
+    # the successor lists are the one copy of the covers; ``covers`` lists them in order
+    keys = [(sort_key(v), sort_key(w)) for v, w in D.covers]
+    assert all(x < y for x, y in zip(keys, keys[1:])), D.vertices
+    for js in D.succ:
+        assert all(i < j for i, j in zip(js, js[1:])), js
+
+
+def test_covers_and_successor_lists_ascend():
+    for n in range(1, 11):
+        for P in all_partitions(n):
+            assert_covers_ascend(build_poset(P))
+
+
+@given(P=partitions(40))
+def test_covers_and_successor_lists_ascend_random(P):
+    assert_covers_ascend(build_poset(P))
 
 
 def assert_closure_matches_networkx(D):

@@ -259,6 +259,35 @@ def test_search_solves_each_state_once(monkeypatch):
     assert {(t.partitions[i], a) for t in traces for i, a in enumerate(t.anchors)} == set(calls)
 
 
+def test_cap_is_checked_before_any_removal(monkeypatch):
+    calls = []
+
+    def counted(P, a):
+        calls.append((P, a))
+        return remove_simple_chain(P, a)
+
+    monkeypatch.setattr(uprocess, "remove_simple_chain", counted)
+    monkeypatch.setattr(uprocess, "TRACE_CAP", 100)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_full_processes(staircase(10))
+    assert calls == []
+
+
+def test_count_and_search_solve_each_state_once(monkeypatch):
+    # staircase 10 reaches (10,...,1), (8,...,1), ..., (2,1) and the empty state
+    calls = []
+
+    def counted(P):
+        calls.append(P)
+        return max_simple_u_chains(P)
+
+    monkeypatch.setattr(uprocess, "max_simple_u_chains", counted)
+    for run in (enumerate_full_processes, count_full_processes):
+        calls.clear()
+        run(staircase(10))
+        assert calls == [staircase(k) for k in (10, 8, 6, 4, 2)], run
+
+
 def test_strand_table_matches_strand():
     for P in ORACLE_RANGE:
         table = strand_table(P)
