@@ -44,6 +44,7 @@ from .uprocess import (
     canonical_process,
     count_full_processes,
     enumerate_full_processes,
+    prefix_families,
     q_of_trace,
     remove_simple_chain,
     trace_to_json,

@@ -17,10 +17,12 @@ intermediate partitions: what a step can do depends only on the current
 partition, not on how it was reached.  ``_solve`` solves each state once
 (its maximizing anchors and the states they lead to) and counts the
 paths from it, removing no vertex; ``count_full_processes`` reads the
-count off it.  The search refuses more than ``TRACE_CAP`` traces before
-removing anything, then realizes each (state, anchor) removal once and
-walks the paths depth-first.  The solved DAG lives for one call only: a
-later call for another partition never reuses it.
+count off it.  ``_steps`` refuses more than ``TRACE_CAP`` traces before
+removing anything, then realizes each (state, anchor) removal once.  The
+search walks its paths depth-first; ``prefix_families`` walks its states
+children first and checks each distinct prefix union of a state once, so
+the sweep checks prefix families, not traces.  The solved DAG lives for
+one call only: a later call for another partition never reuses it.
 
 A removed set is pulled back to the start poset in closed form.  Each
 relabeling moves whole levels, so the composite of the relabelings along
@@ -28,7 +30,9 @@ the anchor history shifts a level p by some t >= 0 to
 (u, p, k) -> (u+t, p+2t, k).  ``_lift`` computes t, latest anchor first;
 it is the only statement of the relabeling rule: ``_relabel_vertex``,
 the pull-back of removed sets and the anchor transport of
-``union_as_uchain`` all call it.
+``union_as_uchain`` and ``prefix_families`` all call it.  ``_as_spec``
+is the only statement of how lifted anchor values pair up into a
+specification.
 """
 from __future__ import annotations
 
@@ -75,7 +79,7 @@ def _relabel_vertex(v: Vertex, a: int) -> Vertex:
     return (u + t, p + 2 * t, k)
 
 
-def _pull_back(removed: frozenset[Vertex], history: list[int]) -> frozenset[Vertex]:
+def _pull_back(removed: frozenset[Vertex], history: Sequence[int]) -> frozenset[Vertex]:
     """Relabel ``removed`` into the start poset.
 
     ``removed`` is in the labels of the state that the removals at the
@@ -149,7 +153,8 @@ def _solve(P: Partition, pick_all: bool) -> tuple[dict, dict[Partition, int]]:
 
     ``moves[s]`` pairs each chosen maximizing anchor of state s (all, or
     the largest) with the state it leads to; ``paths[s]`` counts the full
-    traces from s.
+    traces from s, and ``paths`` holds every state after the states it
+    leads to.
     """
     if P.n < 1:
         raise EmptyPartition("needs a nonempty partition")
@@ -167,12 +172,23 @@ def _solve(P: Partition, pick_all: bool) -> tuple[dict, dict[Partition, int]]:
     return moves, paths
 
 
-def _search(P: Partition, pick_all: bool) -> list[ProcessTrace]:
+def _steps(P: Partition, pick_all: bool) -> tuple[dict, dict[Partition, int]]:
+    """The solved process DAG from P with each (state, anchor) removal realized.
+
+    ``steps[s]`` lists (anchor, next state, removed set in s's labels) for
+    every chosen move of state s; ``paths`` is ``_solve``'s, children first.
+    Refuses more than ``TRACE_CAP`` full traces before removing anything.
+    """
     moves, paths = _solve(P, pick_all)
     if paths[P] > TRACE_CAP:
         raise EnumerationCapExceeded(f"more than {TRACE_CAP} full traces for {P}: {paths[P]}")
     steps = {cur: [(a, nxt, remove_simple_chain(cur, a)[1]) for a, nxt in ms]
              for cur, ms in moves.items()}
+    return steps, paths
+
+
+def _search(P: Partition, pick_all: bool) -> list[ProcessTrace]:
+    steps, _ = _steps(P, pick_all)
     results: list[ProcessTrace] = []
 
     def rec(cur: Partition, anchors: list[int], parts: list[Partition],
@@ -191,6 +207,39 @@ def _search(P: Partition, pick_all: bool) -> list[ProcessTrace]:
 
     rec(P, [], [], [])
     return results
+
+
+def prefix_families(P: Partition) -> tuple[int, dict[UChainSpec, frozenset[Vertex]]]:
+    """The number of full traces of P and the chain family of every prefix.
+
+    Maps the specification of each distinct prefix union C_1 ∪ ... ∪ C_r of
+    a full trace to that union, listing no trace.  A prefix from state s
+    starting at anchor a is ``strand(s, a, 1)`` plus a prefix from the state
+    it leads to, lifted one step; visited children first, each state builds
+    each of its prefixes once, keyed by its sorted lifted anchor values.
+    Equal keys must cover equal sets, each removal must miss the lifted
+    rest, and at P each family must realize its union (``_as_spec``); a
+    failure raises a ``CheckFailed``.  ``_steps`` refuses above the cap.
+    """
+    steps, paths = _steps(P, True)
+    prefixes: dict[Partition, dict[tuple[int, ...], frozenset[Vertex]]] = {}
+    for cur in paths:  # children first, from the empty state
+        found: dict[tuple[int, ...], frozenset[Vertex]] = {}
+        for a, nxt, removed in steps.get(cur, ()):
+            own = [((a, a + 1), removed)]
+            for values, rest in prefixes[nxt].items():
+                lifted = _pull_back(rest, (a,))
+                union = removed | lifted
+                if len(union) != len(removed) + len(lifted):
+                    raise RelabelCollision(f"anchor {a} of {cur} removes a vertex of a later step")
+                key = tuple(sorted((a, a + 1) + tuple(v + 2 * _lift(v, (a,)) for v in values)))
+                own.append((key, union))
+            for key, union in own:
+                if found.setdefault(key, union) != union:
+                    raise NoMatchingSpec(f"prefixes of {cur} with lifted anchors {key} differ")
+        prefixes[cur] = found
+    families = {_as_spec(P, values, union): union for values, union in prefixes[P].items()}
+    return paths[P], families
 
 
 def count_full_processes(P: Partition) -> int:
@@ -237,19 +286,27 @@ def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
     for i, a in enumerate(t.anchors[:r]):
         history = t.anchors[:i]
         values += (a + 2 * _lift(a, history), a + 1 + 2 * _lift(a + 1, history))
-    values.sort()
-    anchors = values[::2]
-    if values[1::2] != [a + 1 for a in anchors]:
-        raise NoMatchingSpec(f"transported values {values} do not pair up")
+    return _as_spec(t.start, sorted(values), frozenset().union(*t.removed[:r]))
+
+
+def _as_spec(P: Partition, values: Sequence[int], union: frozenset[Vertex]) -> UChainSpec:
+    """The specification whose expanded anchor values are ``values``, ascending.
+
+    The values must pair up as a, a+1 with gaps of at least 2 between the
+    pairs, and the family must realize ``union`` in P; otherwise no family
+    matches, and NoMatchingSpec is raised.
+    """
+    anchors = list(values[::2])
+    if list(values[1::2]) != [a + 1 for a in anchors]:
+        raise NoMatchingSpec(f"transported values {list(values)} do not pair up")
     try:
         spec = UChainSpec(tuple(anchors))
     except ValueError as exc:
         raise NoMatchingSpec(f"transported anchors invalid: {anchors} ({exc})") from None
-    realized = materialize(t.start, spec).union
-    actual = frozenset().union(*t.removed[:r])
-    if realized != actual:
+    realized = materialize(P, spec).union
+    if realized != union:
         raise NoMatchingSpec(
-            f"anchors {anchors} realize {len(realized)} vertices, prefix union has {len(actual)}"
+            f"anchors {anchors} realize {len(realized)} vertices, prefix union has {len(union)}"
         )
     return spec
 

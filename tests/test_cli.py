@@ -10,7 +10,7 @@ import pytest
 from nilcomm import cli, uprocess
 from nilcomm.cli import main, run_sweep
 from nilcomm.errors import CheckFailed, RelabelCollision, StrandsOverlap
-from nilcomm.partitions import all_partitions
+from nilcomm.partitions import Partition, all_partitions
 
 
 def test_invariants_headline(capsys):
@@ -132,10 +132,11 @@ def test_verify_trace_cap_overflow_is_a_hard_failure(monkeypatch, capsys):
 
 
 def test_a_check_that_raises_fails_its_partition_only(monkeypatch, capsys):
-    # a pull-back that drops the last anchor of the history breaks the prefix
-    # unions of (3,1); the sweep reports that and checks every other partition
-    pull_back = uprocess._pull_back
-    monkeypatch.setattr(uprocess, "_pull_back", lambda removed, history: pull_back(removed, history[:-1]))
+    # a specification that keeps only the first lifted anchor pair breaks the
+    # prefix families of (3,1); the sweep reports that and checks every other
+    # partition
+    as_spec = uprocess._as_spec
+    monkeypatch.setattr(uprocess, "_as_spec", lambda P, values, union: as_spec(P, values[:2], union))
     assert main(["verify", "1", "4", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["failures"] and all(f.startswith("3,1: ") for f in data["failures"])
@@ -146,20 +147,45 @@ def test_a_check_that_raises_fails_its_partition_only(monkeypatch, capsys):
     assert "FAIL 3,1: NoMatchingSpec: " in capsys.readouterr().out
 
 
-def test_a_failed_assertion_inside_a_sweep_is_a_failure(monkeypatch, capsys):
-    # a level lift that moves level a itself relabels a survivor onto the removed chain
-    def lift_above(p, history):
-        q = p
-        for a in reversed(history):
-            if q > a:
-                q += 2
-        return (q - p) // 2
+def lift_above(p, history):
+    """A level lift that moves level a itself: it relabels a survivor onto the removed chain."""
+    q = p
+    for a in reversed(history):
+        if q > a:
+            q += 2
+    return (q - p) // 2
 
+
+def test_a_failed_assertion_inside_a_sweep_is_a_failure(monkeypatch, capsys):
     monkeypatch.setattr(uprocess, "_lift", lift_above)
     assert main(["verify", "1", "8"]) == 1
     assert "RelabelCollision: relabeled vertex" in capsys.readouterr().out
     for exc in (RelabelCollision, StrandsOverlap):
         assert issubclass(exc, CheckFailed) and issubclass(exc, AssertionError)
+
+
+def test_a_failed_check_outside_a_sweep_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(uprocess, "_lift", lift_above)
+    assert main(["invariants", "-p", "3,1,1,1,1,1"]) == 1
+    assert "error: relabeled vertex" in capsys.readouterr().err
+    assert main(["invariants", "-p", "0,2"]) == 2  # bad input still exits 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_the_sweep_lists_no_trace(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep listed a trace")
+
+    monkeypatch.setattr(uprocess, "ProcessTrace", refuse)
+    monkeypatch.setattr(uprocess, "_search", refuse)
+    test_sweep_report_is_pinned()
+    # staircase 14 is checked whole: 135,135 traces, under the cap
+    P = Partition(range(14, 0, -1))
+    report, record = cli.SweepReport(P.n, P.n), {}
+    cli._check_partition(P, record, with_matrix=False, prime=1_000_003, samples=5, seed=0,
+                         strict_conjecture=False, report=report)
+    assert report.ok
+    assert record["processes"] == 135_135
 
 
 def test_verify_strict_conjecture_passes_when_types_agree(capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given
 
 from nilcomm import uprocess
 from nilcomm.errors import (
@@ -9,6 +10,7 @@ from nilcomm.errors import (
     EnumerationCapExceeded,
     NilcommError,
     NotFullProcess,
+    RelabelCollision,
 )
 from nilcomm.partitions import Partition, all_partitions, from_parts, is_almost_rectangular
 from nilcomm.poset import build_poset, vertex_list
@@ -26,12 +28,15 @@ from nilcomm.uprocess import (
     canonical_process,
     count_full_processes,
     enumerate_full_processes,
+    prefix_families,
     _relabel_vertex,
     q_of_trace,
     remove_simple_chain,
     trace_to_json,
     union_as_uchain,
 )
+
+from strategies import partitions
 
 
 def staircase(k):
@@ -286,6 +291,29 @@ def test_count_and_search_solve_each_state_once(monkeypatch):
         calls.clear()
         run(staircase(10))
         assert calls == [staircase(k) for k in (10, 8, 6, 4, 2)], run
+
+
+def test_prefix_families_match_the_trace_listing():
+    for P in ORACLE_RANGE:
+        traces = enumerate_full_processes(P)
+        listed = {union_as_uchain(t, r): frozenset().union(*t.removed[:r])
+                  for t in traces for r in range(1, t.steps + 1)}
+        assert prefix_families(P) == (len(traces), listed), P
+
+
+@given(partitions(40))
+def test_prefix_families_are_maximum_families(P):
+    count, families = prefix_families(P)
+    assert count == count_full_processes(P)
+    for spec, union in families.items():
+        assert len(union) == max_u_chain_cardinality(P, spec.r), (P, spec)
+
+
+def test_prefix_families_refuse_a_removal_that_meets_a_later_step(monkeypatch):
+    # unlifted, the later steps of (3,1) land on the first removed chain
+    monkeypatch.setattr(uprocess, "_pull_back", lambda removed, history: removed)
+    with pytest.raises(RelabelCollision, match="removes a vertex of a later step"):
+        prefix_families(from_parts([3, 1]))
 
 
 def test_strand_table_matches_strand():
