@@ -104,10 +104,14 @@ def _check_partition(P: Partition, record: dict, *, with_matrix: bool, prime: in
         return
     record["processes"] = count
     # The r-th prefix union of every trace is one of the families.  Every
-    # trace ends at the empty state, and its removed sets are nonempty and
-    # disjoint, so its removal sizes are the differences of its prefix
-    # sizes.  When those are u_1, u_2, ... (the running sums of lambda_U),
-    # every trace has Q == lambda_U.
+    # trace ends at the empty state, each step removes as many vertices as
+    # its state loses (``remove_simple_chain`` checks it), and the removed
+    # sets are nonempty and disjoint.  So a trace's full prefix covers all
+    # n vertices and its removal sizes are the differences of its prefix
+    # sizes.  When those are u_1, u_2, ... (the running sums of lambda_U,
+    # u_r = n for every r past its last part), every trace has
+    # Q == lambda_U: a longer trace would cover more than n, and a shorter
+    # one would cover n at an r where u_r < n.
     u = list(accumulate(lam_u.parts, initial=0))
     for spec, union in families.items():
         want = u[min(spec.r, len(u) - 1)]

@@ -94,6 +94,10 @@ class RelabelCollision(CheckFailed, AssertionError):
     """A relabeled survivor of a removal lands on the removed chain."""
 
 
+class RemovalSizeMismatch(CheckFailed):
+    """A removal's size differs from the number of vertices its step loses."""
+
+
 class NotFullProcess(CheckFailed):
     """A partition was requested from a process that did not exhaust the poset."""
 

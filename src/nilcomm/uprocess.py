@@ -49,6 +49,7 @@ from .errors import (
     NonMonotoneSizes,
     NotFullProcess,
     RelabelCollision,
+    RemovalSizeMismatch,
 )
 from .partitions import Partition
 from .poset import Vertex, sort_key, vertex_list
@@ -99,12 +100,17 @@ def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, frozenset[Vert
 
     Returns the surviving partition and the removed vertex set (in P's
     labels).  The surviving poset embeds back into P's by the relabeling
-    described in the module docstring.
+    described in the module docstring.  The removed set must be nonempty,
+    hold exactly the vertices the step loses, and miss every relabeled
+    survivor.
     """
     removed = strand(P, a, 1)
     if not removed:
         raise EmptyChainRemoval(f"anchor {a} selects nothing in {P}")
     P_next = _shrink(P, a)
+    if len(removed) != P.n - P_next.n:
+        raise RemovalSizeMismatch(f"anchor {a} removes {len(removed)} vertices, but {P} -> {P_next} "
+                                  f"loses {P.n - P_next.n}")
     for v in vertex_list(P_next):
         w = _relabel_vertex(v, a)
         if w in removed:

@@ -172,6 +172,15 @@ def test_a_failed_check_outside_a_sweep_exits_1(monkeypatch, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_trace_that_ends_early_fails_the_sweep(monkeypatch, capsys):
+    # every step jumps to the empty state: the one-step traces cover u_1 < n
+    monkeypatch.setattr(uprocess, "_shrink", lambda P, a: Partition())
+    assert main(["verify", "1", "6", "--json"]) == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert "3,1: RemovalSizeMismatch: anchor 1 removes 3 vertices, but (3,1) -> () loses 4" in failures
+    assert main(["invariants", "-p", "3,1"]) == 1
+
+
 def test_the_sweep_lists_no_trace(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep listed a trace")
