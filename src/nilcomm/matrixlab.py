@@ -18,12 +18,12 @@ samples recovers the generic type with overwhelming probability.
 
 A sample's Jordan type is read from the ranks of its powers, which come
 from one block-Krylov elimination instead of from the powers themselves:
-with l = n - rank(A) and an n x l block V drawn from a fixed seed, the
-stack [A^(m-1) V | ... | A V | V] (A^m V = 0) is reduced once, and the
-pivots among the blocks of power >= j count rank(A^j).  The result is
-certified, not probable: it is used only when the stack has rank n, so
-that the Krylov space is the whole space; otherwise the unit vectors are
-appended to V and the stack is rebuilt once (Keller-Gehrig, TCS 36, 1985).
+V is the n - rank(A) unit vectors that complement im A, read off the
+pivots of one elimination of A^T, and the stack
+[A^(m-1) V | ... | A V | V] (A^m V = 0) is reduced once; the pivots among
+the blocks of power >= j count rank(A^j) (Keller-Gehrig, TCS 36, 1985).
+For a nilpotent A these vectors always generate the whole space, so the
+stack has rank n; a stack short of rank n means A is not nilpotent.
 One exact elimination kernel, ``_pivots``, serves this and ``rank_mod``;
 it eliminates forward only and returns the pivot columns, which are all
 that either reads.
@@ -57,6 +57,7 @@ DEFAULT_PRIME = 1_000_003
 INT64_LIMIT = 1 << 63
 
 
+@lru_cache
 def _is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -270,6 +271,8 @@ def _pivots(M: np.ndarray, p: int) -> list[int]:
     independent of the columns left of them.
     """
     _check_int64(1, p)
+    if not _is_prime(p):
+        raise InvalidParameter(f"{p} is not prime")
     R = (M % p).astype(np.int64, copy=False)
     rows, cols = R.shape
     pivots: list[int] = []
@@ -298,54 +301,44 @@ def rank_mod(A: np.ndarray, p: int) -> int:
     return len(_pivots(A, p))
 
 
-def _krylov_start(n: int, width: int, p: int) -> np.ndarray:
-    """The n x width starting block of the Krylov stack, from a fixed seed.
-
-    Its values affect only the running time of ``jordan_type_from_ranks``,
-    never its result.
-    """
-    return np.random.default_rng(0).integers(0, p, size=(n, width))
-
-
 def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
     """Jordan partition of a nilpotent matrix from its power-rank profile.
 
     rank(A^(k-1)) - rank(A^k) blocks have size >= k; the conjugate of
     these counts is the type.
 
-    No power of A is formed; one elimination gives every rank.  A has
-    l = n - rank(A) Jordan blocks, so l vectors can generate F^n under A.
-    For an n x l block V, form A V, A^2 V, ... until A^m V = 0, and reduce
-    the stack [A^(m-1) V | ... | A V | V] once.  Its pivot columns are the
-    leftmost independent ones, so the pivots among the blocks of power
-    >= j number dim span{A^i V : i >= j}.
+    No power of A is formed; one elimination gives every rank.  The pivots
+    of A^T are a maximal independent set J of rows of A, so projecting
+    im A onto the coordinates J is injective and the unit vectors e_j,
+    j not in J, complement im A.  V is these n - rank(A) vectors.  Form
+    A V, A^2 V, ... until A^m V = 0, and reduce the stack
+    [A^(m-1) V | ... | A V | V] once.  Its pivot columns are the leftmost
+    independent ones, so the pivots among the blocks of power >= j number
+    dim span{A^i V : i >= j}.
 
-    Certificate: if the stack has rank n, then W = span{A^i V} is F^n, so
-    im A^j = A^j W = span{A^i V : i >= j} and the count above is
-    rank(A^j); A^m V = 0 then gives A^m = 0.  The result is exact whatever
-    V was; a random V merely makes rank n likely on the first try.  If the
-    rank falls short, the n unit vectors are appended to V and the stack
-    is rebuilt; unit vectors span F^n, so the second stack has rank n
-    whenever the powers vanish.  A full-rank A, or powers of V that have
-    not vanished after n steps, mean A is not nilpotent.
+    Certificate: W = span{A^i V} is A-invariant and W + im A = F^n, so
+    F^n = W + A^k F^n for every k; for a nilpotent A this gives W = F^n.
+    Then im A^j = A^j W = span{A^i V : i >= j} and the count above is
+    rank(A^j).  A stack short of rank n (a full-rank A gives an empty
+    one), or powers of V that have not vanished after n steps, mean A is
+    not nilpotent.
     """
-    n = A.shape[0]
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InvalidParameter(f"the rank profile needs a square matrix, not shape {A.shape}")
+    n = len(A)
+    independent_rows = _pivots(np.ascontiguousarray(A.T), p)
     A = (A % p).astype(np.int64, copy=False)
-    jordan_blocks = n - rank_mod(A, p)
-    if n and not jordan_blocks:
-        raise NotNilpotent(f"matrix of size {n} has full rank")
-    V = _krylov_start(n, jordan_blocks, p)
-    while True:  # at most twice: a stack holding the unit vectors has rank n
-        powers = [V]
-        while powers[-1].any():
-            if len(powers) > n:
-                raise NotNilpotent(f"matrix of size {n} has no vanishing power")
-            powers.append(_matmul(A, powers[-1], p))
-        m = len(powers) - 1
-        piv = _pivots(np.hstack(powers[-2::-1]) if m else V, p)
-        if len(piv) == n:
-            break
-        V = np.hstack([V, np.eye(n, dtype=np.int64)])
+    V = np.delete(np.eye(n, dtype=np.int64), independent_rows, axis=1)
+    powers = [V]
+    while powers[-1].any():
+        if len(powers) > n:
+            raise NotNilpotent(f"matrix of size {n} has no vanishing power")
+        powers.append(_matmul(A, powers[-1], p))
+    m = len(powers) - 1
+    piv = _pivots(np.hstack(powers[-2::-1]) if m else V, p)
+    if len(piv) < n:
+        raise NotNilpotent(f"the Krylov stack of a matrix of size {n} has rank {len(piv)}, "
+                           "so the matrix is not nilpotent")
     width = V.shape[1]
     ranks = [bisect_left(piv, (m - j) * width) for j in range(m + 1)]
     return conjugate(Partition(ranks[k - 1] - ranks[k] for k in range(1, m + 1)))

@@ -104,6 +104,8 @@ def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, frozenset[Vert
     hold exactly the vertices the step loses, and miss every relabeled
     survivor.
     """
+    if a < 1:
+        raise InvalidParameter(f"anchors must be positive integers: {a}")
     removed = strand(P, a, 1)
     if not removed:
         raise EmptyChainRemoval(f"anchor {a} selects nothing in {P}")

@@ -403,8 +403,8 @@ def test_jordan_type_matches_sympy_power_ranks(P, seed):
 @settings(max_examples=60)
 @given(P=partitions(12), p=st.sampled_from([2, 3, 7, 1_000_003]), seed=SEEDS)
 def test_krylov_profile_matches_oracles_on_conjugated_jordan_matrices(P, p, seed):
-    # At p = 2 and 3 the random Krylov start is often deficient, so the
-    # unit-vector retry runs on many of these examples.
+    # At p = 2 and 3 a random Krylov start would often fall short of rank
+    # n; the complement of im A never does.
     A = conjugated_jordan_matrix(P, p, seed)
     assert sympy_jordan_type(A, p) == P
     assert restriction_profile(A, p) == P
@@ -423,20 +423,51 @@ def spy_on_pivots(monkeypatch):
     return shapes
 
 
-@pytest.mark.parametrize("start", ["zero", "one block"])
-def test_rank_deficient_krylov_start_is_retried_with_unit_vectors(monkeypatch, start):
-    P = from_parts([4, 2, 2, 1])  # 4 blocks
-    A = conjugated_jordan_matrix(P, 7, seed=3)
-    if start == "zero":
-        V = np.zeros((P.n, 4), dtype=np.int64)
-    else:  # four copies of one vector: its cyclic span has dimension <= 4 < 9
-        V = np.repeat(np.random.default_rng(1).integers(0, 7, (P.n, 1)), 4, axis=1)
-    monkeypatch.setattr(matrixlab, "_krylov_start", lambda n, width, p: V)
-    shapes = spy_on_pivots(monkeypatch)
-    assert jordan_type_from_ranks(A, 7) == P
-    # rank(A), the deficient stack, then the stack with the unit vectors appended
-    assert len(shapes) == 3
-    assert shapes[-1] == (P.n, 4 * (4 + P.n))
+def test_krylov_start_complements_the_image(monkeypatch):
+    # The profile eliminates A^T, then the stack, whose last block is V.
+    eliminated = []
+    pivots = matrixlab._pivots
+
+    def spy(M, p):
+        eliminated.append(M)
+        return pivots(M, p)
+
+    monkeypatch.setattr(matrixlab, "_pivots", spy)
+    checked = 0
+    for n in range(1, 11):
+        for P in all_partitions(n):
+            for seed in range(2):
+                A = sample_nilpotent_commutant(P, FIELD, seed).matrix
+                eliminated.clear()
+                Q = jordan_type_from_ranks(A, FIELD.p)
+                width = n - rank_mod(A, FIELD.p)
+                stack = eliminated[1]
+                assert stack.shape == (n, Q.max_part * width), (P, seed)
+                V = stack[:, stack.shape[1] - width:]
+                assert ((V == 0) | (V == 1)).all() and (V.sum(axis=0) == 1).all(), (P, seed)
+                assert rank_mod(np.hstack([V, A]), FIELD.p) == n, (P, seed)
+                checked += 1
+    assert checked == 2 * 138
+
+
+def test_extra_independent_row_is_refused(monkeypatch):
+    # One row too many leaves the start one vector short of a complement of
+    # im A, so the stack cannot reach rank n.
+    P = from_parts([4, 2, 2, 1])
+    pivots = matrixlab._pivots
+    for seed in range(3):
+        calls = []
+
+        def planted(M, p):
+            found = pivots(M, p)
+            calls.append(found)
+            if len(calls) == 1:  # the rows of A
+                found = sorted(found + [min(set(range(M.shape[1])) - set(found))])
+            return found
+
+        monkeypatch.setattr(matrixlab, "_pivots", planted)
+        with pytest.raises(NotNilpotent, match="Krylov stack"):
+            jordan_type_from_ranks(conjugated_jordan_matrix(P, 7, seed), 7)
 
 
 def test_generic_krylov_start_needs_no_retry(monkeypatch):
@@ -447,20 +478,34 @@ def test_generic_krylov_start_needs_no_retry(monkeypatch):
     assert shapes == [(P.n, P.n), (P.n, 4 * 4)]
 
 
-def test_not_nilpotent_when_part_of_the_matrix_is_invertible(monkeypatch):
-    # blockdiag(J_(3), [1]): rank 3 of 4, so one Krylov vector, and e_1
-    # (inside the nilpotent block) vanishes after three steps.
+def test_not_nilpotent_when_part_of_the_matrix_is_invertible():
+    # blockdiag(J_(3), [1]): rank 3 of 4, and the complement of im A is e_1,
+    # inside the nilpotent block, which vanishes after three steps: the
+    # stack has rank 3.
     A = np.zeros((4, 4), dtype=np.int64)
     A[1, 0] = A[2, 1] = A[3, 3] = 1
     with pytest.raises(NotNilpotent):
         jordan_type_from_ranks(A, FIELD.p)
-    inside = np.zeros((4, 1), dtype=np.int64)
-    inside[0, 0] = 1
-    monkeypatch.setattr(matrixlab, "_krylov_start", lambda n, width, p: inside)
+    # The complement of im [[1, 1], [0, 0]] is e_2, whose powers never vanish.
     with pytest.raises(NotNilpotent):
-        jordan_type_from_ranks(A, FIELD.p)
+        jordan_type_from_ranks(np.array([[1, 1], [0, 0]], dtype=np.int64), FIELD.p)
+    # A full-rank matrix: the complement is empty and so is the stack.
     with pytest.raises(NotNilpotent):
         jordan_type_from_ranks(np.eye(4, dtype=np.int64), FIELD.p)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_modulus_that_is_not_prime_is_refused(p):
+    with pytest.raises(InvalidParameter, match="not prime"):
+        rank_mod(np.eye(2, dtype=np.int64), p)
+    with pytest.raises(InvalidParameter, match="not prime"):
+        jordan_type_from_ranks(np.array([[0, 1], [0, 0]], dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,)])
+def test_rank_profile_refuses_a_matrix_that_is_not_square(shape):
+    with pytest.raises(InvalidParameter, match="square"):
+        jordan_type_from_ranks(np.zeros(shape, dtype=np.int64), FIELD.p)
 
 
 def test_sampler_matches_reference_loop():

@@ -344,8 +344,11 @@ def test_count_full_processes_matches_enumeration():
     lambda: canonical_process(Partition()),
     lambda: union_as_uchain(canonical_process(from_parts([3, 1])), 0),
     lambda: UChainSpec((2, 3)),
+    lambda: remove_simple_chain(from_parts([3, 1]), 0),
+    lambda: remove_simple_chain(from_parts([3, 1]), -1),
 ], ids=["lambda_u", "max_simple_u_chains", "count_full_processes", "enumerate_full_processes",
-        "canonical_process", "union_as_uchain", "UChainSpec"])
+        "canonical_process", "union_as_uchain", "UChainSpec", "remove_simple_chain anchor 0",
+        "remove_simple_chain anchor -1"])
 def test_refused_input_raises_a_nilcomm_error(call):
     with pytest.raises(NilcommError):
         call()
