@@ -55,6 +55,7 @@ from .poset import Vertex, build_poset, vertex_list
 
 DEFAULT_PRIME = 1_000_003
 INT64_LIMIT = 1 << 63
+INTEGER_TYPES = (int, np.integer)  # what moduli, seeds, counts and entries may be
 
 
 @lru_cache
@@ -78,7 +79,7 @@ class PrimeField:
     p: int = DEFAULT_PRIME
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not isinstance(self.p, INTEGER_TYPES) or not _is_prime(self.p):
             raise InvalidParameter(f"{self.p} is not prime")
         if self.p >= 1 << 28:
             raise InvalidParameter(
@@ -94,7 +95,7 @@ def _check_int64(inner: int, p: int) -> None:
     With factors reduced to [0, p), a dot product of length ``inner`` is at
     most inner*(p-1)^2 in absolute value.
     """
-    if inner * (p - 1) ** 2 >= INT64_LIMIT:
+    if inner * (int(p) - 1) ** 2 >= INT64_LIMIT:
         raise Int64BoundExceeded(
             f"int64 products mod {p} are exact only while inner_dim*(p-1)^2 < 2^63; "
             f"inner dimension {inner} exceeds that"
@@ -134,8 +135,8 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     nilpotency (``_check_key_triangular``) are checked in O(n^2) before
     returning; a failure of either signals a parametrization bug.
     """
-    if seed < 0:
-        raise InvalidParameter(f"seed {seed} is negative; seeds must be >= 0")
+    if not isinstance(seed, INTEGER_TYPES) or seed < 0:
+        raise InvalidParameter(f"seed {seed} is negative or not an integer; seeds must be integers >= 0")
     n = P.n
     # Forming the sample takes no product, but its rank profile takes
     # products of inner dimension up to n: refuse what it could not use.
@@ -270,10 +271,8 @@ def _pivots(M: np.ndarray, p: int) -> list[int]:
     pivots are those of the reduced row echelon form: the columns that are
     independent of the columns left of them.
     """
-    _check_int64(1, p)
-    if not _is_prime(p):
-        raise InvalidParameter(f"{p} is not prime")
-    R = (M % p).astype(np.int64, copy=False)
+    R = _residues(M, p)
+    p = int(p)
     rows, cols = R.shape
     pivots: list[int] = []
     for c in range(cols):
@@ -296,9 +295,29 @@ def _pivots(M: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
+def _residues(M: np.ndarray, p: int) -> np.ndarray:
+    """The entries of M mod p in a new int64 array, after the input checks.
+
+    p must be a prime integer (numpy integers pass) within the int64
+    bound, and M must hold integers: its dtype is bool, signed or unsigned
+    integer, or object with every entry an integer.
+    """
+    if not isinstance(p, INTEGER_TYPES):
+        raise InvalidParameter(f"modulus {p!r} is not an integer")
+    _check_int64(1, p)
+    if not _is_prime(p):
+        raise InvalidParameter(f"{p} is not prime")
+    kind = M.dtype.kind
+    if kind not in "biuO" or kind == "O" and not all(isinstance(x, INTEGER_TYPES) for x in M.flat):
+        raise InvalidParameter(f"entries must be integers, not of dtype {M.dtype}")
+    if kind != "O" and M.itemsize < 8:  # a narrow integer type cannot hold p
+        M = M.astype(np.int64)
+    return (M % int(p)).astype(np.int64, copy=False)
+
+
 def rank_mod(A: np.ndarray, p: int) -> int:
     """Rank over the prime field by Gaussian elimination."""
-    return len(_pivots(A, p))
+    return len(_pivots(np.asarray(A), p))
 
 
 def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
@@ -323,11 +342,12 @@ def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
     one), or powers of V that have not vanished after n steps, mean A is
     not nilpotent.
     """
+    A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidParameter(f"the rank profile needs a square matrix, not shape {A.shape}")
     n = len(A)
+    A = _residues(A, p)
     independent_rows = _pivots(np.ascontiguousarray(A.T), p)
-    A = (A % p).astype(np.int64, copy=False)
     V = np.delete(np.eye(n, dtype=np.int64), independent_rows, axis=1)
     powers = [V]
     while powers[-1].any():
@@ -363,8 +383,8 @@ def generic_jordan_type(P: Partition, field: PrimeField, samples: int, seed: int
     all others the samples are reported as incomparable instead of
     guessing.
     """
-    if samples < 1:
-        raise InvalidParameter("need at least one sample")
+    if not isinstance(samples, INTEGER_TYPES) or samples < 1:
+        raise InvalidParameter(f"need at least one sample, counted by an integer: {samples!r}")
     seeds = tuple(seed + i for i in range(samples))
     types = tuple(
         jordan_type_from_ranks(sample_nilpotent_commutant(P, field, s).matrix, field.p)
@@ -412,8 +432,8 @@ def order_criterion_check(P: Partition, field: PrimeField, samples: int, seed: i
     Restricted to ordered pairs v != w; the reflexive case is excluded.
     Desk-scale only (n <= 8).
     """
-    if samples < 1:
-        raise InvalidParameter("need at least one sample")
+    if not isinstance(samples, INTEGER_TYPES) or samples < 1:
+        raise InvalidParameter(f"need at least one sample, counted by an integer: {samples!r}")
     if P.n > 8:
         raise PosetTooLarge(f"order check is exhaustive over pairs; n={P.n} > 8")
     D = build_poset(P)

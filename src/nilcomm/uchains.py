@@ -83,8 +83,10 @@ def strand(P: Partition, a: int, i: int) -> frozenset[Vertex]:
 
     The middle band i <= u <= p-i+1 of the levels p in {a, a+1} and the
     rail positions u in {i, p-i+1} of every higher level.  Empty when a
-    lies above the largest part.
+    lies above the largest part.  Anchors and slots are integers >= 1.
     """
+    if not (isinstance(a, int) and isinstance(i, int) and a >= 1 and i >= 1):
+        raise InvalidParameter(f"anchors and slots must be positive integers, not anchor {a!r}, slot {i!r}")
     out: set[Vertex] = set()
     for p in P.distinct_parts():
         if p < a:
@@ -275,19 +277,13 @@ def lambda_u(P: Partition) -> Partition:
     return Partition(diffs)
 
 
-def iter_specs(max_anchor: int, max_r: int | None = None) -> Iterator[UChainSpec]:
+def iter_specs(max_anchor: int) -> Iterator[UChainSpec]:
     """All specifications with anchors in 1..max_anchor, depth-first by prefix."""
-    if max_anchor < 1:
-        return
-    if max_r is None:
-        max_r = (max_anchor + 1) // 2
-
     def rec(start: int, chosen: list[int]) -> Iterator[UChainSpec]:
         for a in range(start, max_anchor + 1):
             chosen.append(a)
             yield UChainSpec(tuple(chosen))
-            if len(chosen) < max_r:
-                yield from rec(a + 2, chosen)
+            yield from rec(a + 2, chosen)
             chosen.pop()
 
     yield from rec(1, [])

@@ -24,15 +24,16 @@ children first and checks each distinct prefix union of a state once, so
 the sweep checks prefix families, not traces.  The solved DAG lives for
 one call only: a later call for another partition never reuses it.
 
-A removed set is pulled back to the start poset in closed form.  Each
+A vertex set is pulled back to the start poset in closed form.  Each
 relabeling moves whole levels, so the composite of the relabelings along
-the anchor history shifts a level p by some t >= 0 to
-(u, p, k) -> (u+t, p+2t, k).  ``_lift`` computes t, latest anchor first;
-it is the only statement of the relabeling rule: ``_relabel_vertex``,
-the pull-back of removed sets and the anchor transport of
-``union_as_uchain`` and ``prefix_families`` all call it.  ``_as_spec``
-is the only statement of how lifted anchor values pair up into a
-specification.
+the anchor history lifts a level p to some level q >= p, and its
+positions by (q - p) // 2.  ``_lift`` computes q, latest anchor first:
+it is the only statement of the relabeling rule, and ``_pull_back`` is
+the only map of vertices.  The collision check of a removal, the
+pull-back of removed sets and the anchor transport of
+``union_as_uchain`` and ``prefix_families`` all go through them.
+``_as_spec`` is the only statement of how lifted anchor values pair up
+into a specification.
 """
 from __future__ import annotations
 
@@ -59,35 +60,28 @@ TRACE_CAP = 10 ** 6  # no partition of n <= 28 has more than 48 full traces
 
 
 def _lift(p: int, history: Sequence[int]) -> int:
-    """The shift t that embeds level p of a later state into the start.
+    """The level at the start of level p of a later state.
 
     The state is the one that the removals at the anchors ``history``, in
-    order, lead to; its vertex (u, p, k) is (u+t, p+2t, k) at the start.
-    Each removal at anchor a embeds a level q >= a of what is left as
-    level q + 2 of its parent, and its positions one higher; q < a stays.
+    order, lead to.  Each removal at anchor a embeds a level q >= a of
+    what is left as level q + 2 of its parent; q < a stays.
     """
-    q = p
     for a in reversed(history):
-        if q >= a:
-            q += 2
-    return (q - p) // 2
+        if p >= a:
+            p += 2
+    return p
 
 
-def _relabel_vertex(v: Vertex, a: int) -> Vertex:
-    """Embed vertex v of the poset left by removal at anchor a into its parent."""
-    u, p, k = v
-    t = _lift(p, (a,))
-    return (u + t, p + 2 * t, k)
+def _pull_back(vertices: frozenset[Vertex], history: Sequence[int]) -> frozenset[Vertex]:
+    """Relabel ``vertices`` into the start poset.
 
-
-def _pull_back(removed: frozenset[Vertex], history: Sequence[int]) -> frozenset[Vertex]:
-    """Relabel ``removed`` into the start poset.
-
-    ``removed`` is in the labels of the state that the removals at the
-    anchors ``history``, in order, lead to.
+    ``vertices`` is in the labels of the state that the removals at the
+    anchors ``history``, in order, lead to.  A level lifted from p to q
+    gains (q - p) // 2 positions: its vertex (u, p, k) becomes
+    (u + (q - p) // 2, q, k).
     """
-    shift = {p: _lift(p, history) for p in {p for _, p, _ in removed}}
-    return frozenset([(u + shift[p], p + 2 * shift[p], k) for u, p, k in removed])
+    lifted = {p: _lift(p, history) for p in {p for _, p, _ in vertices}}
+    return frozenset([(u + (lifted[p] - p) // 2, lifted[p], k) for u, p, k in vertices])
 
 
 def _shrink(P: Partition, a: int) -> Partition:
@@ -100,12 +94,11 @@ def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, frozenset[Vert
 
     Returns the surviving partition and the removed vertex set (in P's
     labels).  The surviving poset embeds back into P's by the relabeling
-    described in the module docstring.  The removed set must be nonempty,
-    hold exactly the vertices the step loses, and miss every relabeled
-    survivor.
+    described in the module docstring.  The anchor must be a positive
+    integer (``strand`` refuses others).  The removed set must be
+    nonempty, hold exactly the vertices the step loses, and miss every
+    relabeled survivor.
     """
-    if a < 1:
-        raise InvalidParameter(f"anchors must be positive integers: {a}")
     removed = strand(P, a, 1)
     if not removed:
         raise EmptyChainRemoval(f"anchor {a} selects nothing in {P}")
@@ -113,10 +106,9 @@ def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, frozenset[Vert
     if len(removed) != P.n - P_next.n:
         raise RemovalSizeMismatch(f"anchor {a} removes {len(removed)} vertices, but {P} -> {P_next} "
                                   f"loses {P.n - P_next.n}")
-    for v in vertex_list(P_next):
-        w = _relabel_vertex(v, a)
-        if w in removed:
-            raise RelabelCollision(f"relabeled vertex {v} -> {w} collides with the removed chain")
+    clash = removed & _pull_back(frozenset(vertex_list(P_next)), (a,))
+    if clash:
+        raise RelabelCollision(f"relabeled vertex {min(clash)} collides with the chain at anchor {a} of {P}")
     return P_next, removed
 
 
@@ -240,7 +232,7 @@ def prefix_families(P: Partition) -> tuple[int, dict[UChainSpec, frozenset[Verte
                 union = removed | lifted
                 if len(union) != len(removed) + len(lifted):
                     raise RelabelCollision(f"anchor {a} of {cur} removes a vertex of a later step")
-                key = tuple(sorted((a, a + 1) + tuple(v + 2 * _lift(v, (a,)) for v in values)))
+                key = tuple(sorted((a, a + 1) + tuple(_lift(v, (a,)) for v in values)))
                 own.append((key, union))
             for key, union in own:
                 if found.setdefault(key, union) != union:
@@ -293,7 +285,7 @@ def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
     values = []
     for i, a in enumerate(t.anchors[:r]):
         history = t.anchors[:i]
-        values += (a + 2 * _lift(a, history), a + 1 + 2 * _lift(a + 1, history))
+        values += (_lift(a, history), _lift(a + 1, history))
     return _as_spec(t.start, sorted(values), frozenset().union(*t.removed[:r]))
 
 

@@ -149,11 +149,10 @@ def test_a_check_that_raises_fails_its_partition_only(monkeypatch, capsys):
 
 def lift_above(p, history):
     """A level lift that moves level a itself: it relabels a survivor onto the removed chain."""
-    q = p
     for a in reversed(history):
-        if q > a:
-            q += 2
-    return (q - p) // 2
+        if p > a:
+            p += 2
+    return p
 
 
 def test_a_failed_assertion_inside_a_sweep_is_a_failure(monkeypatch, capsys):

@@ -1,0 +1,41 @@
+"""Source hygiene of the package, read with ``ast`` alone: no unused import
+and no private module-level function or class that nothing refers to."""
+import ast
+from pathlib import Path
+
+import nilcomm
+
+MODULES = {path.name: ast.parse(path.read_text(), str(path))
+           for path in sorted(Path(nilcomm.__file__).parent.glob("*.py"))}
+
+
+def used_names(tree):
+    """Every name read in ``tree``: bare names and attribute names."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__.py":  # its imports are the package's re-exports
+            continue
+        used = used_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert not unused
+
+
+def test_every_private_definition_is_referenced():
+    used = set().union(*map(used_names, MODULES.values()))
+    unreferenced = [f"{name}: {node.name}" for name, tree in MODULES.items() for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and node.name not in used]
+    assert not unreferenced

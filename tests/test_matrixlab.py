@@ -9,6 +9,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from nilcomm import matrixlab
+from nilcomm.cli import run_sweep
 from nilcomm.errors import (
     CommutationCheckFailed,
     IncomparableSamples,
@@ -502,6 +503,44 @@ def test_modulus_that_is_not_prime_is_refused(p):
         jordan_type_from_ranks(np.array([[0, 1], [0, 0]], dtype=np.int64), p)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: rank_mod(np.array([[0.5, 1], [1, 2]]), 7),  # 0.5 is 4 in GF(7): rank 1, not 2
+    lambda: jordan_type_from_ranks(np.array([[0, 0.5], [0, 0]]), 7),
+    lambda: rank_mod(np.array([[1j, 0], [0, 1]]), 7),
+    lambda: jordan_type_from_ranks(np.array([[0, 0.5], [0, 0]], dtype=object), 7),
+    lambda: PrimeField(1_000_003.0),
+    lambda: rank_mod(np.eye(2, dtype=np.int64), 7.0),
+    lambda: jordan_type_from_ranks(np.array([[0, 1], [0, 0]], dtype=np.int64), 7.0),
+    lambda: run_sweep(1, 4, with_matrix=True, samples=2.0),
+    lambda: run_sweep(1, 4, with_matrix=True, seed=0.5),
+    lambda: order_criterion_check(from_parts([2, 1]), PrimeField(), 1.5, 0),
+], ids=["rank_mod float", "jordan_type_from_ranks float", "rank_mod complex",
+        "jordan_type_from_ranks object float", "PrimeField float", "rank_mod float modulus",
+        "jordan_type_from_ranks float modulus", "run_sweep float samples", "run_sweep float seed",
+        "order_criterion_check float samples"])
+def test_refused_matrix_input_raises_invalid_parameter(call):
+    with pytest.raises(InvalidParameter):
+        call()
+
+
+def test_integer_input_of_any_type_gives_the_int64_results():
+    for P in (from_parts([3, 2, 1]), from_parts([4, 2, 2, 1])):
+        for seed in range(3):
+            A = conjugated_jordan_matrix(P, 7, seed)
+            for same in (A.tolist(), A.astype(object) + 7 * 2**70, A - 7, A.astype(np.uint8),
+                         A.astype(np.uint64)):
+                assert rank_mod(same, 7) == rank_mod(A, 7), (P, seed, same)
+                assert jordan_type_from_ranks(same, 7) == P, (P, seed, same)
+            assert jordan_type_from_ranks(A, np.int64(7)) == P
+        J = jordan_matrix(P)
+        for same in (J.astype(bool), J.astype(np.int8), J.tolist()):
+            assert rank_mod(same, FIELD.p) == rank_mod(J, FIELD.p), (P, same)
+            assert jordan_type_from_ranks(same, FIELD.p) == P, (P, same)
+    assert jordan_type_from_ranks(np.array([[0, 2**70], [0, 0]], dtype=object), 7) == from_parts([2])
+    assert generic_jordan_type(from_parts([3, 2, 1]), PrimeField(np.int64(7)), np.int64(2),
+                               np.int64(0)).q == generic_jordan_type(from_parts([3, 2, 1]), PrimeField(7), 2, 0).q
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (3,)])
 def test_rank_profile_refuses_a_matrix_that_is_not_square(shape):
     with pytest.raises(InvalidParameter, match="square"):
@@ -559,3 +598,10 @@ def test_int64_bound_is_exact_up_to_its_edge():
     # The elimination update multiplies two residues: (p-1)^2 >= 2^63 past p = 2^32.
     with pytest.raises(Int64BoundExceeded):
         rank_mod(np.eye(2, dtype=np.int64), 4_294_967_311)
+
+
+def test_int64_bound_is_exact_for_a_numpy_modulus():
+    # 129 (p-1)^2 wraps in int64 arithmetic; the bound must not.
+    wider = np.full((2, 129), BIG_PRIME - 1, dtype=np.int64)
+    with pytest.raises(Int64BoundExceeded):
+        matrixlab._matmul(wider, wider.T, np.int64(BIG_PRIME))

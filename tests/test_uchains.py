@@ -292,8 +292,9 @@ def _enumerated_u(P, k):
     """Best k-strand size by materializing every specification (padding
     with empty strands lets shorter specifications count)."""
     best = 0
-    for spec in iter_specs(P.max_part, max_r=k):
-        best = max(best, len(materialize(P, spec).union))
+    for spec in iter_specs(P.max_part):
+        if spec.r <= k:
+            best = max(best, len(materialize(P, spec).union))
     return best
 
 
@@ -378,7 +379,7 @@ def test_replacement_holds_exhaustively():
     for n in range(1, 11):
         for P in all_partitions(n):
             _, winners = max_simple_u_chains(P)
-            for spec in iter_specs(P.max_part, max_r=3):
+            for spec in (s for s in iter_specs(P.max_part) if s.r <= 3):
                 for a in winners:
                     res = check_replacement(P, spec, a)
                     assert res.ok, (P, spec, a)

@@ -29,7 +29,7 @@ from nilcomm.uprocess import (
     count_full_processes,
     enumerate_full_processes,
     prefix_families,
-    _relabel_vertex,
+    _pull_back,
     q_of_trace,
     remove_simple_chain,
     trace_to_json,
@@ -48,8 +48,13 @@ ORACLE_RANGE = [P for n in range(1, 13) for P in all_partitions(n)] + [staircase
 
 def per_node_search(P, pick_all):
     """The search as a tree: every node solves its state again and carries
-    the pull-back to P as a vertex dict composed step by step."""
+    the pull-back to P as a vertex dict composed step by step from its own
+    one-step relabeling."""
     results = []
+
+    def relabel(v, a):
+        u, p, k = v
+        return (u + 1, p + 2, k) if p >= a else v
 
     def rec(cur, comp, anchors, parts, removed):
         if cur.n == 0:
@@ -58,7 +63,7 @@ def per_node_search(P, pick_all):
         _, winners = max_simple_u_chains(cur)
         for a in (winners if pick_all else (max(winners),)):
             nxt, rem = remove_simple_chain(cur, a)
-            comp_next = {v: comp[_relabel_vertex(v, a)] for v in vertex_list(nxt)}
+            comp_next = {v: comp[relabel(v, a)] for v in vertex_list(nxt)}
             rec(nxt, comp_next, anchors + [a], parts + [cur],
                 removed + [frozenset(comp[v] for v in rem)])
 
@@ -72,9 +77,9 @@ def test_removal_complement_matches_hand_computation():
     assert P_next.parts == (3, 2, 1)
     complement = set(vertex_list(P)) - removed
     assert complement == {(2, 5, 1), (3, 5, 1), (4, 5, 1), (1, 2, 1), (2, 2, 1), (1, 1, 1)}
-    image = [_relabel_vertex(v, 3) for v in vertex_list(P_next)]
-    assert set(image) == complement
-    assert len(set(image)) == len(image)
+    survivors = frozenset(vertex_list(P_next))
+    assert _pull_back(survivors, (3,)) == complement
+    assert len(_pull_back(survivors, (3,))) == len(survivors)
 
 
 def test_removal_of_whole_row():
@@ -107,7 +112,7 @@ def test_relabeling_preserves_surviving_order():
                 if nxt.n == 0:
                     continue
                 Dn = build_poset(nxt)
-                inverse = {_relabel_vertex(v, a): v for v in vertex_list(nxt)}
+                inverse = {w: v for v in vertex_list(nxt) for w in _pull_back(frozenset([v]), (a,))}
                 for x in D.vertices:
                     if x in removed:
                         continue
@@ -310,8 +315,16 @@ def test_prefix_families_are_maximum_families(P):
 
 
 def test_prefix_families_refuse_a_removal_that_meets_a_later_step(monkeypatch):
-    # unlifted, the later steps of (3,1) land on the first removed chain
-    monkeypatch.setattr(uprocess, "_pull_back", lambda removed, history: removed)
+    # The last step of (3,1) is made to remove (2,1,1); anchor 1 lifts it
+    # onto (3,3,1) of the first removed chain.
+    steps = uprocess._steps
+
+    def crafted(P, pick_all):
+        table, paths = steps(P, pick_all)
+        table[from_parts([1])] = [(1, Partition(), frozenset({(2, 1, 1)}))]
+        return table, paths
+
+    monkeypatch.setattr(uprocess, "_steps", crafted)
     with pytest.raises(RelabelCollision, match="removes a vertex of a later step"):
         prefix_families(from_parts([3, 1]))
 
@@ -346,9 +359,13 @@ def test_count_full_processes_matches_enumeration():
     lambda: UChainSpec((2, 3)),
     lambda: remove_simple_chain(from_parts([3, 1]), 0),
     lambda: remove_simple_chain(from_parts([3, 1]), -1),
+    lambda: remove_simple_chain(from_parts([3, 2]), 1.5),  # would act as anchor 2
+    lambda: strand(from_parts([3, 1]), 1, 0),
+    lambda: strand(from_parts([3, 1]), 0, 1),
 ], ids=["lambda_u", "max_simple_u_chains", "count_full_processes", "enumerate_full_processes",
         "canonical_process", "union_as_uchain", "UChainSpec", "remove_simple_chain anchor 0",
-        "remove_simple_chain anchor -1"])
+        "remove_simple_chain anchor -1", "remove_simple_chain anchor 1.5", "strand slot 0",
+        "strand anchor 0"])
 def test_refused_input_raises_a_nilcomm_error(call):
     with pytest.raises(NilcommError):
         call()
