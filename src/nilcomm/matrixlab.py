@@ -18,15 +18,18 @@ samples recovers the generic type with overwhelming probability.
 
 A sample's Jordan type is read from the ranks of its powers, which come
 from one block-Krylov elimination instead of from the powers themselves:
-V is the n - rank(A) unit vectors that complement im A, read off the
-pivots of one elimination of A^T, and the stack
-[A^(m-1) V | ... | A V | V] (A^m V = 0) is reduced once; the pivots among
-the blocks of power >= j count rank(A^j) (Keller-Gehrig, TCS 36, 1985).
-For a nilpotent A these vectors always generate the whole space, so the
-stack has rank n; a stack short of rank n means A is not nilpotent.
-One exact elimination kernel, ``_pivots``, serves this and ``rank_mod``;
-it eliminates forward only and returns the pivot columns, which are all
-that either reads.
+the unit vectors that complement im A are read off the pivots of one
+elimination of A^T, and the stack [A^(m-1) V | ... | A V | V]
+(A^m V = 0) is reduced once; the pivots among the blocks of power >= j
+count rank(A^j) (Keller-Gehrig, TCS 36, 1985).  Any V with
+V + im A = F^n serves, so the samples of one partition are profiled as
+one batch sharing one V, the union of their complements, which in the
+generic case is each sample's complement.  For a nilpotent A these
+vectors always generate the whole space, so the stack has rank n; a
+stack short of rank n means A is not nilpotent.  One exact elimination
+kernel, ``_pivots``, serves this and ``rank_mod``: it eliminates a batch
+of matrices forward, one pivot search per column for the whole batch,
+and returns each matrix's pivot columns, which are all that either reads.
 
 All arithmetic is in int64 on entries reduced to [0, p).  A product of
 inner dimension n is exact only while n*(p-1)^2 < 2^63; every product
@@ -103,7 +106,7 @@ def _check_int64(inner: int, p: int) -> None:
 
 
 def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    _check_int64(A.shape[1], p)
+    _check_int64(A.shape[-1], p)
     return (A @ B) % p
 
 
@@ -135,8 +138,7 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     nilpotency (``_check_key_triangular``) are checked in O(n^2) before
     returning; a failure of either signals a parametrization bug.
     """
-    if not isinstance(seed, INTEGER_TYPES) or seed < 0:
-        raise InvalidParameter(f"seed {seed} is negative or not an integer; seeds must be integers >= 0")
+    _check_seed(seed)
     n = P.n
     # Forming the sample takes no product, but its rank profile takes
     # products of inner dimension up to n: refuse what it could not use.
@@ -152,6 +154,20 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     _check_key_triangular(layout, A)
     A.flags.writeable = False
     return CommutantSample(P, field, seed, A)
+
+
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, INTEGER_TYPES) or seed < 0:
+        raise InvalidParameter(f"seed {seed} is negative or not an integer; seeds must be integers >= 0")
+
+
+def _seeds(seed: int, samples: int) -> tuple[int, ...]:
+    """The consecutive seeds of ``samples`` samples from ``seed`` on, as
+    Python integers, so that no numpy integer wraps past 2^63 - 1."""
+    if not isinstance(samples, INTEGER_TYPES) or samples < 1:
+        raise InvalidParameter(f"need at least one sample, counted by an integer: {samples!r}")
+    _check_seed(seed)
+    return tuple(int(seed) + i for i in range(samples))
 
 
 @dataclass(frozen=True)
@@ -260,38 +276,46 @@ def structural_action_pairs(P: Partition) -> frozenset[tuple[Vertex, Vertex]]:
                      for src, dst in zip(layout.sources.tolist(), layout.targets.tolist()))
 
 
-def _pivots(M: np.ndarray, p: int) -> list[int]:
-    """Pivot columns of M over the field with p elements.
+def _pivots(R: np.ndarray, p: int) -> list[list[int]]:
+    """Pivot columns of each matrix of the batch R, shape (S, rows, cols),
+    over the field with p elements.
 
-    Forward elimination only: each pivot clears its column in the rows
-    below it with one outer-product update over the rows nonzero there,
-    and the scaled pivot row is not written back.  The update touches only
-    the pivot column and those right of it, because the pivot row, taken
-    from the rows not yet used as pivots, is zero left of its pivot.  The
-    pivots are those of the reduced row echelon form: the columns that are
-    independent of the columns left of them.
+    R holds int64 residues in [0, p), as ``_residues`` returns them, and
+    the elimination overwrites it.  Forward elimination only, on the batch
+    stacked as one (S*rows) x cols array.  At each column every matrix
+    takes its first row nonzero there as its pivot row q, and one update
+    over the rows nonzero there clears the column: each such row r of a
+    matrix becomes q[c]*r - r[c]*q with that matrix's q.  Scaling r by
+    q[c] != 0 keeps the row space and needs no inverse; both products stay
+    below (p-1)^2 < 2^63.  The pivot row is among the rows cleared, so it
+    leaves as a zero row, with no swap and no mask.  Every row is then
+    zero left of the next column, so the update touches only the column
+    and those right of it.  The pivots are those of each matrix's reduced
+    row echelon form, the columns independent of the columns left of
+    them, which no choice of pivot row changes.
     """
-    R = _residues(M, p)
     p = int(p)
-    rows, cols = R.shape
-    pivots: list[int] = []
+    S, rows, cols = R.shape
+    R = R.reshape(S * rows, cols)
+    offsets = np.arange(S) * rows
+    pivots: list[list[int]] = [[] for _ in range(S)]
+    left = S * rows  # rows not yet used as pivots
     for c in range(cols):
-        r = len(pivots)
-        if r == rows:
+        if not left:
             break
-        below = R[r:, c].nonzero()[0]
-        if not below.size:
+        grid = (R[:, c] != 0).reshape(S, rows)
+        hits = grid.ravel().nonzero()[0]
+        if not hits.size:
             continue
-        i = r + below[0]
-        if i != r:
-            R[[r, i], c:] = R[[i, r], c:]
-        # Rows r..i-1 were zero in column c, so after the swap the rows
-        # below r that are nonzero there are the rest of ``below``.
-        hits = r + below[1:]
-        if hits.size:
-            row = R[r, c:] * pow(int(R[r, c]), -1, p) % p
-            R[hits, c:] = (R[hits, c:] - R[hits, c, None] * row) % p
-        pivots.append(c)
+        # A matrix with no row nonzero here gets a zero row, which no hit reads.
+        prow = R[grid.argmax(1) + offsets, c:]
+        q = prow[hits // rows]
+        block = R[hits, c:]
+        R[hits, c:] = (block * q[:, :1] - block[:, :1] * q) % p
+        for s, lead in enumerate(prow[:, 0].tolist()):
+            if lead:
+                pivots[s].append(c)
+                left -= 1
     return pivots
 
 
@@ -317,51 +341,73 @@ def _residues(M: np.ndarray, p: int) -> np.ndarray:
 
 def rank_mod(A: np.ndarray, p: int) -> int:
     """Rank over the prime field by Gaussian elimination."""
-    return len(_pivots(np.asarray(A), p))
+    A = np.asarray(A)
+    if A.ndim != 2:
+        raise InvalidParameter(f"rank_mod needs a 2-D array, not shape {A.shape}")
+    return len(_pivots(_residues(A[None], p), p)[0])
 
 
 def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
     """Jordan partition of a nilpotent matrix from its power-rank profile.
 
     rank(A^(k-1)) - rank(A^k) blocks have size >= k; the conjugate of
-    these counts is the type.
+    these counts is the type.  ``_jordan_types`` computes it for a batch of
+    matrices; this is a batch of one.
 
     No power of A is formed; one elimination gives every rank.  The pivots
     of A^T are a maximal independent set J of rows of A, so projecting
     im A onto the coordinates J is injective and the unit vectors e_j,
-    j not in J, complement im A.  V is these n - rank(A) vectors.  Form
-    A V, A^2 V, ... until A^m V = 0, and reduce the stack
-    [A^(m-1) V | ... | A V | V] once.  Its pivot columns are the leftmost
-    independent ones, so the pivots among the blocks of power >= j number
-    dim span{A^i V : i >= j}.
+    j not in J, complement im A.  A batch shares one block V: the unit
+    vectors outside J for some matrix, the union of the complements.
+    Form A V, A^2 V, ... until A^m V = 0 for every matrix, and reduce each
+    stack [A^(m-1) V | ... | A V | V] once.  Its pivot columns are the
+    leftmost independent ones, so the pivots among the blocks of power
+    >= j number dim span{A^i V : i >= j}.
 
-    Certificate: W = span{A^i V} is A-invariant and W + im A = F^n, so
-    F^n = W + A^k F^n for every k; for a nilpotent A this gives W = F^n.
+    Certificate: any V with V + im A = F^n serves, and a superset of a
+    complement is one.  W = span{A^i V} is A-invariant and W + im A = F^n,
+    so F^n = W + A^k F^n for every k; for a nilpotent A this gives W = F^n.
     Then im A^j = A^j W = span{A^i V : i >= j} and the count above is
-    rank(A^j).  A stack short of rank n (a full-rank A gives an empty
-    one), or powers of V that have not vanished after n steps, mean A is
-    not nilpotent.
+    rank(A^j).  A matrix whose powers vanish before the m-th has zero
+    blocks on the left, whose rank differences are zero and are dropped.
+    A stack short of rank n (a full-rank A gives an empty one), or powers
+    of V that have not vanished after n steps, mean A is not nilpotent.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidParameter(f"the rank profile needs a square matrix, not shape {A.shape}")
-    n = len(A)
-    A = _residues(A, p)
-    independent_rows = _pivots(np.ascontiguousarray(A.T), p)
-    V = np.delete(np.eye(n, dtype=np.int64), independent_rows, axis=1)
-    powers = [V]
+    return _jordan_types(A[None], p)[0]
+
+
+def _jordan_types(As: np.ndarray, p: int) -> list[Partition]:
+    """Jordan partitions of a batch of nilpotent n x n matrices, shape
+    (S, n, n), by the profile that ``jordan_type_from_ranks`` describes."""
+    As = _residues(As, p)
+    S, n, _ = As.shape
+    independent = _pivots(As.transpose(0, 2, 1).copy(), p)
+    V = np.delete(np.eye(n, dtype=np.int64), sorted(set.intersection(*map(set, independent))), axis=1)
+    powers = [np.broadcast_to(V, (S, *V.shape))]
     while powers[-1].any():
         if len(powers) > n:
             raise NotNilpotent(f"matrix of size {n} has no vanishing power")
-        powers.append(_matmul(A, powers[-1], p))
+        powers.append(_matmul(As, powers[-1], p))
     m = len(powers) - 1
-    piv = _pivots(np.hstack(powers[-2::-1]) if m else V, p)
-    if len(piv) < n:
-        raise NotNilpotent(f"the Krylov stack of a matrix of size {n} has rank {len(piv)}, "
-                           "so the matrix is not nilpotent")
     width = V.shape[1]
-    ranks = [bisect_left(piv, (m - j) * width) for j in range(m + 1)]
-    return conjugate(Partition(ranks[k - 1] - ranks[k] for k in range(1, m + 1)))
+    # Fill the stack block by block and drop each power once it is copied,
+    # so that no power is held twice; the elimination then overwrites it.
+    stack = np.empty((S, n, m * width), dtype=np.int64)
+    powers.pop()  # A^m V = 0
+    for i in range(m):
+        stack[:, :, i * width:(i + 1) * width] = powers.pop()
+    types = []
+    for piv in _pivots(stack, p):
+        if len(piv) < n:
+            raise NotNilpotent(f"the Krylov stack of a matrix of size {n} has rank {len(piv)}, "
+                               "so the matrix is not nilpotent")
+        ranks = [bisect_left(piv, (m - j) * width) for j in range(m + 1)]
+        drops = (ranks[k - 1] - ranks[k] for k in range(1, m + 1))
+        types.append(conjugate(Partition(d for d in drops if d)))
+    return types
 
 
 @dataclass(frozen=True)
@@ -383,13 +429,9 @@ def generic_jordan_type(P: Partition, field: PrimeField, samples: int, seed: int
     all others the samples are reported as incomparable instead of
     guessing.
     """
-    if not isinstance(samples, INTEGER_TYPES) or samples < 1:
-        raise InvalidParameter(f"need at least one sample, counted by an integer: {samples!r}")
-    seeds = tuple(seed + i for i in range(samples))
-    types = tuple(
-        jordan_type_from_ranks(sample_nilpotent_commutant(P, field, s).matrix, field.p)
-        for s in seeds
-    )
+    seeds = _seeds(seed, samples)
+    types = tuple(_jordan_types(np.stack([sample_nilpotent_commutant(P, field, s).matrix
+                                          for s in seeds]), field.p))
     best = None
     for t in types:
         if all(dominance_leq(other, t) for other in types):
@@ -432,13 +474,11 @@ def order_criterion_check(P: Partition, field: PrimeField, samples: int, seed: i
     Restricted to ordered pairs v != w; the reflexive case is excluded.
     Desk-scale only (n <= 8).
     """
-    if not isinstance(samples, INTEGER_TYPES) or samples < 1:
-        raise InvalidParameter(f"need at least one sample, counted by an integer: {samples!r}")
+    seeds = _seeds(seed, samples)
     if P.n > 8:
         raise PosetTooLarge(f"order check is exhaustive over pairs; n={P.n} > 8")
     D = build_poset(P)
     structural = structural_action_pairs(P)
-    seeds = tuple(seed + i for i in range(samples))
     mats = [sample_nilpotent_commutant(P, field, s).matrix for s in seeds]
 
     hard: list[tuple[Vertex, Vertex, str]] = []

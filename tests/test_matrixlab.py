@@ -28,7 +28,7 @@ from nilcomm.matrixlab import (
     sample_nilpotent_commutant,
     structural_action_pairs,
 )
-from nilcomm.partitions import Partition, all_partitions, conjugate, from_parts
+from nilcomm.partitions import Partition, all_partitions, conjugate, dominance_leq, from_parts
 from nilcomm.poset import build_poset, vertex_list
 from nilcomm.uchains import lambda_u
 
@@ -313,8 +313,8 @@ def test_incomparable_samples_are_refused(monkeypatch):
         lambda P, field, seed: SimpleNamespace(matrix=seed),
     )
     monkeypatch.setattr(
-        matrixlab, "jordan_type_from_ranks",
-        lambda matrix, p: fake_types[matrix % 2],
+        matrixlab, "_jordan_types",
+        lambda matrices, p: [fake_types[matrix % 2] for matrix in matrices],
     )
     with pytest.raises(IncomparableSamples):
         matrixlab.generic_jordan_type(from_parts([3, 1, 1, 1]), FIELD, 2, seed=0)
@@ -378,6 +378,18 @@ def test_negative_seed_is_refused():
         generic_jordan_type(P, PrimeField(), 2, -5)
 
 
+def test_seeds_past_int64_do_not_wrap():
+    # The last seed is 2^63, past int64; numpy's generator takes it as a Python int.
+    P = from_parts([2, 1])
+    est = generic_jordan_type(P, FIELD, 2, np.int64(2**63 - 1))
+    assert est.seeds == (2**63 - 1, 2**63)
+    assert est.types == tuple(jordan_type_from_ranks(sample_nilpotent_commutant(P, FIELD, s).matrix,
+                                                     FIELD.p) for s in est.seeds)
+    assert order_criterion_check(P, FIELD, 2, np.int64(2**63 - 1)).seeds == (2**63 - 1, 2**63)
+    with pytest.raises(InvalidParameter, match="seed -1 is negative"):
+        order_criterion_check(P, FIELD, 2, -1)
+
+
 def test_structural_pairs_exclude_reflexive():
     pairs = structural_action_pairs(from_parts([2, 1]))
     assert all(v != w for v, w in pairs)
@@ -425,12 +437,13 @@ def spy_on_pivots(monkeypatch):
 
 
 def test_krylov_start_complements_the_image(monkeypatch):
-    # The profile eliminates A^T, then the stack, whose last block is V.
+    # The profile eliminates A^T, then the stack, whose last block is V;
+    # the elimination overwrites its input, so the spy keeps a copy.
     eliminated = []
     pivots = matrixlab._pivots
 
     def spy(M, p):
-        eliminated.append(M)
+        eliminated.append(M.copy())
         return pivots(M, p)
 
     monkeypatch.setattr(matrixlab, "_pivots", spy)
@@ -442,7 +455,7 @@ def test_krylov_start_complements_the_image(monkeypatch):
                 eliminated.clear()
                 Q = jordan_type_from_ranks(A, FIELD.p)
                 width = n - rank_mod(A, FIELD.p)
-                stack = eliminated[1]
+                stack = eliminated[1][0]
                 assert stack.shape == (n, Q.max_part * width), (P, seed)
                 V = stack[:, stack.shape[1] - width:]
                 assert ((V == 0) | (V == 1)).all() and (V.sum(axis=0) == 1).all(), (P, seed)
@@ -462,8 +475,9 @@ def test_extra_independent_row_is_refused(monkeypatch):
         def planted(M, p):
             found = pivots(M, p)
             calls.append(found)
-            if len(calls) == 1:  # the rows of A
-                found = sorted(found + [min(set(range(M.shape[1])) - set(found))])
+            if len(calls) == 1:  # the rows of A, in a batch of one
+                rows = found[0]
+                found = [sorted(rows + [min(set(range(M.shape[2])) - set(rows))])]
             return found
 
         monkeypatch.setattr(matrixlab, "_pivots", planted)
@@ -476,7 +490,53 @@ def test_generic_krylov_start_needs_no_retry(monkeypatch):
     A = conjugated_jordan_matrix(P, FIELD.p, seed=3)
     shapes = spy_on_pivots(monkeypatch)
     assert jordan_type_from_ranks(A, FIELD.p) == P
-    assert shapes == [(P.n, P.n), (P.n, 4 * 4)]
+    assert shapes == [(1, P.n, P.n), (1, P.n, 4 * 4)]
+
+
+@settings(max_examples=60)
+@given(ranks=st.lists(st.integers(0, 9), min_size=1, max_size=5), rows=st.integers(0, 9),
+       cols=st.integers(0, 9), p=st.sampled_from([2, 3, 7, 1_000_003]), seed=SEEDS)
+def test_batched_pivots_equal_each_matrix_alone(ranks, rows, cols, p, seed):
+    # One batch mixes matrices of different ranks: full, deficient and zero.
+    rng = np.random.default_rng(seed)
+    batch = np.array([(rng.integers(0, p, (rows, r)).astype(object)
+                       .dot(rng.integers(0, p, (r, cols)).astype(object)) % p)
+                      for r in ranks], dtype=np.int64).reshape(len(ranks), rows, cols)
+    pivots = matrixlab._pivots(batch.copy(), p)  # the elimination overwrites its input
+    assert pivots == [matrixlab._pivots(A[None].copy(), p)[0] for A in batch]
+    for A, piv in zip(batch, pivots):
+        M = sympy_matrix(A, p)
+        assert len(piv) == M.rank()
+        if rows and cols:
+            assert tuple(piv) == M.to_dense().rref()[1]
+
+
+def test_one_batch_mixes_widths_and_nilpotency_indices():
+    # Order 9: types (4,2,2,1), (1^9), (9) and (5,4) have 4, 9, 1 and 2
+    # Jordan blocks, and their powers vanish after 4, 1, 9 and 5 steps.
+    for p in (7, FIELD.p):
+        types = [from_parts([4, 2, 2, 1]), Partition([1] * 9), from_parts([9]), from_parts([5, 4])]
+        batch = np.stack([conjugated_jordan_matrix(types[0], p, 3), np.zeros((9, 9), dtype=np.int64),
+                          jordan_matrix(types[2]), conjugated_jordan_matrix(types[3], p, 4)])
+        assert matrixlab._jordan_types(batch, p) == types
+        # Without the zero matrix, V is narrower than the whole space.
+        assert matrixlab._jordan_types(batch[[3, 2, 0]], p) == [types[3], types[2], types[0]]
+
+
+def test_generic_types_equal_each_sample_alone_at_p_3():
+    # At p = 3 the samples of one partition often differ in rank and index.
+    field, checked = PrimeField(3), 0
+    for n in range(1, 11):
+        for P in all_partitions(n):
+            alone = tuple(jordan_type_from_ranks(sample_nilpotent_commutant(P, field, s).matrix, 3)
+                          for s in range(4))
+            if any(all(dominance_leq(t, best) for t in alone) for best in alone):
+                assert generic_jordan_type(P, field, 4, 0).types == alone, P
+                checked += 1
+            else:
+                with pytest.raises(IncomparableSamples):
+                    generic_jordan_type(P, field, 4, 0)
+    assert checked > 130
 
 
 def test_not_nilpotent_when_part_of_the_matrix_is_invertible():
@@ -514,10 +574,13 @@ def test_modulus_that_is_not_prime_is_refused(p):
     lambda: run_sweep(1, 4, with_matrix=True, samples=2.0),
     lambda: run_sweep(1, 4, with_matrix=True, seed=0.5),
     lambda: order_criterion_check(from_parts([2, 1]), PrimeField(), 1.5, 0),
+    lambda: rank_mod(np.array([1, 2]), 7),
+    lambda: rank_mod(np.zeros((2, 2, 2), dtype=np.int64), 7),
+    lambda: rank_mod(5, 7),
 ], ids=["rank_mod float", "jordan_type_from_ranks float", "rank_mod complex",
         "jordan_type_from_ranks object float", "PrimeField float", "rank_mod float modulus",
         "jordan_type_from_ranks float modulus", "run_sweep float samples", "run_sweep float seed",
-        "order_criterion_check float samples"])
+        "order_criterion_check float samples", "rank_mod 1-D", "rank_mod 3-D", "rank_mod scalar"])
 def test_refused_matrix_input_raises_invalid_parameter(call):
     with pytest.raises(InvalidParameter):
         call()
@@ -595,6 +658,13 @@ def test_int64_bound_is_exact_up_to_its_edge():
     wider = np.full((2, 129), BIG_PRIME - 1, dtype=np.int64)
     with pytest.raises(Int64BoundExceeded):
         matrixlab._matmul(wider, wider.T, BIG_PRIME)
+    # A batched product contracts its last axis, not its rows.
+    batch = np.stack([worst] * 3)
+    assert np.array_equal(matrixlab._matmul(batch, batch.transpose(0, 2, 1), BIG_PRIME),
+                          np.stack([exact] * 3))
+    wide_batch = np.stack([wider] * 3)
+    with pytest.raises(Int64BoundExceeded):
+        matrixlab._matmul(wide_batch, wide_batch.transpose(0, 2, 1), BIG_PRIME)
     # The elimination update multiplies two residues: (p-1)^2 >= 2^63 past p = 2^32.
     with pytest.raises(Int64BoundExceeded):
         rank_mod(np.eye(2, dtype=np.int64), 4_294_967_311)
