@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from . import greene, matrixlab, uchains, uprocess
 from .errors import CheckFailed, EnumerationCapExceeded, NilcommError
@@ -67,8 +67,15 @@ class SweepReport:
 
 
 def _check_partition(P: Partition, record: dict, *, with_matrix: bool, prime: int, samples: int,
-                     seed: int, strict_conjecture: bool, report: SweepReport) -> None:
-    """Run the checks on P, filling ``record`` and appending failures to ``report``."""
+                     seed: int, strict_conjecture: bool, report: SweepReport,
+                     estimate: matrixlab.GenericTypeEstimate | CheckFailed | None = None) -> None:
+    """Run the checks on P, filling ``record`` and appending failures to ``report``.
+
+    With ``with_matrix``, ``estimate`` is P's entry of
+    ``matrixlab.generic_jordan_types``, as ``run_sweep`` hands it over: a
+    ``CheckFailed`` in it is raised where the matrix checks start.  Without
+    one, P's samples are drawn and profiled here.
+    """
     fail = report.failures.append
     name = format_partition(P)
 
@@ -119,8 +126,9 @@ def _check_partition(P: Partition, record: dict, *, with_matrix: bool, prime: in
             fail(f"{name}: prefix family {list(spec.anchors)} covers {len(union)} != u_{spec.r}={want}")
 
     if with_matrix:
-        fld = matrixlab.PrimeField(prime)
-        est = matrixlab.generic_jordan_type(P, fld, samples, seed)
+        est = estimate or matrixlab.generic_jordan_type(P, matrixlab.PrimeField(prime), samples, seed)
+        if isinstance(est, CheckFailed):
+            raise est
         record["Q_est"] = list(est.q.parts)
         if len(est.q) != r_of(P):
             fail(f"{name}: estimated type {est.q} has {len(est.q)} parts, expected {r_of(P)}")
@@ -129,6 +137,15 @@ def _check_partition(P: Partition, record: dict, *, with_matrix: bool, prime: in
             fail(f"{name}: largest estimated part {est.q.max_part} != max simple size {best_simple}")
         if not dominance_leq(lam_u, est.q):
             fail(f"{name}: {lam_u} not dominated by estimate {est.q}")
+        # Every sample is supported on the strict order of D_P (the layout's
+        # entries are its comparable pairs), so it specializes the generic
+        # matrix on that order, whose Jordan type is lambda(D_P): Gansner,
+        # SIAM J. Algebraic Discrete Methods 2 (1981); Saks, Discrete Math.
+        # 59 (1986).  The ranks of its powers can only drop under
+        # specialization, so each sampled type, and their maximum, is
+        # dominated by lambda.
+        if not dominance_leq(est.q, lam):
+            fail(f"{name}: estimate {est.q} not dominated by lambda {lam}")
         report.conjecture_checked += 1
         if est.q == lam_u:
             report.conjecture_agreed += 1
@@ -142,18 +159,26 @@ def run_sweep(n_min: int, n_max: int, *, with_matrix: bool = False,
     """Verify the theorem suite for every partition of every n in range.
 
     A check that raises ``CheckFailed`` is a failure of that partition: its
-    record keeps what was filled in before, and the sweep goes on.
+    record keeps what was filled in before, and the sweep goes on.  With
+    the matrix, each level's samples are drawn and profiled in batches
+    that span partitions (``matrixlab.generic_jordan_types``), and each
+    partition's checks then read its estimate.
     """
     report = SweepReport(n_min, n_max)
     for n in range(n_min, n_max + 1):
+        level = zip(all_partitions(n), repeat(None))
+        if with_matrix:
+            level = matrixlab.generic_jordan_types(all_partitions(n), matrixlab.PrimeField(prime),
+                                                   samples, seed)
         count = 0
-        for P in all_partitions(n):
+        for P, estimate in level:
             count += 1
             record: dict = {"P": list(P.parts), "n": P.n}
             try:
                 _check_partition(
                     P, record, with_matrix=with_matrix, prime=prime, samples=samples,
                     seed=seed, strict_conjecture=strict_conjecture, report=report,
+                    estimate=estimate,
                 )
             except CheckFailed as exc:
                 report.failures.append(f"{format_partition(P)}: {type(exc).__name__}: {exc}")

@@ -18,18 +18,25 @@ samples recovers the generic type with overwhelming probability.
 
 A sample's Jordan type is read from the ranks of its powers, which come
 from one block-Krylov elimination instead of from the powers themselves:
-the unit vectors that complement im A are read off the pivots of one
-elimination of A^T, and the stack [A^(m-1) V | ... | A V | V]
-(A^m V = 0) is reduced once; the pivots among the blocks of power >= j
-count rank(A^j) (Keller-Gehrig, TCS 36, 1985).  Any V with
-V + im A = F^n serves, so the samples of one partition are profiled as
-one batch sharing one V, the union of their complements, which in the
-generic case is each sample's complement.  For a nilpotent A these
-vectors always generate the whole space, so the stack has rank n; a
-stack short of rank n means A is not nilpotent.  One exact elimination
-kernel, ``_pivots``, serves this and ``rank_mod``: it eliminates a batch
-of matrices forward, one pivot search per column for the whole batch,
-and returns each matrix's pivot columns, which are all that either reads.
+the unit vectors that complement im A, its own Krylov block V, are read
+off the pivots of one elimination of A^T, and the stack
+[A^(m-1) V | ... | A V | V] (A^m V = 0) is reduced once; the pivots
+among the blocks of power >= j count rank(A^j) (Keller-Gehrig, TCS 36,
+1985).  For a nilpotent A these vectors always generate the whole space,
+so the stack has rank n; a stack short of rank n means A is not
+nilpotent.  Samples are profiled in batches, each with its own V padded
+with zero columns to the widest of the batch, which changes no rank.  A
+batch holds the samples of one partition (``generic_jordan_type``) or of
+consecutive partitions of one order (``generic_jordan_types``, one sweep
+level), up to a fixed count of matrices and of entries, so that the
+per-column loop runs once for many small matrices and the memory held
+stays bounded for large ones.  One exact elimination kernel,
+``_pivots``, serves this and ``rank_mod``: it eliminates a batch of
+matrices forward, one pivot search per column for the whole batch, and
+returns each matrix's pivot columns, which are all that either reads.
+It works on word-size residues, as the FFLAS/FFPACK packages do (Dumas,
+Giorgi and Pernet, ACM TOMS 35, 2008), but reduces after every update
+and calls no BLAS.
 
 All arithmetic is in int64 on entries reduced to [0, p).  A product of
 inner dimension n is exact only while n*(p-1)^2 < 2^63; every product
@@ -40,12 +47,14 @@ A^i V are such products, of inner dimension n, formed by ``_matmul``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
+    CheckFailed,
     CommutationCheckFailed,
     IncomparableSamples,
     Int64BoundExceeded,
@@ -134,26 +143,41 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     """Draw a uniform element of the triangular part of the centralizer.
 
     All free coefficients are uniform in the field; ``seed`` must be >= 0.
-    Commutation with the Jordan matrix (``_commutes_with_jordan``) and
-    nilpotency (``_check_key_triangular``) are checked in O(n^2) before
-    returning; a failure of either signals a parametrization bug.
+    The sample is ``_sample_stack``'s batch of one, certified to commute
+    with the Jordan matrix and to be nilpotent; a failure of either
+    signals a parametrization bug.
     """
     _check_seed(seed)
+    A = _sample_stack(P, field, (seed,))[0]
+    A.flags.writeable = False
+    return CommutantSample(P, field, seed, A)
+
+
+def _sample_stack(P: Partition, field: PrimeField, seeds: tuple[int, ...]) -> np.ndarray:
+    """P's samples for ``seeds``, as one (len(seeds), n, n) stack.
+
+    Sample s takes its coefficients from ``default_rng(seeds[s])``; one
+    array draw yields the same stream as one scalar draw per coefficient.
+    Commutation with the Jordan matrix (``_commutes_with_jordan``) and
+    nilpotency (``_check_key_triangular``) are checked once on the stack,
+    in O(n^2) per sample, and a failure names the seed of the sample that
+    fails.
+    """
     n = P.n
-    # Forming the sample takes no product, but its rank profile takes
+    # Forming a sample takes no product, but its rank profile takes
     # products of inner dimension up to n: refuse what it could not use.
     _check_int64(n, field.p)
     layout = _sample_layout(P)
-    # One array draw yields the same stream as one scalar draw per coefficient.
-    draws = np.random.default_rng(seed).integers(0, field.p, size=layout.count)
-    A = np.zeros((n, n), dtype=np.int64)
-    A[layout.targets, layout.sources] = draws[layout.entry_coefficient]
-
-    if not _commutes_with_jordan(layout, A):
-        raise CommutationCheckFailed(f"sampled matrix does not commute for {P} (seed {seed})")
-    _check_key_triangular(layout, A)
-    A.flags.writeable = False
-    return CommutantSample(P, field, seed, A)
+    draws = np.array([np.random.default_rng(s).integers(0, field.p, size=layout.count)
+                      for s in seeds]).reshape(len(seeds), layout.count)
+    A = np.zeros((len(seeds), n, n), dtype=np.int64)
+    A[:, layout.targets, layout.sources] = draws[:, layout.entry_coefficient]
+    commutes = _commutes_with_jordan(layout, A)
+    if not commutes.all():
+        raise CommutationCheckFailed(f"sampled matrix does not commute for {P} "
+                                     f"(seed {seeds[commutes.argmin()]})")
+    _check_key_triangular(layout, A, seeds)
+    return A
 
 
 def _check_seed(seed: int) -> None:
@@ -193,40 +217,53 @@ class _SampleLayout:
     position: np.ndarray
 
 
+def _segment_arange(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., lengths[0] - 1, then 0, ..., lengths[1] - 1, and so on."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - lengths, lengths)
+
+
 @lru_cache(maxsize=1)
 def _sample_layout(P: Partition) -> _SampleLayout:
     """The coefficient layout of P's samples, built once and shared by
-    consecutive samples of one partition (only the latest is cached)."""
+    consecutive samples of one partition (only the latest is cached).
+
+    A coefficient couples a source row (p, k) to a target row (p2, k2) at a
+    shift j in [max(1, p2 - p + 1), p2], except at j = 1 from a row of
+    equal length that is not lower (k >= k2).  Shift j carries basis index
+    u of the source row to u + j - 1 of the target row, for the p2 - j + 1
+    values of u that stay in it.  Coefficients are numbered by source row,
+    then target row (rows in the basis order), then shift ascending: the
+    order in which a sample draws them.
+    """
     vertices = tuple(vertex_list(P))
-    rows = [(p, k, start) for start, (u, p, k) in enumerate(vertices) if u == 1]
-    targets, sources, entry_coefficient = [], [], []
-    count = 0
-    for p, k, start in rows:
-        for p2, k2, start2 in rows:
-            for j in range(max(1, p2 - p + 1), p2 + 1):
-                if j == 1 and p == p2 and k >= k2:
-                    continue
-                # Shift j carries basis index u of row (p, k) to u + j - 1 of
-                # row (p2, k2), for the p2 - j + 1 values of u that stay in it.
-                band = range(p2 - j + 1)
-                targets.extend(start2 + j - 1 + u for u in band)
-                sources.extend(start + u for u in band)
-                entry_coefficient.extend([count] * len(band))
-                count += 1
-    keys = [(2 * u - p, p, k) for u, p, k in vertices]
+    u, p, k = np.array(vertices, dtype=np.int64).reshape(-1, 3).T
+    first, last = u == 1, u == p
+    start = first.nonzero()[0]
+    # Row pairs, the source row outer; then each pair's shifts; then each
+    # shift's band of entries, which all carry that (pair, shift)'s coefficient.
+    src, dst = np.repeat(start, len(start)), np.tile(start, len(start))
+    lowest = np.maximum(1, p[dst] - p[src] + 1) + ((p[src] == p[dst]) & (k[src] >= k[dst]))
+    shifts = p[dst] - lowest + 1
+    pair = np.repeat(np.arange(len(shifts)), shifts)
+    shift = lowest[pair] + _segment_arange(shifts)
+    band = p[dst[pair]] - shift + 1
+    entry_coefficient = np.repeat(np.arange(len(shift)), band)
+    offset = _segment_arange(band)
+    targets = (dst[pair] + shift - 1)[entry_coefficient] + offset
+    sources = src[pair][entry_coefficient] + offset
     position = np.empty(len(vertices), dtype=np.int64)
-    position[sorted(range(len(vertices)), key=keys.__getitem__)] = np.arange(len(vertices))
-    arrays = [np.array(a, dtype=np.int64) for a in (targets, sources, entry_coefficient)]
-    arrays += [np.array([u == 1 for u, _, _ in vertices], dtype=bool),
-               np.array([u == p for u, p, _ in vertices], dtype=bool), position]
+    position[np.lexsort((k, p, 2 * u - p))] = np.arange(len(vertices))
+    arrays = [targets, sources, entry_coefficient, first, last, position]
     for a in arrays:
         a.flags.writeable = False
-    return _SampleLayout(vertices, count, *arrays)
+    return _SampleLayout(vertices, len(shift), *arrays)
 
 
-def _commutes_with_jordan(layout: _SampleLayout, A: np.ndarray) -> bool:
+def _commutes_with_jordan(layout: _SampleLayout, A: np.ndarray) -> np.ndarray:
     """Whether A commutes with the Jordan matrix B of the layout's rows, in
-    O(n^2) and without forming a product.
+    O(n^2) and without forming a product; for a stack A of shape
+    (..., n, n), whether each of its matrices does.
 
     B[i+1, i] = 1 exactly when i and i+1 lie in one row, so (A B)[:, i]
     is A[:, i+1] for i not last in its row and zero otherwise, and
@@ -234,17 +271,19 @@ def _commutes_with_jordan(layout: _SampleLayout, A: np.ndarray) -> bool:
     otherwise: a column shift and a row shift of A inside the rows.
     """
     AB = np.zeros_like(A)
-    AB[:, :-1] = A[:, 1:]
-    AB[:, layout.last] = 0
+    AB[..., :-1] = A[..., 1:]
+    AB[..., layout.last] = 0
     BA = np.zeros_like(A)
-    BA[1:] = A[:-1]
-    BA[layout.first] = 0
-    return np.array_equal(AB, BA)
+    BA[..., 1:, :] = A[..., :-1, :]
+    BA[..., layout.first, :] = 0
+    return (AB == BA).all(axis=(-2, -1))
 
 
-def _check_key_triangular(layout: _SampleLayout, A: np.ndarray) -> None:
+def _check_key_triangular(layout: _SampleLayout, A: np.ndarray, seeds: tuple[int, ...] = ()) -> None:
     """Certify that A is nilpotent: strictly lower triangular once rows and
     columns are ordered by the key (2u - p, p, k) of their basis triples.
+    A may be a stack of samples, shape (len(seeds), n, n); the error then
+    names the seed of the sample that fails.
 
     The key strictly increases along every sampled coefficient.  Shift j
     carries (u, p, k) to (u + j - 1, p2, k2) with j >= max(1, p2 - p + 1),
@@ -255,11 +294,12 @@ def _check_key_triangular(layout: _SampleLayout, A: np.ndarray) -> None:
     matrix is nilpotent; the check costs O(n^2) instead of forming powers.
     """
     position = layout.position
-    targets, sources = A.nonzero()
+    *sample, targets, sources = A.nonzero()
     bad = (position[targets] <= position[sources]).nonzero()[0]
     if bad.size:
         dst, src = targets[bad[0]], sources[bad[0]]
-        raise NotNilpotent(f"sampled matrix moves {layout.vertices[src]} (basis index {src}) "
+        of = f" (seed {seeds[sample[0][bad[0]]]})" if seeds else ""
+        raise NotNilpotent(f"sampled matrix{of} moves {layout.vertices[src]} (basis index {src}) "
                            f"to {layout.vertices[dst]} (basis index {dst}), against the key "
                            "order (2u - p, p, k): nilpotency is not certified")
 
@@ -357,57 +397,96 @@ def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
     No power of A is formed; one elimination gives every rank.  The pivots
     of A^T are a maximal independent set J of rows of A, so projecting
     im A onto the coordinates J is injective and the unit vectors e_j,
-    j not in J, complement im A.  A batch shares one block V: the unit
-    vectors outside J for some matrix, the union of the complements.
-    Form A V, A^2 V, ... until A^m V = 0 for every matrix, and reduce each
-    stack [A^(m-1) V | ... | A V | V] once.  Its pivot columns are the
-    leftmost independent ones, so the pivots among the blocks of power
-    >= j number dim span{A^i V : i >= j}.
+    j not in J, complement im A: they are the columns of A's Krylov block
+    V.  Form A V, A^2 V, ... until A^m V = 0, and reduce the stack
+    [A^(m-1) V | ... | A V | V] once.  Its pivot columns are the leftmost
+    independent ones, so the pivots among the blocks of power >= j number
+    dim span{A^i V : i >= j}.
 
-    Certificate: any V with V + im A = F^n serves, and a superset of a
-    complement is one.  W = span{A^i V} is A-invariant and W + im A = F^n,
-    so F^n = W + A^k F^n for every k; for a nilpotent A this gives W = F^n.
+    Certificate: W = span{A^i V} is A-invariant and V + im A = F^n, so
+    F^n = W + A^k F^n for every k; for a nilpotent A this gives W = F^n.
     Then im A^j = A^j W = span{A^i V : i >= j} and the count above is
-    rank(A^j).  A matrix whose powers vanish before the m-th has zero
-    blocks on the left, whose rank differences are zero and are dropped.
-    A stack short of rank n (a full-rank A gives an empty one), or powers
-    of V that have not vanished after n steps, mean A is not nilpotent.
+    rank(A^j).  In a batch, each matrix has its own V, padded with zero
+    columns to the widest V of the batch, and the batch runs to the
+    largest m.  Zero columns stay zero in every block and take no pivot,
+    and a matrix whose powers vanish before the m-th has zero blocks on
+    the left, whose rank differences are zero and are dropped.  A stack
+    short of rank n (a full-rank A gives an empty one), or powers of V
+    that have not vanished after n steps, mean A is not nilpotent.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidParameter(f"the rank profile needs a square matrix, not shape {A.shape}")
-    return _jordan_types(A[None], p)[0]
+    found = _jordan_types(A[None], p)[0]
+    if isinstance(found, NotNilpotent):
+        raise found
+    return found
 
 
-def _jordan_types(As: np.ndarray, p: int) -> list[Partition]:
-    """Jordan partitions of a batch of nilpotent n x n matrices, shape
-    (S, n, n), by the profile that ``jordan_type_from_ranks`` describes."""
+def _jordan_types(As: np.ndarray, p: int) -> list[Partition | NotNilpotent]:
+    """Jordan partitions of a batch of n x n matrices, shape (S, n, n), by
+    the profile that ``jordan_type_from_ranks`` describes.  A matrix found
+    not nilpotent gets a ``NotNilpotent`` in place of its type, and the
+    other matrices of the batch keep theirs."""
     As = _residues(As, p)
     S, n, _ = As.shape
-    independent = _pivots(As.transpose(0, 2, 1).copy(), p)
-    V = np.delete(np.eye(n, dtype=np.int64), sorted(set.intersection(*map(set, independent))), axis=1)
-    powers = [np.broadcast_to(V, (S, *V.shape))]
-    while powers[-1].any():
-        if len(powers) > n:
-            raise NotNilpotent(f"matrix of size {n} has no vanishing power")
+    outside = np.ones((S, n), dtype=bool)  # the rows of each A outside J
+    for s, rows in enumerate(_pivots(As.transpose(0, 2, 1).copy(), p)):
+        outside[s, rows] = False
+    width = int(outside.sum(axis=1).max(initial=0))
+    V = np.zeros((S, n, width), dtype=np.int64)
+    s, j = outside.nonzero()
+    V[s, j, outside.cumsum(axis=1)[s, j] - 1] = 1
+    powers = [V]
+    while len(powers) <= n and powers[-1].any():
         powers.append(_matmul(As, powers[-1], p))
     m = len(powers) - 1
-    width = V.shape[1]
+    vanished = ~powers.pop().any(axis=(1, 2))  # A^m V = 0 for each nilpotent A
     # Fill the stack block by block and drop each power once it is copied,
     # so that no power is held twice; the elimination then overwrites it.
     stack = np.empty((S, n, m * width), dtype=np.int64)
-    powers.pop()  # A^m V = 0
     for i in range(m):
         stack[:, :, i * width:(i + 1) * width] = powers.pop()
-    types = []
-    for piv in _pivots(stack, p):
-        if len(piv) < n:
-            raise NotNilpotent(f"the Krylov stack of a matrix of size {n} has rank {len(piv)}, "
-                               "so the matrix is not nilpotent")
-        ranks = [bisect_left(piv, (m - j) * width) for j in range(m + 1)]
-        drops = (ranks[k - 1] - ranks[k] for k in range(1, m + 1))
-        types.append(conjugate(Partition(d for d in drops if d)))
+    types: list[Partition | NotNilpotent] = []
+    read: dict[tuple[int, ...], Partition] = {}  # samples of one partition share their pivots
+    for piv, nilpotent in zip(_pivots(stack, p), vanished):
+        if not nilpotent:
+            types.append(NotNilpotent(f"matrix of size {n} has no vanishing power"))
+        elif len(piv) < n:
+            types.append(NotNilpotent(f"the Krylov stack of a matrix of size {n} has rank "
+                                      f"{len(piv)}, so the matrix is not nilpotent"))
+        else:
+            if (key := tuple(piv)) not in read:
+                ranks = [bisect_left(piv, (m - j) * width) for j in range(m + 1)]
+                drops = (ranks[k - 1] - ranks[k] for k in range(1, m + 1))
+                read[key] = conjugate(Partition(d for d in drops if d))
+            types.append(read[key])
     return types
+
+
+# A profile batch holds at most BATCH_MATRICES matrices of order n and at
+# most BATCH_ELEMENTS entries of them, but always one matrix.  ``_pivots``
+# runs one Python loop step per column for the whole batch, so small
+# orders gain from many matrices per batch, until the padding of the
+# widest V and the largest index costs more than the loop steps saved.
+# The n=14 sweep with the matrix (675 samples, 5 per partition) took
+# 0.29 s in batches of 5 matrices, 0.15 s of 30, 0.13 s of 60, 0.17 s of
+# 125 and 0.20 s in one batch, with 36.9, 37.2, 37.5, 38.3 and 45.4 MB
+# peak RSS; at n = 20, 2.0, 1.4, 1.0, 0.93 and 1.04 s for 5, 30, 60, 125
+# and 1,000, with 39.4 to 50.0 MB.  (Median times of one process on a
+# 2-vCPU x86-64 host.)  64 matrices pass 2^17 entries from n = 46 on,
+# where the entry bound takes over: it keeps up to 7 samples of order 136
+# in one batch (two samples at n = 96 and 136 ran about a third slower
+# split in two) and gives each sample of order 496 a batch of its own
+# (5 samples of staircase 31 peaked at 46 MiB under tracemalloc in one
+# batch, at 9.3 MiB one at a time).
+BATCH_MATRICES = 64
+BATCH_ELEMENTS = 1 << 17
+
+
+def _batch_size(n: int) -> int:
+    """How many matrices of order n one profile batch holds."""
+    return max(1, min(BATCH_MATRICES, BATCH_ELEMENTS // (n * n)))
 
 
 @dataclass(frozen=True)
@@ -421,17 +500,17 @@ class GenericTypeEstimate:
     agree_count: int
 
 
-def generic_jordan_type(P: Partition, field: PrimeField, samples: int, seed: int) -> GenericTypeEstimate:
-    """Estimate the generic Jordan type of the sampled family.
+def _estimate(types: list[Partition | NotNilpotent], seeds: tuple[int, ...], p: int) -> GenericTypeEstimate:
+    """The dominance maximum of one partition's sampled types.
 
     The generic type dominates every special one, so the estimate is the
     dominance maximum of the sampled types.  If no sampled type dominates
     all others the samples are reported as incomparable instead of
-    guessing.
+    guessing; a sample found not nilpotent is refused by its seed.
     """
-    seeds = _seeds(seed, samples)
-    types = tuple(_jordan_types(np.stack([sample_nilpotent_commutant(P, field, s).matrix
-                                          for s in seeds]), field.p))
+    for t, s in zip(types, seeds):
+        if isinstance(t, NotNilpotent):
+            raise NotNilpotent(f"{t} (seed {s})")
     best = None
     for t in types:
         if all(dominance_leq(other, t) for other in types):
@@ -439,10 +518,92 @@ def generic_jordan_type(P: Partition, field: PrimeField, samples: int, seed: int
             break
     if best is None:
         raise IncomparableSamples(
-            f"no dominance maximum among sampled types {[str(t) for t in types]} (seed {seed})"
+            f"no dominance maximum among sampled types {[str(t) for t in types]} (seed {seeds[0]})"
         )
     agree = sum(1 for t in types if t == best)
-    return GenericTypeEstimate(best, types, seeds, field.p, agree)
+    return GenericTypeEstimate(best, tuple(types), seeds, p, agree)
+
+
+def generic_jordan_type(P: Partition, field: PrimeField, samples: int, seed: int) -> GenericTypeEstimate:
+    """Estimate the generic Jordan type of the sampled family, as the
+    dominance maximum of ``samples`` sampled types (see ``_estimate``).
+
+    Each sample is drawn by ``sample_nilpotent_commutant``, and the samples
+    are profiled ``_batch_size(P.n)`` at a time, so that the memory held
+    stays bounded however many samples are asked for.
+    """
+    seeds = _seeds(seed, samples)
+    size = _batch_size(P.n)
+    types: list[Partition | NotNilpotent] = []
+    for start in range(0, len(seeds), size):
+        types += _jordan_types(np.stack([sample_nilpotent_commutant(P, field, s).matrix
+                                         for s in seeds[start:start + size]]), field.p)
+    return _estimate(types, seeds, field.p)
+
+
+def _batches(partitions: Iterable[Partition], samples: int) -> Iterator[list[tuple[int, Partition, slice]]]:
+    """The samples of ``partitions``, ``samples`` each, in batches of at
+    most ``_batch_size(n)`` matrices of one order n, as (position,
+    partition, seed slice) pieces.
+
+    A batch is filled with whole consecutive partitions of one order; a
+    partition is cut into pieces only when its samples alone exceed a batch.
+    """
+    batch: list[tuple[int, Partition, slice]] = []
+    filled = 0
+    for i, P in enumerate(partitions):
+        size = _batch_size(P.n)
+        for start in range(0, samples, size):
+            piece = slice(start, min(start + size, samples))
+            if batch and (P.n != batch[0][1].n or filled + piece.stop - start > size):
+                yield batch
+                batch, filled = [], 0
+            batch.append((i, P, piece))
+            filled += piece.stop - start
+    if batch:
+        yield batch
+
+
+def generic_jordan_types(partitions: Iterable[Partition], field: PrimeField, samples: int,
+                         seed: int) -> Iterator[tuple[Partition, GenericTypeEstimate | CheckFailed]]:
+    """``generic_jordan_type`` of each partition, in order, with the
+    samples of consecutive partitions of one order n profiled in shared
+    batches of ``_batch_size(n)`` matrices.
+
+    Each partition is yielded with its estimate once the batch that holds
+    its last samples is profiled, so no more than one batch of samples is
+    held at a time.  The estimate is the one ``generic_jordan_type`` gives:
+    the seeds and the draws are the same, and a Jordan type does not
+    depend on the batch.  A partition whose check fails is yielded with
+    the ``CheckFailed`` it raised in place of its estimate, and the other
+    partitions of its batch keep theirs.  A refused parameter raises when
+    the first partition is asked for.
+    """
+    seeds = _seeds(seed, samples)
+    found: dict[int, list[Partition | NotNilpotent] | CheckFailed] = {}
+    for batch in _batches(partitions, len(seeds)):
+        stacks, owners = [], []
+        for i, P, piece in batch:
+            if isinstance(found.setdefault(i, []), CheckFailed):
+                continue
+            try:
+                stacks.append(_sample_stack(P, field, seeds[piece]))
+            except CheckFailed as exc:
+                found[i] = exc
+                continue
+            owners += [i] * len(stacks[-1])
+        if stacks:
+            for i, t in zip(owners, _jordan_types(np.concatenate(stacks), field.p)):
+                found[i].append(t)
+        for i, P, piece in batch:
+            if piece.stop == len(seeds):  # P's last samples
+                result = found.pop(i)
+                if not isinstance(result, CheckFailed):
+                    try:
+                        result = _estimate(result, seeds, field.p)
+                    except CheckFailed as exc:
+                        result = exc
+                yield P, result
 
 
 @dataclass(frozen=True)

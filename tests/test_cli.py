@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nilcomm import cli, uprocess
+from nilcomm import cli, matrixlab, uprocess
 from nilcomm.cli import main, run_sweep
 from nilcomm.errors import CheckFailed, RelabelCollision, StrandsOverlap
 from nilcomm.partitions import Partition, all_partitions
@@ -279,3 +280,50 @@ def test_matrix_sweep_report_is_pinned(monkeypatch, capsys):
     blob = capsys.readouterr().out.encode()
     assert hashlib.sha256(blob).hexdigest() == (
         "07cd501fdf4923b729ef2682bde83e39d4884948c7e3f40a23b04d3f0e0d011a")
+
+
+def test_an_estimate_above_lambda_fails_its_partition(monkeypatch, capsys):
+    # Every sample reads as one Jordan block: above lambda wherever lambda has two parts.
+    monkeypatch.setattr(matrixlab, "_jordan_types", lambda As, p: [Partition([As.shape[1]])] * len(As))
+    assert main(["verify", "1", "5", "--with-matrix", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    above = [f for f in data["failures"] if "not dominated by lambda" in f]
+    assert above == ["3,1: estimate (4) not dominated by lambda (3,1)",
+                     "4,1: estimate (5) not dominated by lambda (4,1)",
+                     "3,1,1: estimate (5) not dominated by lambda (4,1)"]
+    assert [r["P"] for r in data["records"] if len(r["lambda"]) > 1] == [[3, 1], [4, 1], [3, 1, 1]]
+
+
+def test_a_sample_that_is_not_nilpotent_fails_its_partition_only(monkeypatch):
+    # The seed-1 sample of (3,2,1) becomes A + I, which commutes with the
+    # Jordan matrix but is invertible; no sampler certificate sees it.
+    # Its complement of im A is empty, so its Krylov stack has rank 0.
+    planted = Partition([3, 2, 1])
+    sample_stack = matrixlab._sample_stack
+
+    def plant(P, field, seeds):
+        A = sample_stack(P, field, seeds)
+        if P == planted:
+            A[seeds.index(1)] += np.eye(P.n, dtype=np.int64)
+        return A
+
+    clean = run_sweep(6, 6, with_matrix=True)
+    monkeypatch.setattr(matrixlab, "_sample_stack", plant)
+    report = run_sweep(6, 6, with_matrix=True)
+    assert len(clean.records) * 5 <= matrixlab.BATCH_MATRICES  # one batch holds the level
+    assert report.failures == ["3,2,1: NotNilpotent: the Krylov stack of a matrix of size 6 has "
+                               "rank 0, so the matrix is not nilpotent (seed 1)"]
+    for got, want in zip(report.records, clean.records):
+        if got["P"] == [3, 2, 1]:
+            assert "Q_est" not in got and got == {k: v for k, v in want.items() if k != "Q_est"}
+        else:
+            assert got == want
+
+
+def test_a_partition_checked_alone_gets_its_sweep_record():
+    sweep = run_sweep(8, 8, with_matrix=True, samples=3, seed=5)
+    for P, want in zip(all_partitions(8), sweep.records):
+        report, record = cli.SweepReport(8, 8), {"P": list(P.parts), "n": 8}
+        cli._check_partition(P, record, with_matrix=True, prime=1_000_003, samples=3, seed=5,
+                             strict_conjecture=False, report=report)
+        assert record == want and report.ok, P

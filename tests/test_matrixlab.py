@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -675,3 +676,176 @@ def test_int64_bound_is_exact_for_a_numpy_modulus():
     wider = np.full((2, 129), BIG_PRIME - 1, dtype=np.int64)
     with pytest.raises(Int64BoundExceeded):
         matrixlab._matmul(wider, wider.T, np.int64(BIG_PRIME))
+
+
+def loop_layout(P):
+    """The layout's coefficient arrays, built one entry at a time by the
+    loops over source row, target row and shift that a sample draws in."""
+    vertices = vertex_list(P)
+    rows = [(p, k, start) for start, (u, p, k) in enumerate(vertices) if u == 1]
+    targets, sources, entry_coefficient = [], [], []
+    count = 0
+    for p, k, start in rows:
+        for p2, k2, start2 in rows:
+            for j in range(max(1, p2 - p + 1), p2 + 1):
+                if j == 1 and p == p2 and k >= k2:
+                    continue
+                band = range(p2 - j + 1)
+                targets.extend(start2 + j - 1 + u for u in band)
+                sources.extend(start + u for u in band)
+                entry_coefficient.extend([count] * len(band))
+                count += 1
+    keys = [(2 * u - p, p, k) for u, p, k in vertices]
+    position = np.empty(len(vertices), dtype=np.int64)
+    position[sorted(range(len(vertices)), key=keys.__getitem__)] = np.arange(len(vertices))
+    return {"count": count, "targets": targets, "sources": sources,
+            "entry_coefficient": entry_coefficient, "position": position.tolist(),
+            "first": [u == 1 for u, _, _ in vertices], "last": [u == p for u, p, _ in vertices]}
+
+
+def test_vectorized_layout_matches_the_loop_array_for_array():
+    checked = 0
+    for n in range(1, 15):
+        for P in all_partitions(n):
+            layout = matrixlab._sample_layout(P)
+            assert layout.vertices == tuple(vertex_list(P)), P
+            for name, want in loop_layout(P).items():
+                got = getattr(layout, name)
+                if name != "count":
+                    assert got.dtype == (bool if name in ("first", "last") else np.int64), (P, name)
+                    got = got.tolist()
+                assert got == want, (P, name)
+            checked += 1
+    assert checked == 507
+
+
+def test_sample_stack_is_the_samples_one_by_one():
+    for P in (from_parts([1]), from_parts([3, 1]), from_parts([4, 2, 2, 1, 1])):
+        seeds = (3, 0, 2**63, 7)
+        stack = matrixlab._sample_stack(P, FIELD, seeds)
+        assert stack.shape == (4, P.n, P.n)
+        for A, seed in zip(stack, seeds):
+            assert np.array_equal(A, sample_nilpotent_commutant(P, FIELD, seed).matrix), (P, seed)
+
+
+def test_sample_stack_names_the_seed_that_fails_a_certificate(monkeypatch):
+    P = from_parts([3, 2, 2, 1])
+    commutes = matrixlab._commutes_with_jordan
+
+    def planted(layout, A):
+        A[2, 0] = 1  # the third sample, seed 12, gets a row of ones
+        return commutes(layout, A)
+
+    monkeypatch.setattr(matrixlab, "_commutes_with_jordan", planted)
+    with pytest.raises(CommutationCheckFailed, match=r"\(seed 12\)"):
+        matrixlab._sample_stack(P, FIELD, (10, 11, 12, 13))
+    # With the commutation check passing the planted row, the key order refuses it.
+    monkeypatch.setattr(matrixlab, "_commutes_with_jordan",
+                        lambda layout, A: planted(layout, A) | True)
+    with pytest.raises(NotNilpotent, match=r"sampled matrix \(seed 12\) moves .* key order"):
+        matrixlab._sample_stack(P, FIELD, (10, 11, 12, 13))
+
+
+def test_generic_type_of_a_large_partition_holds_one_batch_at_a_time():
+    # Staircase 31 (n = 496), 5 samples: each sample is profiled alone.
+    P = Partition(range(31, 0, -1))
+    tracemalloc.start()
+    try:
+        est = generic_jordan_type(P, PrimeField(), 5, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.q == Partition(range(61, 0, -4)) == lambda_u(P)
+    assert est.agree_count == 5
+    assert peak < 24 * 2**20
+
+
+def test_batches_fill_with_whole_partitions_of_one_order(monkeypatch):
+    def pieces(parts_list, samples, batch_matrices):
+        monkeypatch.setattr(matrixlab, "BATCH_MATRICES", batch_matrices)
+        return [[(i, list(P.parts), (piece.start, piece.stop)) for i, P, piece in batch]
+                for batch in matrixlab._batches(map(from_parts, parts_list), samples)]
+
+    assert pieces([[2, 1], [1, 1, 1], [3]], 5, 7) == [[(0, [2, 1], (0, 5))], [(1, [1, 1, 1], (0, 5))],
+                                                      [(2, [3], (0, 5))]]
+    assert pieces([[2, 1], [1, 1, 1], [3], [2, 1]], 2, 5) == [
+        [(0, [2, 1], (0, 2)), (1, [1, 1, 1], (0, 2))], [(2, [3], (0, 2)), (3, [2, 1], (0, 2))]]
+    # A partition is cut only when its samples alone pass the batch size.
+    assert pieces([[2, 1], [3]], 5, 3) == [[(0, [2, 1], (0, 3))], [(0, [2, 1], (3, 5))],
+                                           [(1, [3], (0, 3))], [(1, [3], (3, 5))]]
+    # A batch holds matrices of one order only.
+    assert pieces([[2, 1], [2], [1, 1], [4]], 1, 64) == [[(0, [2, 1], (0, 1))],
+                                                        [(1, [2], (0, 1)), (2, [1, 1], (0, 1))],
+                                                        [(3, [4], (0, 1))]]
+    assert pieces([], 5, 64) == []
+    # Past 2^17 entries a batch holds fewer matrices: 7 of order 136, 1 of order 496.
+    assert [matrixlab._batch_size(n) for n in (14, 45, 46, 136, 496)] == [64, 64, 61, 7, 1]
+
+
+@pytest.mark.parametrize("batch_matrices", [matrixlab.BATCH_MATRICES, 3])
+def test_level_estimates_equal_each_partition_alone(monkeypatch, batch_matrices):
+    # With 3 matrices per batch, every partition's 5 samples are cut in two.
+    monkeypatch.setattr(matrixlab, "BATCH_MATRICES", batch_matrices)
+    checked = 0
+    for n in range(1, 13):
+        level = list(all_partitions(n))
+        estimates = list(matrixlab.generic_jordan_types(iter(level), FIELD, 5, 0))
+        assert [P for P, _ in estimates] == level
+        for P, est in estimates:
+            assert est == generic_jordan_type(P, FIELD, 5, 0), P
+            checked += 1
+    assert checked == 271
+
+
+def test_level_estimates_build_each_layout_once():
+    level = list(all_partitions(6))
+    matrixlab._sample_layout.cache_clear()
+    list(matrixlab.generic_jordan_types(level, FIELD, 5, 0))
+    info = matrixlab._sample_layout.cache_info()
+    assert (info.misses, info.hits) == (len(level), 0)
+
+
+def test_level_estimates_of_mixed_orders_and_repeats():
+    mixed = [from_parts([2, 1]), from_parts([2]), from_parts([2, 1]), from_parts([3, 1]), from_parts([1])]
+    estimates = list(matrixlab.generic_jordan_types(mixed, FIELD, 2, 4))
+    assert estimates == [(P, generic_jordan_type(P, FIELD, 2, 4)) for P in mixed]
+    assert list(matrixlab.generic_jordan_types([], FIELD, 2, 0)) == []
+    with pytest.raises(InvalidParameter, match="at least one sample"):
+        next(matrixlab.generic_jordan_types(mixed, FIELD, 0, 0))
+
+
+def same_order_partitions():
+    return st.integers(1, 9).flatmap(
+        lambda n: st.lists(st.sampled_from(list(all_partitions(n))), min_size=1, max_size=5))
+
+
+@settings(max_examples=40)
+@given(types=same_order_partitions(), p=st.sampled_from([2, 3, 1_000_003]), seed=SEEDS)
+def test_mixed_batch_equals_each_matrix_alone_and_sympy(types, p, seed):
+    # Each matrix has its own complement of im A, of width len(type); the
+    # zero matrix's powers vanish after one step.
+    n = types[0].n
+    matrices = [conjugated_jordan_matrix(P, p, seed + i) for i, P in enumerate(types)]
+    matrices.append(np.zeros((n, n), dtype=np.int64))
+    types = [*types, Partition([1] * n)]
+    batch = matrixlab._jordan_types(np.stack(matrices), p)
+    assert batch == types
+    assert batch == [jordan_type_from_ranks(A, p) for A in matrices]
+    assert batch == [sympy_jordan_type(A, p) for A in matrices]
+
+
+def test_a_batch_of_the_zero_matrix_of_order_1():
+    zero = np.zeros((1, 1), dtype=np.int64)
+    for p in (2, 3, FIELD.p):
+        assert matrixlab._jordan_types(np.stack([zero, zero]), p) == [Partition([1])] * 2
+
+
+def test_a_matrix_that_is_not_nilpotent_fails_alone_in_its_batch():
+    # Order 2: J_(2), an idempotent whose complement e_2 never vanishes, the
+    # identity (an empty complement, so a stack of rank 0), and 0.
+    batch = np.stack([jordan_matrix(from_parts([2])), np.array([[1, 1], [0, 0]]),
+                      np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)])
+    types = matrixlab._jordan_types(batch, FIELD.p)
+    assert types[0] == from_parts([2]) and types[3] == from_parts([1, 1])
+    assert isinstance(types[1], NotNilpotent) and "no vanishing power" in str(types[1])
+    assert isinstance(types[2], NotNilpotent) and "Krylov stack" in str(types[2])
