@@ -66,16 +66,22 @@ class SweepReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _check_partition(P: Partition, record: dict, *, with_matrix: bool, prime: int, samples: int,
-                     seed: int, strict_conjecture: bool, report: SweepReport,
-                     estimate: matrixlab.GenericTypeEstimate | CheckFailed | None = None) -> None:
+def _check_partition(P: Partition, record: dict, *, with_matrix: bool, strict_conjecture: bool,
+                     report: SweepReport,
+                     estimate: matrixlab.GenericTypeEstimate | CheckFailed | None = None,
+                     prime: int | None = None, samples: int | None = None,
+                     seed: int | None = None) -> None:
     """Run the checks on P, filling ``record`` and appending failures to ``report``.
 
-    With ``with_matrix``, ``estimate`` is P's entry of
-    ``matrixlab.generic_jordan_types``, as ``run_sweep`` hands it over: a
-    ``CheckFailed`` in it is raised where the matrix checks start.  Without
-    one, P's samples are drawn and profiled here.
+    With ``with_matrix``, ``estimate`` is required: it is P's entry of
+    ``matrixlab.generic_jordan_types``, as ``run_sweep`` hands it over, and
+    a ``CheckFailed`` in it is raised where the matrix checks start.
+    ``prime``, ``samples`` and ``seed`` are not read, since the estimate
+    was drawn with them; they are accepted so that a call may name the
+    sweep's settings.
     """
+    if with_matrix and estimate is None:
+        raise TypeError("with_matrix needs the estimate of P")
     fail = report.failures.append
     name = format_partition(P)
 
@@ -126,9 +132,9 @@ def _check_partition(P: Partition, record: dict, *, with_matrix: bool, prime: in
             fail(f"{name}: prefix family {list(spec.anchors)} covers {len(union)} != u_{spec.r}={want}")
 
     if with_matrix:
-        est = estimate or matrixlab.generic_jordan_type(P, matrixlab.PrimeField(prime), samples, seed)
-        if isinstance(est, CheckFailed):
-            raise est
+        if isinstance(estimate, CheckFailed):
+            raise estimate
+        est = estimate
         record["Q_est"] = list(est.q.parts)
         if len(est.q) != r_of(P):
             fail(f"{name}: estimated type {est.q} has {len(est.q)} parts, expected {r_of(P)}")
@@ -175,11 +181,9 @@ def run_sweep(n_min: int, n_max: int, *, with_matrix: bool = False,
             count += 1
             record: dict = {"P": list(P.parts), "n": P.n}
             try:
-                _check_partition(
-                    P, record, with_matrix=with_matrix, prime=prime, samples=samples,
-                    seed=seed, strict_conjecture=strict_conjecture, report=report,
-                    estimate=estimate,
-                )
+                _check_partition(P, record, with_matrix=with_matrix,
+                                 strict_conjecture=strict_conjecture, report=report,
+                                 estimate=estimate)
             except CheckFailed as exc:
                 report.failures.append(f"{format_partition(P)}: {type(exc).__name__}: {exc}")
             report.records.append(record)

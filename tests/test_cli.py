@@ -323,7 +323,14 @@ def test_a_sample_that_is_not_nilpotent_fails_its_partition_only(monkeypatch):
 def test_a_partition_checked_alone_gets_its_sweep_record():
     sweep = run_sweep(8, 8, with_matrix=True, samples=3, seed=5)
     for P, want in zip(all_partitions(8), sweep.records):
+        [(_, estimate)] = matrixlab.generic_jordan_types([P], matrixlab.PrimeField(), 3, 5)
         report, record = cli.SweepReport(8, 8), {"P": list(P.parts), "n": 8}
-        cli._check_partition(P, record, with_matrix=True, prime=1_000_003, samples=3, seed=5,
-                             strict_conjecture=False, report=report)
+        cli._check_partition(P, record, with_matrix=True, strict_conjecture=False, report=report,
+                             estimate=estimate)
         assert record == want and report.ok, P
+
+
+def test_the_matrix_checks_need_an_estimate():
+    with pytest.raises(TypeError, match="estimate"):
+        cli._check_partition(Partition([2, 1]), {}, with_matrix=True, strict_conjecture=False,
+                             report=cli.SweepReport(3, 3))
