@@ -68,17 +68,12 @@ class SweepReport:
 
 def _check_partition(P: Partition, record: dict, *, with_matrix: bool, strict_conjecture: bool,
                      report: SweepReport,
-                     estimate: matrixlab.GenericTypeEstimate | CheckFailed | None = None,
-                     prime: int | None = None, samples: int | None = None,
-                     seed: int | None = None) -> None:
+                     estimate: matrixlab.GenericTypeEstimate | CheckFailed | None = None) -> None:
     """Run the checks on P, filling ``record`` and appending failures to ``report``.
 
     With ``with_matrix``, ``estimate`` is required: it is P's entry of
     ``matrixlab.generic_jordan_types``, as ``run_sweep`` hands it over, and
     a ``CheckFailed`` in it is raised where the matrix checks start.
-    ``prime``, ``samples`` and ``seed`` are not read, since the estimate
-    was drawn with them; they are accepted so that a call may name the
-    sweep's settings.
     """
     if with_matrix and estimate is None:
         raise TypeError("with_matrix needs the estimate of P")
@@ -118,7 +113,7 @@ def _check_partition(P: Partition, record: dict, *, with_matrix: bool, strict_co
     record["processes"] = count
     # The r-th prefix union of every trace is one of the families.  Every
     # trace ends at the empty state, each step removes as many vertices as
-    # its state loses (``remove_simple_chain`` checks it), and the removed
+    # its state loses (``uprocess._removal`` checks it), and the removed
     # sets are nonempty and disjoint.  So a trace's full prefix covers all
     # n vertices and its removal sizes are the differences of its prefix
     # sizes.  When those are u_1, u_2, ... (the running sums of lambda_U,

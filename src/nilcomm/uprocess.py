@@ -18,11 +18,15 @@ partition, not on how it was reached.  ``_solve`` solves each state once
 (its maximizing anchors and the states they lead to) and counts the
 paths from it, removing no vertex; ``count_full_processes`` reads the
 count off it.  ``_steps`` refuses more than ``TRACE_CAP`` traces before
-removing anything, then realizes each (state, anchor) removal once.  The
-search walks its paths depth-first; ``prefix_families`` walks its states
-children first and checks each distinct prefix union of a state once, so
-the sweep checks prefix families, not traces.  The solved DAG lives for
-one call only: a later call for another partition never reuses it.
+removing anything, then realizes each (state, anchor) removal once, with
+the next state ``_solve`` built for it.  The search walks its paths
+depth-first; a removal pulled back to the start depends on the path only
+through the lifts of the levels it touches, so paths that take it at the
+same lifts share one frozenset, from a table local to the call.
+``prefix_families`` walks the states children first and checks each
+distinct prefix union of a state once, so the sweep checks prefix
+families, not traces.  The solved DAG lives for one call only: a later
+call for another partition never reuses it.
 
 A vertex set is pulled back to the start poset in closed form.  Each
 relabeling moves whole levels, so the composite of the relabelings along
@@ -33,12 +37,17 @@ the only map of vertices.  The collision check of a removal, the
 pull-back of removed sets and the anchor transport of
 ``union_as_uchain`` and ``prefix_families`` all go through them.
 ``_as_spec`` is the only statement of how lifted anchor values pair up
-into a specification.
+into a specification.  It realizes each specification's family once per
+start partition: ``_realized`` keeps only the latest start partition's
+families, like ``strand_table``, and every call still compares the
+family with its own prefix union, so ``union_as_uchain`` stays an
+independent check of ``prefix_families``.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -99,10 +108,20 @@ def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, frozenset[Vert
     nonempty, hold exactly the vertices the step loses, and miss every
     relabeled survivor.
     """
+    return _removal(P, a)
+
+
+def _removal(P: Partition, a: int, P_next: Partition | None = None) -> tuple[Partition, frozenset[Vertex]]:
+    """``remove_simple_chain``, given the next state if it is built already.
+
+    The search hands over the state that ``_solve`` built for the move, so
+    each next state is built once; the checks are the same either way.
+    """
     removed = strand(P, a, 1)
     if not removed:
         raise EmptyChainRemoval(f"anchor {a} selects nothing in {P}")
-    P_next = _shrink(P, a)
+    if P_next is None:
+        P_next = _shrink(P, a)
     if len(removed) != P.n - P_next.n:
         raise RemovalSizeMismatch(f"anchor {a} removes {len(removed)} vertices, but {P} -> {P_next} "
                                   f"loses {P.n - P_next.n}")
@@ -182,13 +201,22 @@ def _steps(P: Partition, pick_all: bool) -> tuple[dict, dict[Partition, int]]:
     moves, paths = _solve(P, pick_all)
     if paths[P] > TRACE_CAP:
         raise EnumerationCapExceeded(f"more than {TRACE_CAP} full traces for {P}: {paths[P]}")
-    steps = {cur: [(a, nxt, remove_simple_chain(cur, a)[1]) for a, nxt in ms]
-             for cur, ms in moves.items()}
+    steps = {cur: [(a, nxt, _removal(cur, a, nxt)[1]) for a, nxt in ms] for cur, ms in moves.items()}
     return steps, paths
 
 
 def _search(P: Partition, pick_all: bool) -> list[ProcessTrace]:
+    """The full traces from P, depth-first over the solved DAG.
+
+    A removed set pulled back to P depends on the anchor history only
+    through the lifts of the levels it touches, so paths that take the
+    same removal at the same lifts share one pulled-back set.  The table
+    of shared sets lives for this call only.
+    """
     steps, _ = _steps(P, pick_all)
+    walk = {cur: [(a, nxt, rem, sorted({p for _, p, _ in rem})) for a, nxt, rem in ms]
+            for cur, ms in steps.items()}
+    shared: dict[tuple, frozenset[Vertex]] = {}
     results: list[ProcessTrace] = []
 
     def rec(cur: Partition, anchors: list[int], parts: list[Partition],
@@ -196,8 +224,12 @@ def _search(P: Partition, pick_all: bool) -> list[ProcessTrace]:
         if cur.n == 0:
             results.append(ProcessTrace(P, tuple(anchors), tuple(parts) + (cur,), tuple(removed)))
             return
-        for a, nxt, rem in steps[cur]:
-            removed.append(_pull_back(rem, anchors))
+        for a, nxt, rem, levels in walk[cur]:
+            key = (rem, tuple([_lift(p, anchors) for p in levels]))
+            pulled = shared.get(key)
+            if pulled is None:
+                pulled = shared[key] = _pull_back(rem, anchors)
+            removed.append(pulled)
             anchors.append(a)
             parts.append(cur)
             rec(nxt, anchors, parts, removed)
@@ -277,8 +309,9 @@ def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
 
     Built by lifting the anchor pair of every step into the start poset
     with ``_lift``; the collected values always regroup into adjacent
-    pairs.  The family is realized by ``materialize`` and compared with
-    the actual union; a mismatch raises NoMatchingSpec.
+    pairs.  The family, realized by ``materialize`` once per start
+    partition, is compared with the actual union; a mismatch raises
+    NoMatchingSpec.
     """
     if not 1 <= r <= t.steps:
         raise InvalidParameter(f"prefix length {r} out of range 1..{t.steps}")
@@ -294,21 +327,39 @@ def _as_spec(P: Partition, values: Sequence[int], union: frozenset[Vertex]) -> U
 
     The values must pair up as a, a+1 with gaps of at least 2 between the
     pairs, and the family must realize ``union`` in P; otherwise no family
-    matches, and NoMatchingSpec is raised.
+    matches, and NoMatchingSpec is raised.  The family is looked up in
+    ``_realized`` and realized only when P's entry lacks it.
     """
     anchors = list(values[::2])
     if list(values[1::2]) != [a + 1 for a in anchors]:
         raise NoMatchingSpec(f"transported values {list(values)} do not pair up")
-    try:
-        spec = UChainSpec(tuple(anchors))
-    except ValueError as exc:
-        raise NoMatchingSpec(f"transported anchors invalid: {anchors} ({exc})") from None
-    realized = materialize(P, spec).union
+    families = _realized(P)
+    key = tuple(anchors)
+    known = families.get(key)
+    if known is None:
+        try:
+            spec = UChainSpec(key)
+        except ValueError as exc:
+            raise NoMatchingSpec(f"transported anchors invalid: {anchors} ({exc})") from None
+        known = families[key] = (spec, materialize(P, spec).union)
+    spec, realized = known
     if realized != union:
         raise NoMatchingSpec(
             f"anchors {anchors} realize {len(realized)} vertices, prefix union has {len(union)}"
         )
     return spec
+
+
+@lru_cache(maxsize=1)
+def _realized(P: Partition) -> dict[tuple[int, ...], tuple[UChainSpec, frozenset[Vertex]]]:
+    """The specifications that ``_as_spec`` has met in P, with their families.
+
+    Keyed by the anchors, each entry holds the validated specification and
+    its family's union.  Only the latest start partition's entries are
+    kept, like ``strand_table``'s strands, so the memory stays at one
+    partition's families however many partitions are seen.
+    """
+    return {}
 
 
 def trace_to_json(t: ProcessTrace) -> str:

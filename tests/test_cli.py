@@ -191,8 +191,7 @@ def test_the_sweep_lists_no_trace(monkeypatch):
     # staircase 14 is checked whole: 135,135 traces, under the cap
     P = Partition(range(14, 0, -1))
     report, record = cli.SweepReport(P.n, P.n), {}
-    cli._check_partition(P, record, with_matrix=False, prime=1_000_003, samples=5, seed=0,
-                         strict_conjecture=False, report=report)
+    cli._check_partition(P, record, with_matrix=False, strict_conjecture=False, report=report)
     assert report.ok
     assert record["processes"] == 135_135
 

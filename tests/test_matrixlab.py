@@ -330,6 +330,18 @@ def test_structural_pairs_match_poset_order():
             assert report.pairs_checked == P.n * (P.n - 1)
 
 
+def test_structural_pairs_are_the_strict_order_to_14():
+    # order_criterion_check stops at n <= 8; the support alone is checked further
+    checked = 0
+    for n in range(1, 15):
+        for P in all_partitions(n):
+            D = build_poset(P)
+            order = {(v, w) for v in D.vertices for w in D.vertices if D.less(v, w)}
+            assert structural_action_pairs(P) == order, P
+            checked += 1
+    assert checked == 507
+
+
 def test_order_check_guards_size():
     with pytest.raises(PosetTooLarge):
         order_criterion_check(from_parts([9]), FIELD, 1, 0)

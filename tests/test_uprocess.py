@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -9,11 +10,12 @@ from nilcomm.errors import (
     EmptyChainRemoval,
     EnumerationCapExceeded,
     NilcommError,
+    NoMatchingSpec,
     NotFullProcess,
     RelabelCollision,
 )
 from nilcomm.partitions import Partition, all_partitions, from_parts, is_almost_rectangular
-from nilcomm.poset import build_poset, vertex_list
+from nilcomm.poset import build_poset, sort_key, vertex_list
 from nilcomm.uchains import (
     UChainSpec,
     lambda_u,
@@ -206,6 +208,36 @@ def test_union_spec_exists_for_every_prefix():
                     assert len(materialize(P, spec).union) == max_u_chain_cardinality(P, r)
 
 
+def test_the_family_cache_cannot_hide_a_fault():
+    P = from_parts([5, 4, 3, 3, 2, 1])
+    t = enumerate_full_processes(P)[0]
+    spec = union_as_uchain(t, 2)  # realizes the family, which stays cached
+    family = materialize(P, spec).union
+    inside = min(t.removed[0], key=sort_key)
+    outside = min(set(vertex_list(P)) - family, key=sort_key)
+    swapped = dataclasses.replace(t, removed=((t.removed[0] - {inside}) | {outside},) + t.removed[1:])
+    # same size, same lifted anchors: only the comparison with the family sees it
+    with pytest.raises(NoMatchingSpec, match="realize"):
+        union_as_uchain(swapped, 2)
+    assert union_as_uchain(t, 2) == spec
+
+
+def test_a_second_start_partition_realizes_its_own_families(monkeypatch):
+    # (3,1) and (3,1,1) both have the prefix family of anchors (1, 3), on
+    # different vertices: served the other partition's, the check would fail
+    realized = []
+    real = uprocess.materialize
+    monkeypatch.setattr(uprocess, "materialize", lambda P, spec: realized.append((P, spec)) or real(P, spec))
+    first, second = from_parts([3, 1]), from_parts([3, 1, 1])
+    expected = []
+    for P in (first, second, first):
+        specs = [union_as_uchain(t, r) for t in enumerate_full_processes(P) for r in range(1, t.steps + 1)]
+        expected += [(P, spec) for spec in dict.fromkeys(specs)]  # once per visit, in order
+    assert realized == expected
+    assert (second, UChainSpec((1, 3))) in realized
+    assert uprocess._realized.cache_info().currsize == 1
+
+
 def test_canonical_process():
     t = canonical_process(from_parts([5, 4, 3, 3, 2, 1]))
     assert t.anchors[0] == 3
@@ -255,32 +287,59 @@ def test_state_dag_search_matches_per_node_search():
         assert [canonical_process(P)] == per_node_search(P, pick_all=False), P
 
 
-def test_search_solves_each_state_once(monkeypatch):
+def counting(monkeypatch, name):
+    """Record the (state, anchor) of every call of ``uprocess.<name>``."""
     calls = []
+    real = getattr(uprocess, name)
 
-    def counted(P, a):
+    def counted(P, a, *rest):
         calls.append((P, a))
-        return remove_simple_chain(P, a)
+        return real(P, a, *rest)
 
-    monkeypatch.setattr(uprocess, "remove_simple_chain", counted)
+    monkeypatch.setattr(uprocess, name, counted)
+    return calls
+
+
+def test_search_solves_each_state_once(monkeypatch):
+    # each (state, anchor) removal is realized once, and each next state built once
+    removals, shrinks = counting(monkeypatch, "_removal"), counting(monkeypatch, "_shrink")
     traces = enumerate_full_processes(staircase(10))
     assert len(traces) == 945
-    assert len(calls) == len(set(calls))
-    assert {(t.partitions[i], a) for t in traces for i, a in enumerate(t.anchors)} == set(calls)
+    moves = {(t.partitions[i], a) for t in traces for i, a in enumerate(t.anchors)}
+    for calls in (removals, shrinks):
+        assert len(calls) == len(set(calls))
+        assert moves == set(calls)
 
 
 def test_cap_is_checked_before_any_removal(monkeypatch):
-    calls = []
-
-    def counted(P, a):
-        calls.append((P, a))
-        return remove_simple_chain(P, a)
-
-    monkeypatch.setattr(uprocess, "remove_simple_chain", counted)
+    calls = counting(monkeypatch, "_removal")
     monkeypatch.setattr(uprocess, "TRACE_CAP", 100)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_full_processes(staircase(10))
     assert calls == []
+
+
+def test_traces_share_their_pulled_back_removals():
+    traces = enumerate_full_processes(staircase(10))
+    first = {}
+    for t in traces:
+        first.setdefault(t.anchors[0], t)
+    assert all(t.removed[0] is first[t.anchors[0]].removed[0] for t in traces)
+    # later steps, reached by different paths, share too: equal sets are one object
+    held = {id(c): c for t in traces for c in t.removed}
+    assert len(held) == len(set(held.values())) == 211
+
+
+def test_enumeration_holds_little_memory():
+    # staircase 12: 10,395 traces of six removals; unshared, they held 25.8 MiB
+    tracemalloc.start()
+    try:
+        traces = enumerate_full_processes(staircase(12))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traces) == 10_395
+    assert held < 8 * 2 ** 20
 
 
 def test_count_and_search_solve_each_state_once(monkeypatch):
