@@ -32,7 +32,7 @@ from .poset import build_poset, export_dot, export_json
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0
-MAX_SWEEP_N = 16
+MAX_SWEEP_N = 30
 PRIME_ENV_VAR = "NILCOMM_PRIME"
 
 

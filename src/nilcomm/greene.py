@@ -20,12 +20,24 @@ vertices, passing through the vertices in between, which other chains
 may count: the pass-through arcs make that possible.  The minimum cost
 of k units is therefore exactly -c_k.
 
-Search.  Successive shortest paths: the initial potentials are the
-shortest distances from the source, one pass over the poset's
-topological order ``Poset.topo``.  Each augmentation
-is then one Dijkstra search on reduced costs, which the potentials keep
-nonnegative, followed by a potential update.  The path costs increase
-weakly, which makes the profile concave; that is checked, not assumed.
+Search.  Successive shortest paths.  One pass over the poset's
+topological order ``Poset.topo`` gives the shortest distances from the
+source, which become the potentials, and the arc into each node on one
+shortest path.  The first augmentation walks those arcs back from the
+sink, so no search runs for it, and it leaves the potentials as they
+are: every node is at reduced distance 0.  Each later augmentation is
+one search on reduced costs, which the potentials keep nonnegative,
+followed by a potential update.  The costs are integers.  After k - 1
+augmentations the sink's potential is the last path's cost,
+-lambda_{k-1}, so the sink lies at reduced distance
+lambda_{k-1} - lambda_k.  While a vertex is uncounted it alone is one
+more chain, so lambda_k >= 1 and that distance lies in
+0..lambda_{k-1} - 1, below m.  A bucket per distance therefore replaces
+a heap (Dial, CACM 12, 1969).  A relaxation past the last bucket is dropped,
+since the update caps every node not settled before the sink at the
+sink's distance; a sink past it raises ``NonMonotoneProfile``.  The path
+costs increase weakly, which makes the profile concave; that is checked,
+not assumed.
 
 Certificate.  After augmentation k the flow is broken into its k unit
 source-sink paths, each with every vertex it visits, counted or passed
@@ -40,132 +52,168 @@ posets, on the exhaustive oracle.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from itertools import accumulate, chain, pairwise
 
 from .errors import ChainCertificateFailed, NonMonotoneProfile, PosetTooLarge
 from .partitions import Partition
 from .poset import Poset
 
-_INF = 10 ** 18
-
 
 class _CoverFlow:
     """Successive shortest paths on the split cover network of a poset.
 
-    Node 2i is in(v_i), 2i+1 is out(v_i), 2m the source, 2m+1 the sink.
+    Node i is in(v_i), m + i is out(v_i), 2m the source, 2m+1 the sink.
     Arc 2f is the f-th forward arc and 2f+1 its residual twin.  Forward
-    arcs f < m are the counted arcs of v_f; then come the pass-through,
-    source and sink arcs, then one arc per cover.
+    arc i is the counted arc of v_i, m + i its pass-through arc and 2m + i
+    its source arc; from 3m on, each out(v_i) has a block of arcs, its
+    sink arc and then its covers in the order of ``Poset.succ``.  A node
+    lists its forward arcs first; a twin joins its tail's list when it
+    first gets capacity.
     """
 
     def __init__(self, D: Poset):
         m = len(D)
-        self.source, self.sink = 2 * m, 2 * m + 1
+        self.source, self.sink = s, t = 2 * m, 2 * m + 1
         unbounded = m + 1  # no arc ever carries more than m units
-        ins, outs = range(0, 2 * m, 2), range(1, 2 * m, 2)
-        tails = [*ins, *ins, *[self.source] * m, *outs,
-                 *(2 * i + 1 for i, js in enumerate(D.succ) for _ in js)]
-        heads = [*outs, *outs, *ins, *[self.sink] * m, *(2 * j for js in D.succ for j in js)]
-        num_arcs = 2 * len(tails)
-        self.to = [0] * num_arcs
+        ins, outs = range(m), range(m, 2 * m)
+        blocks = [(t, *js) for js in D.succ]  # the heads of out(v_i)'s arcs
+        heads = [*outs, *outs, *ins, *chain.from_iterable(blocks)]
+        tails = [*ins, *ins, *[s] * m, *(o for o, b in zip(outs, blocks) for _ in b)]
+        self.to = [0] * (2 * len(heads))
         self.to[0::2], self.to[1::2] = heads, tails
-        self.cap = [0] * num_arcs
-        self.cap[0::2] = [1] * m + [unbounded] * (len(tails) - m)
-        self.cost = [0] * num_arcs
-        self.cost[0:2 * m:2] = [-1] * m
-        self.cost[1:2 * m:2] = [1] * m
-        self.adj: list[list[int]] = [[] for _ in range(2 * m + 2)]
-        for f, (u, v) in enumerate(zip(tails, heads)):
-            self.adj[u].append(2 * f)
-            self.adj[v].append(2 * f + 1)
-        self.potential = self._initial_potentials(D)
+        self.cap = [0] * len(self.to)
+        self.cap[0::2] = [1] * m + [unbounded] * (len(heads) - m)
+        self.cost = [0] * len(self.to)
+        self.cost[0:2 * m] = [-1, 1] * m  # a counted arc and its twin
+        forward = list(range(0, len(self.to), 2))
+        ends = accumulate(map(len, blocks), initial=3 * m)
+        self.adj: list[list[int]] = [[2 * i, 2 * (m + i)] for i in ins]
+        self.adj += [forward[a:b] for a, b in pairwise(ends)]
+        self.adj += [forward[2 * m:3 * m], []]
+        self.potential, self._first = self._initial_potentials(D)
 
-    def _initial_potentials(self, D: Poset) -> list[int]:
-        """Shortest distances from the source in the empty-flow network.
+    def _initial_potentials(self, D: Poset) -> tuple[list[int], list[int]]:
+        """Shortest distances from the source in the empty-flow network,
+        and the arc into each node on one shortest path, which the first
+        augmentation takes.
 
         in(v) is at minus the longest chain strictly below v, out(v) one
-        lower; the covers are relaxed in the topological order of D.
+        lower; the covers and sink arcs are relaxed in the topological
+        order of D.
         """
-        m = len(D)
+        m, to, adj = len(D), self.to, self.adj
         dist = [0] * (2 * m + 2)
+        # in(v) is reached by its source arc, out(v) by its counted arc
+        parent = [*range(4 * m, 6 * m, 2), *range(0, 2 * m, 2), 0, 0]
         for i in D.topo:
-            out = dist[2 * i] - 1
-            dist[2 * i + 1] = out
-            for j in D.succ[i]:
-                if out < dist[2 * j]:
-                    dist[2 * j] = out
-        dist[self.sink] = min(dist[1:2 * m:2], default=0)
-        return dist
+            out = dist[m + i] = dist[i] - 1
+            for eid in adj[m + i]:
+                v = to[eid]
+                if out < dist[v]:
+                    dist[v] = out
+                    parent[v] = eid
+        return dist, parent
 
-    def augment(self) -> int:
-        """Push one cheapest unit from source to sink; return its cost."""
+    def _search(self) -> list[int]:
+        """Dial's search on reduced costs from the source, with buckets
+        0..lambda_{k-1} - 1 (see the module docstring); return the arc into
+        each node on a shortest path, and update the potentials."""
         to, cap, cost, adj, pot = self.to, self.cap, self.cost, self.adj, self.potential
-        num = len(adj)
-        dist = [_INF] * num
-        parent = [-1] * num
         s, t = self.source, self.sink
+        bound = pot[s] - pot[t] - 1
+        dist = [bound + 1] * len(adj)  # beyond the buckets
+        parent = [-1] * len(adj)
         dist[s] = 0
-        heap = [(0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u == t:
-                break
-            if d > dist[u]:
+        buckets: list[list[int]] = [[] for _ in range(bound + 1)]
+        if buckets:
+            buckets[0].append(s)
+        for d, bucket in enumerate(buckets):
+            for u in bucket:
+                if u == t:
+                    break
+                if dist[u] != d:
+                    continue  # a later, longer entry of a settled node
+                base = d + pot[u]
+                for eid in adj[u]:
+                    if cap[eid]:
+                        v = to[eid]
+                        nd = base + cost[eid] - pot[v]
+                        if nd < dist[v]:
+                            if nd < d:
+                                raise NonMonotoneProfile(
+                                    f"negative reduced cost on arc {eid}: the potentials are not feasible")
+                            dist[v] = nd
+                            parent[v] = eid
+                            buckets[nd].append(v)
+            else:
                 continue
-            base = d + pot[u]
-            for eid in adj[u]:
-                if cap[eid]:
-                    v = to[eid]
-                    nd = base + cost[eid] - pot[v]
-                    if nd < dist[v]:
-                        if nd < d:
-                            raise NonMonotoneProfile(
-                                f"negative reduced cost on arc {eid}: the potentials are not feasible")
-                        dist[v] = nd
-                        parent[v] = eid
-                        heapq.heappush(heap, (nd, v))
+            break  # the sink is settled
+        else:
+            raise NonMonotoneProfile(f"no augmenting path within reduced distance {bound}: "
+                                     f"the next path would not count a vertex")
         # Nodes not settled before t are at least dist[t] away; capping them
         # there keeps every reduced cost nonnegative.
         dt = dist[t]
-        pot = self.potential = [p + (d if d < dt else dt) for p, d in zip(pot, dist)]
-        v = t
-        while v != s:
+        self.potential = [p + (d if d < dt else dt) for p, d in zip(pot, dist)]
+        return parent
+
+    def augment(self) -> int:
+        """Push one cheapest unit from source to sink; return its cost."""
+        parent = self._first or self._search()
+        self._first = []
+        to, cap, adj = self.to, self.cap, self.adj
+        v = self.sink
+        while v != self.source:
             eid = parent[v]
             cap[eid] -= 1
-            cap[eid ^ 1] += 1
-            v = to[eid ^ 1]
-        return pot[t] - pot[s]
+            twin = eid ^ 1
+            cap[twin] += 1
+            if cap[twin] == 1 and twin not in adj[v]:
+                adj[v].append(twin)
+            v = to[twin]
+        return self.potential[self.sink] - self.potential[self.source]
 
     def paths(self) -> list[list[int]]:
         """Break the flow into unit source-sink paths.
 
         Each path lists the in-out arcs it takes, in path order: i where
-        it counts vertex v_i and m + i where it passes through v_i.
+        it counts vertex v_i and m + i where it passes through v_i.  Only
+        forward arcs carry flow; an out-node's list of them ends at its
+        first twin, which it holds once a unit has passed the vertex.
         """
-        to, adj, split = self.to, self.adj, self.source  # arcs f < 2m join in(v) to out(v)
-        flow = self.cap[1::2]  # flow on arc 2f is the residual capacity of its twin
+        to, adj, m, t = self.to, self.adj, self.source // 2, self.sink
+        flow = [-1] * len(to)  # flow on each forward arc; -1 marks a twin
+        flow[0::2] = self.cap[1::2]  # flow on arc 2f is the residual capacity of its twin
         nxt = [0] * len(adj)  # per node, the first arc that may still carry flow
         out: list[list[int]] = []
-        while True:
-            u = self.source
-            path: list[int] = []
-            while u != self.sink:
-                eids = adj[u]
-                i = nxt[u]
-                while i < len(eids) and (eids[i] & 1 or not flow[eids[i] >> 1]):
-                    i += 1
-                nxt[u] = i
-                if i == len(eids):
-                    if u == self.source:
-                        return out
-                    raise ChainCertificateFailed(f"flow is not conserved at node {u}")
-                f = eids[i] >> 1
-                flow[f] -= 1
-                if f < split:
-                    path.append(f)
-                u = to[2 * f]
-            out.append(path)
+        for eid in adj[self.source]:
+            for _ in range(flow[eid]):
+                path: list[int] = []
+                i = to[eid]
+                while i != t:  # i is in(v_i), whose counted arc is arc 2i
+                    if flow[2 * i]:
+                        flow[2 * i] -= 1
+                        path.append(i)
+                        i += m
+                    elif flow[2 * (m + i)]:
+                        i += m
+                        flow[2 * i] -= 1
+                        path.append(i)
+                    else:
+                        raise ChainCertificateFailed(f"flow is not conserved at node {i}")
+                    eids = adj[i]  # i is out(v) now
+                    k = nxt[i]
+                    while not flow[eids[k]]:
+                        k += 1
+                    nxt[i] = k
+                    e = eids[k]
+                    if e & 1:
+                        raise ChainCertificateFailed(f"flow is not conserved at node {i}")
+                    flow[e] -= 1
+                    i = to[e]
+                out.append(path)
+        return out
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,15 @@ among the blocks of power >= j count rank(A^j) (Keller-Gehrig, TCS 36,
 so the stack has rank n; a stack short of rank n means A is not
 nilpotent.  Samples are profiled in batches, each with its own V padded
 with zero columns to the widest of the batch, which changes no rank.  A
-batch holds the samples of one partition (``generic_jordan_type``) or of
-consecutive partitions of one order (``generic_jordan_types``, one sweep
-level), up to a fixed count of matrices and of entries, so that the
-per-column loop runs once for many small matrices and the memory held
-stays bounded for large ones.  One exact elimination kernel,
-``_pivots``, serves this and ``rank_mod``: it eliminates a batch of
-matrices forward, one pivot search per column for the whole batch, and
-returns each matrix's pivot columns, which are all that either reads.
+batch holds the samples of consecutive partitions of one order
+(``generic_jordan_types``: one sweep level, or one partition for
+``generic_jordan_type``), up to a fixed count of matrices and of
+entries, so that the per-column loop runs once for many small matrices
+and the memory held stays bounded for large ones.  One exact
+elimination kernel, ``_pivots``, serves this and ``rank_mod``: it
+eliminates a batch of matrices forward, one pivot search per column for
+the whole batch, and returns each matrix's pivot columns, which are all
+that either reads.
 It works on word-size residues, as the FFLAS/FFPACK packages do (Dumas,
 Giorgi and Pernet, ACM TOMS 35, 2008), but reduces after every update
 and calls no BLAS.
@@ -528,17 +529,15 @@ def generic_jordan_type(P: Partition, field: PrimeField, samples: int, seed: int
     """Estimate the generic Jordan type of the sampled family, as the
     dominance maximum of ``samples`` sampled types (see ``_estimate``).
 
-    Each sample is drawn by ``sample_nilpotent_commutant``, and the samples
-    are profiled ``_batch_size(P.n)`` at a time, so that the memory held
-    stays bounded however many samples are asked for.
+    This is ``generic_jordan_types`` for P alone: the samples are drawn
+    and profiled ``_batch_size(P.n)`` at a time, so that the memory held
+    stays bounded however many samples are asked for, and a failed check
+    raises its ``CheckFailed``.
     """
-    seeds = _seeds(seed, samples)
-    size = _batch_size(P.n)
-    types: list[Partition | NotNilpotent] = []
-    for start in range(0, len(seeds), size):
-        types += _jordan_types(np.stack([sample_nilpotent_commutant(P, field, s).matrix
-                                         for s in seeds[start:start + size]]), field.p)
-    return _estimate(types, seeds, field.p)
+    [(_, estimate)] = generic_jordan_types([P], field, samples, seed)
+    if isinstance(estimate, CheckFailed):
+        raise estimate
+    return estimate
 
 
 def _batches(partitions: Iterable[Partition], samples: int) -> Iterator[list[tuple[int, Partition, slice]]]:
@@ -566,17 +565,17 @@ def _batches(partitions: Iterable[Partition], samples: int) -> Iterator[list[tup
 
 def generic_jordan_types(partitions: Iterable[Partition], field: PrimeField, samples: int,
                          seed: int) -> Iterator[tuple[Partition, GenericTypeEstimate | CheckFailed]]:
-    """``generic_jordan_type`` of each partition, in order, with the
-    samples of consecutive partitions of one order n profiled in shared
-    batches of ``_batch_size(n)`` matrices.
+    """The estimated generic Jordan type of each partition, in order
+    (see ``_estimate``), with the samples of consecutive partitions of one
+    order n profiled in shared batches of ``_batch_size(n)`` matrices.
 
     Each partition is yielded with its estimate once the batch that holds
     its last samples is profiled, so no more than one batch of samples is
-    held at a time.  The estimate is the one ``generic_jordan_type`` gives:
-    the seeds and the draws are the same, and a Jordan type does not
-    depend on the batch.  A partition whose check fails is yielded with
-    the ``CheckFailed`` it raised in place of its estimate, and the other
-    partitions of its batch keep theirs.  A refused parameter raises when
+    held at a time.  Every partition is sampled from the same seeds, and
+    a Jordan type does not depend on the batch, so the estimate does not
+    depend on the partition's neighbours.  A partition whose check fails
+    is yielded with the ``CheckFailed`` it raised in place of its
+    estimate, and the other partitions of its batch keep theirs.  A refused parameter raises when
     the first partition is asked for.
     """
     seeds = _seeds(seed, samples)

@@ -11,7 +11,7 @@ import pytest
 from nilcomm import cli, matrixlab, uprocess
 from nilcomm.cli import main, run_sweep
 from nilcomm.errors import CheckFailed, RelabelCollision, StrandsOverlap
-from nilcomm.partitions import Partition, all_partitions
+from nilcomm.partitions import Partition, all_partitions, partition_count
 
 
 def test_invariants_headline(capsys):
@@ -71,7 +71,7 @@ def test_exit_codes_through_the_module_entry_point():
     cases = [
         (["verify", "1", "3"], {}, 0),
         (["verify", "1", "3", "--with-matrix", "--seed", "-1"], {}, 2),
-        (["verify", "1", "17"], {}, 2),
+        (["verify", "1", "31"], {}, 2),
         (["invariants", "-p", "3,1"], {"NILCOMM_PRIME": "abc"}, 0),
         (["verify", "1", "3"], {"NILCOMM_PRIME": "abc"}, 2),
         # over GF(2) the samples of (2,2,1,1) have no dominance maximum: a failed check
@@ -333,3 +333,11 @@ def test_the_matrix_checks_need_an_estimate():
     with pytest.raises(TypeError, match="estimate"):
         cli._check_partition(Partition([2, 1]), {}, with_matrix=True, strict_conjecture=False,
                              report=cli.SweepReport(3, 3))
+
+
+@pytest.mark.slow
+def test_a_full_sweep_at_n_24():
+    report = run_sweep(24, 24)
+    assert report.failures == []
+    assert len(report.records) == partition_count(24) == 1575
+    assert all(record["lambda"] == record["lambda_U"] for record in report.records)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from nilcomm import greene
-from nilcomm.errors import ChainCertificateFailed, PosetTooLarge
+from nilcomm.errors import ChainCertificateFailed, NonMonotoneProfile, PosetTooLarge
 from nilcomm.greene import chain_union_profile, greene_lambda, oracle_max_k_chain_union
 from nilcomm.partitions import all_partitions, from_parts
 from nilcomm.poset import build_poset
@@ -165,3 +165,39 @@ def test_certificate_catches_a_dropped_pass_through(monkeypatch):
     monkeypatch.setattr(greene._CoverFlow, "paths", counted_only)
     with pytest.raises(ChainCertificateFailed, match="not a cover"):
         chain_union_profile(D)
+
+
+def test_first_path_is_a_longest_chain_from_the_topological_pass(monkeypatch):
+    # c_1 is the longest chain, found by networkx on the covers alone; the
+    # first augmentation must take it from the topological pass, with no search.
+    searches = []
+    search = greene._CoverFlow._search
+    monkeypatch.setattr(greene._CoverFlow, "_search", lambda flow: searches.append(1) or search(flow))
+    posets = [build_poset(P) for n in range(1, 15) for P in all_partitions(n)]
+    posets += [build_poset(from_parts(range(k, 0, -1))) for k in range(1, 23)]
+    for D in posets:
+        G = nx.DiGraph(D.covers)
+        G.add_nodes_from(D.vertices)
+        longest = nx.dag_longest_path_length(G) + 1
+        assert -greene._CoverFlow(D).augment() == longest, D.vertices
+        assert not searches
+        c = chain_union_profile(D).cumulative
+        assert c[1] == longest
+        assert len(searches) == len(c) - 2  # one search per augmentation after the first
+        searches.clear()
+
+
+def test_a_sink_past_the_bucket_bound_raises():
+    D = build_poset(from_parts([3, 2, 1]))
+    flow = greene._CoverFlow(D)
+    flow.augment()
+    # a planted sink potential claiming the last path cost 0 leaves no bucket
+    flow.potential[flow.sink] = flow.potential[flow.source]
+    with pytest.raises(NonMonotoneProfile, match="no augmenting path"):
+        flow.augment()
+    # past the width no path counts a vertex, so the sink lies beyond the bound
+    flow = greene._CoverFlow(D)
+    for _ in chain_union_profile(D).lam.parts:
+        flow.augment()
+    with pytest.raises(NonMonotoneProfile, match="no augmenting path"):
+        flow.augment()

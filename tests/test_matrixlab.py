@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -310,8 +309,8 @@ def test_generic_type_examples():
 def test_incomparable_samples_are_refused(monkeypatch):
     fake_types = {0: Partition([3, 1, 1, 1]), 1: Partition([2, 2, 2])}
     monkeypatch.setattr(
-        matrixlab, "sample_nilpotent_commutant",
-        lambda P, field, seed: SimpleNamespace(matrix=seed),
+        matrixlab, "_sample_stack",
+        lambda P, field, seeds: np.array(seeds),
     )
     monkeypatch.setattr(
         matrixlab, "_jordan_types",
@@ -654,7 +653,7 @@ def test_sample_layout_is_built_once_per_partition():
     matrixlab._sample_layout.cache_clear()
     generic_jordan_type(from_parts([4, 2, 2, 1]), FIELD, 5, seed=0)
     info = matrixlab._sample_layout.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
+    assert (info.misses, info.hits) == (1, 0)  # one stack holds all five samples
 
 
 def test_sampling_refuses_int64_overflow():
