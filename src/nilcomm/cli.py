@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import repeat
 
 from . import greene, matrixlab, uchains, uprocess
 from .errors import CheckFailed, EnumerationCapExceeded, NilcommError
@@ -66,17 +66,14 @@ class SweepReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _check_partition(P: Partition, record: dict, *, with_matrix: bool, strict_conjecture: bool,
-                     report: SweepReport,
+def _check_partition(P: Partition, record: dict, *, strict_conjecture: bool, report: SweepReport,
                      estimate: matrixlab.GenericTypeEstimate | CheckFailed | None = None) -> None:
     """Run the checks on P, filling ``record`` and appending failures to ``report``.
 
-    With ``with_matrix``, ``estimate`` is required: it is P's entry of
-    ``matrixlab.generic_jordan_types``, as ``run_sweep`` hands it over, and
-    a ``CheckFailed`` in it is raised where the matrix checks start.
+    The matrix checks run exactly when ``estimate`` is given: it is P's
+    entry of ``matrixlab.generic_jordan_types``, as ``run_sweep`` hands it
+    over, and a ``CheckFailed`` in it is raised where the matrix checks start.
     """
-    if with_matrix and estimate is None:
-        raise TypeError("with_matrix needs the estimate of P")
     fail = report.failures.append
     name = format_partition(P)
 
@@ -84,8 +81,7 @@ def _check_partition(P: Partition, record: dict, *, with_matrix: bool, strict_co
     record["lambda_U"] = list(lam_u.parts)
 
     D = build_poset(P)
-    profile = greene.chain_union_profile(D)
-    lam = profile.lam
+    lam = greene.chain_union_profile(D).lam
     record["lambda"] = list(lam.parts)
     if not dominance_leq(lam_u, lam):
         fail(f"{name}: chain invariant does not dominate the anchored one")
@@ -98,9 +94,8 @@ def _check_partition(P: Partition, record: dict, *, with_matrix: bool, strict_co
         fail(f"{name}: {failure}")
 
     if P.n <= 8:
-        c = profile.cumulative
         for k in range(P.n + 1):
-            got = c[k] if k < len(c) else c[-1]
+            got = sum(lam.parts[:k])
             want = greene.oracle_max_k_chain_union(D, k)
             if got != want:
                 fail(f"{name}: flow c_{k}={got} != oracle {want}")
@@ -113,20 +108,19 @@ def _check_partition(P: Partition, record: dict, *, with_matrix: bool, strict_co
     record["processes"] = count
     # The r-th prefix union of every trace is one of the families.  Every
     # trace ends at the empty state, each step removes as many vertices as
-    # its state loses (``uprocess._removal`` checks it), and the removed
-    # sets are nonempty and disjoint.  So a trace's full prefix covers all
-    # n vertices and its removal sizes are the differences of its prefix
-    # sizes.  When those are u_1, u_2, ... (the running sums of lambda_U,
-    # u_r = n for every r past its last part), every trace has
+    # its state loses (``uprocess.remove_simple_chain`` checks it), and the
+    # removed sets are nonempty and disjoint.  So a trace's full prefix
+    # covers all n vertices and its removal sizes are the differences of
+    # its prefix sizes.  When those are u_1, u_2, ... (the running sums of
+    # lambda_U, u_r = n for every r past its last part), every trace has
     # Q == lambda_U: a longer trace would cover more than n, and a shorter
     # one would cover n at an r where u_r < n.
-    u = list(accumulate(lam_u.parts, initial=0))
     for spec, union in families.items():
-        want = u[min(spec.r, len(u) - 1)]
+        want = sum(lam_u.parts[:spec.r])
         if len(union) != want:
             fail(f"{name}: prefix family {list(spec.anchors)} covers {len(union)} != u_{spec.r}={want}")
 
-    if with_matrix:
+    if estimate is not None:
         if isinstance(estimate, CheckFailed):
             raise estimate
         est = estimate
@@ -176,8 +170,7 @@ def run_sweep(n_min: int, n_max: int, *, with_matrix: bool = False,
             count += 1
             record: dict = {"P": list(P.parts), "n": P.n}
             try:
-                _check_partition(P, record, with_matrix=with_matrix,
-                                 strict_conjecture=strict_conjecture, report=report,
+                _check_partition(P, record, strict_conjecture=strict_conjecture, report=report,
                                  estimate=estimate)
             except CheckFailed as exc:
                 report.failures.append(f"{format_partition(P)}: {type(exc).__name__}: {exc}")
@@ -260,8 +253,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
         }
         text = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # bad input, like a refused partition: exit 2, not 1
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

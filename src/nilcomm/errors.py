@@ -68,11 +68,7 @@ class CheckFailed(NilcommError):
 
 
 class NonMonotoneProfile(CheckFailed):
-    """Chain-union profile differences failed to be weakly decreasing.
-
-    Signals a solver bug: the profile of maximum chain-union sizes is
-    always concave for a finite poset.
-    """
+    """A profile of maximum union sizes is not concave: a solver bug."""
 
 
 class ChainCertificateFailed(CheckFailed):

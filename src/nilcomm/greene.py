@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, pairwise
 
 from .errors import ChainCertificateFailed, NonMonotoneProfile, PosetTooLarge
-from .partitions import Partition
+from .partitions import Partition, checked_partition
 from .poset import Poset
 
 
@@ -261,11 +261,9 @@ def chain_union_profile(D: Poset) -> ChainUnionProfile:
         cumulative.append(-total)
         _certify(D, flow.paths(), len(cumulative) - 1, cumulative[-1])
 
-    parts = [cumulative[k] - cumulative[k - 1] for k in range(1, len(cumulative))]
-    for i in range(1, len(parts)):
-        if parts[i] > parts[i - 1]:
-            raise NonMonotoneProfile(f"profile differences increase: {parts}")
-    return ChainUnionProfile(tuple(cumulative), Partition(parts))
+    lam = checked_partition([b - a for a, b in pairwise(cumulative)], NonMonotoneProfile,
+                            "profile differences")
+    return ChainUnionProfile(tuple(cumulative), lam)
 
 
 def greene_lambda(D: Poset) -> Partition:

@@ -63,7 +63,7 @@ from .errors import (
     NotNilpotent,
     PosetTooLarge,
 )
-from .partitions import Partition, conjugate, dominance_leq
+from .partitions import Partition, checked_partition, conjugate, dominance_leq
 from .poset import Vertex, build_poset, vertex_list
 
 DEFAULT_PRIME = 1_000_003
@@ -411,9 +411,10 @@ def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
     columns to the widest V of the batch, and the batch runs to the
     largest m.  Zero columns stay zero in every block and take no pivot,
     and a matrix whose powers vanish before the m-th has zero blocks on
-    the left, whose rank differences are zero and are dropped.  A stack
-    short of rank n (a full-rank A gives an empty one), or powers of V
-    that have not vanished after n steps, mean A is not nilpotent.
+    the left, so its drops are read up to the first zero rank.  A stack
+    short of rank n (a full-rank A gives an empty one), powers of V that
+    have not vanished after n steps, or drops that are no partition mean
+    A is not nilpotent.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -449,7 +450,7 @@ def _jordan_types(As: np.ndarray, p: int) -> list[Partition | NotNilpotent]:
     for i in range(m):
         stack[:, :, i * width:(i + 1) * width] = powers.pop()
     types: list[Partition | NotNilpotent] = []
-    read: dict[tuple[int, ...], Partition] = {}  # samples of one partition share their pivots
+    read: dict[tuple[int, ...], Partition | NotNilpotent] = {}  # samples of one partition share their pivots
     for piv, nilpotent in zip(_pivots(stack, p), vanished):
         if not nilpotent:
             types.append(NotNilpotent(f"matrix of size {n} has no vanishing power"))
@@ -459,8 +460,12 @@ def _jordan_types(As: np.ndarray, p: int) -> list[Partition | NotNilpotent]:
         else:
             if (key := tuple(piv)) not in read:
                 ranks = [bisect_left(piv, (m - j) * width) for j in range(m + 1)]
-                drops = (ranks[k - 1] - ranks[k] for k in range(1, m + 1))
-                read[key] = conjugate(Partition(d for d in drops if d))
+                drops = [ranks[k - 1] - ranks[k] for k in range(1, ranks.index(0) + 1)]
+                what = f"ranks {ranks} are not those of a nilpotent matrix: their drops"
+                try:
+                    read[key] = conjugate(checked_partition(drops, NotNilpotent, what))
+                except NotNilpotent as exc:
+                    read[key] = exc
             types.append(read[key])
     return types
 

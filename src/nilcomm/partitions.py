@@ -9,9 +9,10 @@ formulas rely on.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import pairwise
 from typing import Iterable, Iterator
 
-from .errors import EmptyPartition, NonPositivePart, UnequalWeight
+from .errors import CheckFailed, EmptyPartition, NonPositivePart, UnequalWeight
 
 
 class Partition:
@@ -27,7 +28,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(sorted(parts, reverse=True))
         for p in ps:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:  # a bool is no part
                 raise NonPositivePart(f"partition parts must be positive integers, got {p!r}")
         self._parts = ps
         self._mult = Counter(ps)
@@ -89,6 +90,14 @@ def from_parts(raw: Iterable[int]) -> Partition:
     if not raw:
         raise EmptyPartition("a partition needs at least one part")
     return Partition(raw)
+
+
+def checked_partition(parts: list[int], error: type[CheckFailed], what: str) -> Partition:
+    """The computed sequence ``parts`` as a partition, never sorted into
+    one: unless it is positive and weakly decreasing, raise ``error``."""
+    if any(b > a for a, b in pairwise(parts)) or parts and parts[-1] < 1:
+        raise error(f"{what} {parts} are not positive and weakly decreasing")
+    return Partition(parts)
 
 
 def dominance_leq(P: Partition, Q: Partition) -> bool:

@@ -37,7 +37,7 @@ from typing import Iterator, Mapping
 
 from .errors import (EmptyPartition, InvalidParameter, NonMonotoneProfile, NotMaximumSimpleChain,
                      StrandsOverlap)
-from .partitions import Partition
+from .partitions import Partition, checked_partition
 from .poset import Vertex
 
 
@@ -51,7 +51,7 @@ class UChainSpec:
         a = self.anchors
         if not a:
             raise InvalidParameter("a specification needs at least one anchor")
-        if any(not isinstance(x, int) or x < 1 for x in a):
+        if any(type(x) is not int or x < 1 for x in a):  # a bool is no anchor
             raise InvalidParameter(f"anchors must be positive integers: {a}")
         for i in range(1, len(a)):
             if a[i] < a[i - 1] + 2:
@@ -259,22 +259,15 @@ def u_table(P: Partition) -> list[int]:
 
 
 def lambda_u(P: Partition) -> Partition:
-    """Partition of successive differences of the k-strand maxima.
-
-    The differences run up to the first maximum that covers all of P; a
-    non-monotone difference sequence would signal a solver bug and is
-    raised, not sorted away.
-    """
+    """Partition of successive differences of the k-strand maxima, up to
+    the first maximum that covers all of P."""
     if P.n < 1:
         raise EmptyPartition("needs a nonempty partition")
     table = u_table(P)
     if P.n not in table:
         raise NonMonotoneProfile(f"profile never reaches {P.n}: {table}")
     diffs = [table[k] - table[k - 1] for k in range(1, table.index(P.n) + 1)]
-    for i in range(1, len(diffs)):
-        if diffs[i] > diffs[i - 1]:
-            raise NonMonotoneProfile(f"differences increase: {diffs}")
-    return Partition(diffs)
+    return checked_partition(diffs, NonMonotoneProfile, "profile differences")
 
 
 def iter_specs(max_anchor: int) -> Iterator[UChainSpec]:

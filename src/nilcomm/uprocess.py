@@ -61,7 +61,7 @@ from .errors import (
     RelabelCollision,
     RemovalSizeMismatch,
 )
-from .partitions import Partition
+from .partitions import Partition, checked_partition
 from .poset import Vertex, sort_key, vertex_list
 from .uchains import UChainSpec, materialize, max_simple_u_chains, strand
 
@@ -98,7 +98,8 @@ def _shrink(P: Partition, a: int) -> Partition:
     return Partition([p if p < a else p - 2 for p in P.parts if not a <= p <= a + 1])
 
 
-def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, frozenset[Vertex]]:
+def remove_simple_chain(P: Partition, a: int,
+                        P_next: Partition | None = None) -> tuple[Partition, frozenset[Vertex]]:
     """Remove the simple chain at anchor ``a`` from the poset of P.
 
     Returns the surviving partition and the removed vertex set (in P's
@@ -106,16 +107,8 @@ def remove_simple_chain(P: Partition, a: int) -> tuple[Partition, frozenset[Vert
     described in the module docstring.  The anchor must be a positive
     integer (``strand`` refuses others).  The removed set must be
     nonempty, hold exactly the vertices the step loses, and miss every
-    relabeled survivor.
-    """
-    return _removal(P, a)
-
-
-def _removal(P: Partition, a: int, P_next: Partition | None = None) -> tuple[Partition, frozenset[Vertex]]:
-    """``remove_simple_chain``, given the next state if it is built already.
-
-    The search hands over the state that ``_solve`` built for the move, so
-    each next state is built once; the checks are the same either way.
+    relabeled survivor.  The search passes the surviving partition as
+    ``P_next`` when it has built it already; the checks are the same.
     """
     removed = strand(P, a, 1)
     if not removed:
@@ -160,11 +153,7 @@ def q_of_trace(t: ProcessTrace) -> Partition:
     """The removal-size partition (|C_1|, ..., |C_r|) of a full trace."""
     if not t.full:
         raise NotFullProcess("trace does not exhaust the poset")
-    sizes = [len(c) for c in t.removed]
-    for i in range(1, len(sizes)):
-        if sizes[i] > sizes[i - 1]:
-            raise NonMonotoneSizes(f"removal sizes increase: {sizes}")
-    return Partition(sizes)
+    return checked_partition([len(c) for c in t.removed], NonMonotoneSizes, "removal sizes")
 
 
 def _solve(P: Partition, pick_all: bool) -> tuple[dict, dict[Partition, int]]:
@@ -201,7 +190,8 @@ def _steps(P: Partition, pick_all: bool) -> tuple[dict, dict[Partition, int]]:
     moves, paths = _solve(P, pick_all)
     if paths[P] > TRACE_CAP:
         raise EnumerationCapExceeded(f"more than {TRACE_CAP} full traces for {P}: {paths[P]}")
-    steps = {cur: [(a, nxt, _removal(cur, a, nxt)[1]) for a, nxt in ms] for cur, ms in moves.items()}
+    steps = {cur: [(a, nxt, remove_simple_chain(cur, a, nxt)[1]) for a, nxt in ms]
+             for cur, ms in moves.items()}
     return steps, paths
 
 

@@ -191,7 +191,7 @@ def test_the_sweep_lists_no_trace(monkeypatch):
     # staircase 14 is checked whole: 135,135 traces, under the cap
     P = Partition(range(14, 0, -1))
     report, record = cli.SweepReport(P.n, P.n), {}
-    cli._check_partition(P, record, with_matrix=False, strict_conjecture=False, report=report)
+    cli._check_partition(P, record, strict_conjecture=False, report=report)
     assert report.ok
     assert record["processes"] == 135_135
 
@@ -256,6 +256,13 @@ def test_export_to_file(tmp_path, capsys):
     assert main(["export", "-p", "2,1", "--format", "dot", "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_text().startswith("digraph")
+
+
+def test_export_to_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["export", "-p", "3,1", "--format", "json", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_export_unknown_format_rejected():
@@ -324,15 +331,8 @@ def test_a_partition_checked_alone_gets_its_sweep_record():
     for P, want in zip(all_partitions(8), sweep.records):
         [(_, estimate)] = matrixlab.generic_jordan_types([P], matrixlab.PrimeField(), 3, 5)
         report, record = cli.SweepReport(8, 8), {"P": list(P.parts), "n": 8}
-        cli._check_partition(P, record, with_matrix=True, strict_conjecture=False, report=report,
-                             estimate=estimate)
+        cli._check_partition(P, record, strict_conjecture=False, report=report, estimate=estimate)
         assert record == want and report.ok, P
-
-
-def test_the_matrix_checks_need_an_estimate():
-    with pytest.raises(TypeError, match="estimate"):
-        cli._check_partition(Partition([2, 1]), {}, with_matrix=True, strict_conjecture=False,
-                             report=cli.SweepReport(3, 3))
 
 
 @pytest.mark.slow

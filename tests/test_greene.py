@@ -167,6 +167,15 @@ def test_certificate_catches_a_dropped_pass_through(monkeypatch):
         chain_union_profile(D)
 
 
+def test_profile_differences_that_increase_are_refused(monkeypatch):
+    # costs -1, -2 claim c = (0, 1, 3) for the 3 vertices of (2,1): differences 1, 2
+    costs = iter([-1, -2])
+    monkeypatch.setattr(greene._CoverFlow, "augment", lambda flow: next(costs))
+    monkeypatch.setattr(greene, "_certify", lambda *args: None)
+    with pytest.raises(NonMonotoneProfile, match=r"profile differences \[1, 2\]"):
+        chain_union_profile(build_poset(from_parts([2, 1])))
+
+
 def test_first_path_is_a_longest_chain_from_the_topological_pass(monkeypatch):
     # c_1 is the longest chain, found by networkx on the covers alone; the
     # first augmentation must take it from the topological pass, with no search.

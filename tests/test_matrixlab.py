@@ -21,6 +21,7 @@ from nilcomm.errors import (
 from nilcomm.matrixlab import (
     PrimeField,
     generic_jordan_type,
+    generic_jordan_types,
     jordan_matrix,
     jordan_type_from_ranks,
     order_criterion_check,
@@ -860,3 +861,46 @@ def test_a_matrix_that_is_not_nilpotent_fails_alone_in_its_batch():
     assert types[0] == from_parts([2]) and types[3] == from_parts([1, 1])
     assert isinstance(types[1], NotNilpotent) and "no vanishing power" in str(types[1])
     assert isinstance(types[2], NotNilpotent) and "Krylov stack" in str(types[2])
+
+
+def plant_pivots(monkeypatch, sample, pivots):
+    """Make ``sample`` of each profiled batch read ``pivots`` off its Krylov stack."""
+    real, calls = matrixlab._pivots, []
+
+    def planted(R, p):
+        found = real(R, p)
+        calls.append(R.shape)
+        if len(calls) % 2 == 0:  # a batch reduces the transposes first, then the stack
+            found[sample] = pivots
+        return found
+
+    monkeypatch.setattr(matrixlab, "_pivots", planted)
+
+
+def test_impossible_ranks_are_refused_not_sorted(monkeypatch):
+    # The stack [A V | V] of J_(2,1) has columns 0-1 and 2-3; the pivots
+    # 0, 1, 2 read ranks (3, 2, 0), impossible as rank(A^2) >= 2 rank(A) - 3.
+    J = jordan_matrix(from_parts([2, 1]))
+    assert matrixlab._jordan_types(np.stack([J, J]), FIELD.p) == [from_parts([2, 1])] * 2
+    plant_pivots(monkeypatch, 0, [0, 1, 2])
+    refused, kept = matrixlab._jordan_types(np.stack([J, J]), FIELD.p)
+    assert isinstance(refused, NotNilpotent)
+    assert str(refused).startswith("ranks [3, 2, 0] are not those of a nilpotent matrix")
+    assert kept == from_parts([2, 1])
+    with pytest.raises(NotNilpotent, match=r"drops \[1, 2\] are not"):
+        jordan_type_from_ranks(J, FIELD.p)
+
+
+def test_impossible_ranks_fail_only_their_partition(monkeypatch):
+    # Each partition's one sample is its Jordan matrix.  The batch's stack
+    # [A V | V] has width 3 (from J_(1,1,1) = 0), so the pivots 0, 1, 3 read
+    # ranks (3, 2, 0) for J_(2,1).
+    monkeypatch.setattr(matrixlab, "_sample_stack",
+                        lambda P, field, seeds: np.stack([jordan_matrix(P)] * len(seeds)))
+    plant_pivots(monkeypatch, 0, [0, 1, 3])
+    (first, refused), (second, kept) = generic_jordan_types(
+        [from_parts([2, 1]), from_parts([1, 1, 1])], FIELD, 1, 0)
+    assert first == from_parts([2, 1]) and second == from_parts([1, 1, 1])
+    assert isinstance(refused, NotNilpotent) and str(refused).endswith("(seed 0)")
+    assert "ranks [3, 2, 0] are not those of a nilpotent matrix" in str(refused)
+    assert kept.q == from_parts([1, 1, 1])

@@ -1,11 +1,14 @@
 import itertools
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
-from nilcomm.errors import EmptyPartition, NonPositivePart, UnequalWeight
+from nilcomm.errors import EmptyPartition, NonMonotoneSizes, NonPositivePart, UnequalWeight
 from nilcomm.partitions import (
     Partition,
     all_partitions,
+    checked_partition,
     conjugate,
     dominance_leq,
     format_partition,
@@ -30,6 +33,18 @@ def test_from_parts_rejects_bad_input():
         from_parts([3, 0])
     with pytest.raises(NonPositivePart):
         from_parts([-1])
+    with pytest.raises(NonPositivePart):
+        Partition([True, 2])
+
+
+@given(st.one_of(st.lists(st.integers(-2, 6), max_size=6),
+                 st.lists(st.integers(1, 9), max_size=8).map(lambda ps: sorted(ps, reverse=True))))
+def test_checked_partition_keeps_exactly_the_partitions(parts):
+    if all(p >= 1 for p in parts) and all(a >= b for a, b in itertools.pairwise(parts)):
+        assert checked_partition(parts, NonMonotoneSizes, "sizes").parts == tuple(parts)
+    else:
+        with pytest.raises(NonMonotoneSizes, match=re.escape(f"sizes {parts} are not")):
+            checked_partition(parts, NonMonotoneSizes, "sizes")
 
 
 def test_from_parts_idempotent():

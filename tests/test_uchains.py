@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from nilcomm import uchains
-from nilcomm.errors import NotMaximumSimpleChain
+from nilcomm.errors import InvalidParameter, NonMonotoneProfile, NotMaximumSimpleChain
 from nilcomm.partitions import Partition, all_partitions, dominance_leq, from_parts, r_of
 from nilcomm.poset import build_poset
 from nilcomm.greene import greene_lambda
@@ -37,6 +37,8 @@ def test_spec_validation():
         UChainSpec((0, 2))
     with pytest.raises(ValueError):
         UChainSpec((4, 2))
+    with pytest.raises(InvalidParameter):
+        UChainSpec((True,))
 
 
 def test_materialize_top_row():
@@ -286,6 +288,12 @@ def test_lambda_u_examples():
         assert lambda_u(from_parts([n])).parts == (n,)
     # frozen from spec-free enumeration: u_1 = 8, u_2 = 10
     assert lambda_u(from_parts([4, 2, 2, 1, 1])).parts == (8, 2)
+
+
+def test_lambda_u_refuses_differences_that_increase(monkeypatch):
+    monkeypatch.setattr(uchains, "u_table", lambda P: [0, 1, 3])
+    with pytest.raises(NonMonotoneProfile, match=r"profile differences \[1, 2\]"):
+        lambda_u(from_parts([2, 1]))
 
 
 def _enumerated_u(P, k):

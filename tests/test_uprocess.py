@@ -11,6 +11,7 @@ from nilcomm.errors import (
     EnumerationCapExceeded,
     NilcommError,
     NoMatchingSpec,
+    NonMonotoneSizes,
     NotFullProcess,
     RelabelCollision,
 )
@@ -187,6 +188,15 @@ def test_q_requires_full_trace():
         q_of_trace(stub)
 
 
+def test_q_refuses_removal_sizes_that_increase():
+    P = from_parts([2, 1])
+    low, mid, top = sorted(vertex_list(P), key=sort_key)
+    trace = ProcessTrace(P, (1, 1), (P, from_parts([1]), Partition()),
+                         (frozenset([low]), frozenset([mid, top])))
+    with pytest.raises(NonMonotoneSizes, match=r"removal sizes \[1, 2\]"):
+        q_of_trace(trace)
+
+
 def test_union_of_prefix_is_a_chain_family():
     P = from_parts([5, 4, 3, 3, 2, 1])
     traces = enumerate_full_processes(P)
@@ -302,7 +312,7 @@ def counting(monkeypatch, name):
 
 def test_search_solves_each_state_once(monkeypatch):
     # each (state, anchor) removal is realized once, and each next state built once
-    removals, shrinks = counting(monkeypatch, "_removal"), counting(monkeypatch, "_shrink")
+    removals, shrinks = counting(monkeypatch, "remove_simple_chain"), counting(monkeypatch, "_shrink")
     traces = enumerate_full_processes(staircase(10))
     assert len(traces) == 945
     moves = {(t.partitions[i], a) for t in traces for i, a in enumerate(t.anchors)}
@@ -312,7 +322,7 @@ def test_search_solves_each_state_once(monkeypatch):
 
 
 def test_cap_is_checked_before_any_removal(monkeypatch):
-    calls = counting(monkeypatch, "_removal")
+    calls = counting(monkeypatch, "remove_simple_chain")
     monkeypatch.setattr(uprocess, "TRACE_CAP", 100)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_full_processes(staircase(10))
