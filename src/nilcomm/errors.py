@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer test that
+refuses a parameter with ``InvalidParameter``.
 
 Each exception marks a violated precondition or a failed check.  The
 checks are the ``CheckFailed`` family: a situation that should be
@@ -6,6 +7,7 @@ impossible if the underlying combinatorics is implemented correctly.  It
 is raised loudly instead of being repaired in place, and a sweep reports
 it as a failure of the partition being checked.
 """
+from numbers import Integral
 
 
 class NilcommError(Exception):
@@ -14,6 +16,13 @@ class NilcommError(Exception):
 
 class InvalidParameter(NilcommError, ValueError):
     """Raised when a numeric parameter, such as a modulus or a sample count, is out of range."""
+
+
+def is_integer(x: object) -> bool:
+    """Whether x may be a count, an index, a seed or a modulus: an integer,
+    numpy integers included, but not a bool.  An int is answered before
+    the ``Integral`` check, which costs about ten times as much."""
+    return type(x) is int or isinstance(x, Integral) and not isinstance(x, bool)
 
 
 # -- partition input errors -------------------------------------------------

@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, pairwise
 
-from .errors import ChainCertificateFailed, NonMonotoneProfile, PosetTooLarge
+from .errors import ChainCertificateFailed, InvalidParameter, NonMonotoneProfile, PosetTooLarge, is_integer
 from .partitions import Partition, checked_partition
 from .poset import Poset
 
@@ -218,10 +218,14 @@ class _CoverFlow:
 
 @dataclass(frozen=True)
 class ChainUnionProfile:
-    """Cumulative maxima c_0..c_m (c_m = n) and their differences."""
+    """The differences of the maxima c_k, and the maxima c_0..c_w
+    (c_w = n at the width w) as their prefix sums."""
 
-    cumulative: tuple[int, ...]
     lam: Partition
+
+    @property
+    def cumulative(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.lam.parts, initial=0))
 
 
 def _certify(D: Poset, paths: list[list[int]], k: int, c_k: int) -> None:
@@ -246,24 +250,22 @@ def _certify(D: Poset, paths: list[list[int]], k: int, c_k: int) -> None:
 
 
 def chain_union_profile(D: Poset) -> ChainUnionProfile:
-    """Compute the full profile of maximum k-chain-union sizes."""
-    m = len(D)
-    if m == 0:
-        return ChainUnionProfile((0,), Partition())
+    """Compute the full profile of maximum k-chain-union sizes.
+
+    Path k costs -lambda_k, so the parts are the path costs negated, and
+    the running total c_k is certified after each augmentation.
+    """
     flow = _CoverFlow(D)
-    cumulative = [0]
+    parts: list[int] = []
     total = 0
-    while cumulative[-1] < m:
+    while total < len(D):
         cost = flow.augment()
         if cost >= 0:
             raise NonMonotoneProfile("flow stalled before covering the poset")
-        total += cost
-        cumulative.append(-total)
-        _certify(D, flow.paths(), len(cumulative) - 1, cumulative[-1])
-
-    lam = checked_partition([b - a for a, b in pairwise(cumulative)], NonMonotoneProfile,
-                            "profile differences")
-    return ChainUnionProfile(tuple(cumulative), lam)
+        parts.append(-cost)
+        total -= cost
+        _certify(D, flow.paths(), len(parts), total)
+    return ChainUnionProfile(checked_partition(parts, NonMonotoneProfile, "profile differences"))
 
 
 def greene_lambda(D: Poset) -> Partition:
@@ -279,6 +281,8 @@ def oracle_max_k_chain_union(D: Poset, k: int) -> int:
     scan all subsets and maximize cardinality under that width bound.
     """
     m = len(D)
+    if not is_integer(k):
+        raise InvalidParameter(f"a chain count must be an integer, not {k!r}")
     if m > 12:
         raise PosetTooLarge(f"{m} vertices is beyond the exhaustive oracle")
     if k <= 0 or m == 0:

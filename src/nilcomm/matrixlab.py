@@ -40,10 +40,14 @@ Giorgi and Pernet, ACM TOMS 35, 2008), but reduces after every update
 and calls no BLAS.
 
 All arithmetic is in int64 on entries reduced to [0, p).  A product of
-inner dimension n is exact only while n*(p-1)^2 < 2^63; every product
-checks this where it is formed and raises ``Int64BoundExceeded`` past it,
-so no result is ever computed from a wrapped sum.  The Krylov blocks
-A^i V are such products, of inner dimension n, formed by ``_matmul``.
+inner dimension n is exact only while n*(p-1)^2 < 2^63.  ``PrimeField``
+is the one statement of which moduli are accepted, for sampling and for
+``rank_mod`` and ``jordan_type_from_ranks`` alike: a prime p whose
+elimination update, a product of two residues, is exact.  Every longer
+product checks the bound where it is formed and raises
+``Int64BoundExceeded`` past it, so no result is ever computed from a
+wrapped sum.  The Krylov blocks A^i V are such products, of inner
+dimension n, formed by ``_matmul``.
 """
 from __future__ import annotations
 
@@ -62,13 +66,13 @@ from .errors import (
     InvalidParameter,
     NotNilpotent,
     PosetTooLarge,
+    is_integer,
 )
 from .partitions import Partition, checked_partition, conjugate, dominance_leq
 from .poset import Vertex, build_poset, vertex_list
 
 DEFAULT_PRIME = 1_000_003
 INT64_LIMIT = 1 << 63
-INTEGER_TYPES = (int, np.integer)  # what moduli, seeds, counts and entries may be
 
 
 @lru_cache
@@ -87,19 +91,24 @@ def _is_prime(m: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """A prime modulus; arithmetic is field arithmetic mod p."""
+    """A prime modulus; arithmetic is field arithmetic mod p.
+
+    The modulus rule of every matrix entry point, checked in this order:
+    p is an integer (numpy integers pass, a bool does not); the product of
+    two residues, the elimination's update, is exact, (p-1)^2 < 2^63, or
+    ``Int64BoundExceeded`` is raised; and p is prime.  The largest such
+    prime is 3,037,000,493, exact at order 1 only: a product of inner
+    dimension n checks n*(p-1)^2 < 2^63 where it is formed.
+    """
 
     p: int = DEFAULT_PRIME
 
     def __post_init__(self):
-        if not isinstance(self.p, INTEGER_TYPES) or not _is_prime(self.p):
+        if not is_integer(self.p):
+            raise InvalidParameter(f"modulus {self.p!r} is not an integer")
+        _check_int64(1, self.p)
+        if not _is_prime(self.p):
             raise InvalidParameter(f"{self.p} is not prime")
-        if self.p >= 1 << 28:
-            raise InvalidParameter(
-                f"modulus {self.p} is not below 2^28; even below it, an int64 product "
-                "of inner dimension n is exact only while n*(p-1)^2 < 2^63, "
-                "which is checked where each product is formed"
-            )
 
 
 def _check_int64(inner: int, p: int) -> None:
@@ -148,8 +157,7 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     with the Jordan matrix and to be nilpotent; a failure of either
     signals a parametrization bug.
     """
-    _check_seed(seed)
-    A = _sample_stack(P, field, (seed,))[0]
+    A = _sample_stack(P, field, _seeds(seed, 1))[0]
     A.flags.writeable = False
     return CommutantSample(P, field, seed, A)
 
@@ -181,17 +189,13 @@ def _sample_stack(P: Partition, field: PrimeField, seeds: tuple[int, ...]) -> np
     return A
 
 
-def _check_seed(seed: int) -> None:
-    if not isinstance(seed, INTEGER_TYPES) or seed < 0:
-        raise InvalidParameter(f"seed {seed} is negative or not an integer; seeds must be integers >= 0")
-
-
 def _seeds(seed: int, samples: int) -> tuple[int, ...]:
     """The consecutive seeds of ``samples`` samples from ``seed`` on, as
     Python integers, so that no numpy integer wraps past 2^63 - 1."""
-    if not isinstance(samples, INTEGER_TYPES) or samples < 1:
+    if not is_integer(samples) or samples < 1:
         raise InvalidParameter(f"need at least one sample, counted by an integer: {samples!r}")
-    _check_seed(seed)
+    if not is_integer(seed) or seed < 0:
+        raise InvalidParameter(f"seed {seed} is negative or not an integer; seeds must be integers >= 0")
     return tuple(int(seed) + i for i in range(samples))
 
 
@@ -363,17 +367,14 @@ def _pivots(R: np.ndarray, p: int) -> list[list[int]]:
 def _residues(M: np.ndarray, p: int) -> np.ndarray:
     """The entries of M mod p in a new int64 array, after the input checks.
 
-    p must be a prime integer (numpy integers pass) within the int64
-    bound, and M must hold integers: its dtype is bool, signed or unsigned
-    integer, or object with every entry an integer.
+    p must pass ``PrimeField``, and M must hold integers: its dtype is
+    bool, signed or unsigned integer, or object with every entry an
+    integer.
     """
-    if not isinstance(p, INTEGER_TYPES):
-        raise InvalidParameter(f"modulus {p!r} is not an integer")
-    _check_int64(1, p)
-    if not _is_prime(p):
-        raise InvalidParameter(f"{p} is not prime")
+    PrimeField(p)
     kind = M.dtype.kind
-    if kind not in "biuO" or kind == "O" and not all(isinstance(x, INTEGER_TYPES) for x in M.flat):
+    # A bool entry is an integer here: a 0/1 matrix is a matrix.
+    if kind not in "biuO" or kind == "O" and not all(isinstance(x, (int, np.integer)) for x in M.flat):
         raise InvalidParameter(f"entries must be integers, not of dtype {M.dtype}")
     if kind != "O" and M.itemsize < 8:  # a narrow integer type cannot hold p
         M = M.astype(np.int64)
@@ -419,18 +420,17 @@ def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidParameter(f"the rank profile needs a square matrix, not shape {A.shape}")
-    found = _jordan_types(A[None], p)[0]
+    found = _jordan_types(_residues(A[None], p), p)[0]
     if isinstance(found, NotNilpotent):
         raise found
     return found
 
 
 def _jordan_types(As: np.ndarray, p: int) -> list[Partition | NotNilpotent]:
-    """Jordan partitions of a batch of n x n matrices, shape (S, n, n), by
-    the profile that ``jordan_type_from_ranks`` describes.  A matrix found
-    not nilpotent gets a ``NotNilpotent`` in place of its type, and the
-    other matrices of the batch keep theirs."""
-    As = _residues(As, p)
+    """Jordan partitions of a batch of n x n matrices of residues mod p,
+    shape (S, n, n), by the profile that ``jordan_type_from_ranks``
+    describes.  A matrix found not nilpotent gets a ``NotNilpotent`` in
+    place of its type, and the other matrices of the batch keep theirs."""
     S, n, _ = As.shape
     outside = np.ones((S, n), dtype=bool)  # the rows of each A outside J
     for s, rows in enumerate(_pivots(As.transpose(0, 2, 1).copy(), p)):
@@ -637,30 +637,28 @@ def order_criterion_check(P: Partition, field: PrimeField, samples: int, seed: i
     """Check that strict poset order matches reachability under the action.
 
     Restricted to ordered pairs v != w; the reflexive case is excluded.
-    Desk-scale only (n <= 8).
+    Desk-scale only (n <= 8).  The samples are one ``_sample_stack``, read
+    through the layout: entry e moves basis vector sources[e] onto
+    targets[e], and the layout's basis order is the only one used.
     """
     seeds = _seeds(seed, samples)
     if P.n > 8:
         raise PosetTooLarge(f"order check is exhaustive over pairs; n={P.n} > 8")
     D = build_poset(P)
-    structural = structural_action_pairs(P)
-    mats = [sample_nilpotent_commutant(P, field, s).matrix for s in seeds]
-
+    layout = _sample_layout(P)
+    A = _sample_stack(P, field, seeds)
+    # (source, target) -> whether some sample moves source onto target
+    moved = dict(zip(zip(layout.sources.tolist(), layout.targets.tolist()),
+                     A[:, layout.targets, layout.sources].any(axis=0).tolist()))
     hard: list[tuple[Vertex, Vertex, str]] = []
     soft: list[tuple[Vertex, Vertex]] = []
-    checked = 0
-    for v in D.vertices:
-        for w in D.vertices:
-            if v == w:
-                continue
-            checked += 1
+    # A pair v == w needs no skip: neither the order nor the layout holds it.
+    for i, v in enumerate(layout.vertices):
+        for j, w in enumerate(layout.vertices):
             ordered = D.less(v, w)
-            has_coeff = (v, w) in structural
-            if ordered != has_coeff:
-                kind = "order-without-coefficient" if ordered else "coefficient-without-order"
-                hard.append((v, w, kind))
-                continue
-            if ordered and not any(m[D.index[w], D.index[v]] for m in mats):
+            if ordered != ((i, j) in moved):
+                hard.append((v, w, "order-without-coefficient" if ordered else "coefficient-without-order"))
+            elif ordered and not moved[i, j]:
                 soft.append((v, w))
-    return OrderCheckReport(P, field.p, seeds, checked, tuple(hard), tuple(soft))
+    return OrderCheckReport(P, field.p, seeds, P.n * (P.n - 1), tuple(hard), tuple(soft))
 

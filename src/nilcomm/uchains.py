@@ -36,7 +36,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import (EmptyPartition, InvalidParameter, NonMonotoneProfile, NotMaximumSimpleChain,
-                     StrandsOverlap)
+                     StrandsOverlap, is_integer)
 from .partitions import Partition, checked_partition
 from .poset import Vertex
 
@@ -83,9 +83,10 @@ def strand(P: Partition, a: int, i: int) -> frozenset[Vertex]:
 
     The middle band i <= u <= p-i+1 of the levels p in {a, a+1} and the
     rail positions u in {i, p-i+1} of every higher level.  Empty when a
-    lies above the largest part.  Anchors and slots are integers >= 1.
+    lies above the largest part.  Anchors and slots are ints >= 1, as
+    ``UChainSpec`` anchors are: a bool or a numpy integer is refused.
     """
-    if not (isinstance(a, int) and isinstance(i, int) and a >= 1 and i >= 1):
+    if not (type(a) is int and type(i) is int and a >= 1 and i >= 1):
         raise InvalidParameter(f"anchors and slots must be positive integers, not anchor {a!r}, slot {i!r}")
     out: set[Vertex] = set()
     for p in P.distinct_parts():
@@ -156,6 +157,8 @@ def _weights_in_slot(simple: list[int], mass: list[int], i: int) -> list[int]:
 
 def simple_cardinality(P: Partition, a: int) -> int:
     """Size of the one-anchor family at a; 0 off the anchors 1..M."""
+    if not is_integer(a):
+        raise InvalidParameter(f"an anchor must be an integer, not {a!r}")
     simple, _ = _anchor_sizes(P)
     return simple[a] if 1 <= a < len(simple) else 0
 
@@ -233,6 +236,8 @@ def max_u_chain_cardinality(P: Partition, k: int) -> int:
     Solved by dynamic programming over (slot, last anchor) with the
     additive slot weights.
     """
+    if not is_integer(k):
+        raise InvalidParameter(f"a chain count must be an integer, not {k!r}")
     if k <= 0 or P.n == 0:
         return 0
     table = u_table(P)
@@ -272,6 +277,9 @@ def lambda_u(P: Partition) -> Partition:
 
 def iter_specs(max_anchor: int) -> Iterator[UChainSpec]:
     """All specifications with anchors in 1..max_anchor, depth-first by prefix."""
+    if not is_integer(max_anchor):
+        raise InvalidParameter(f"the largest anchor must be an integer, not {max_anchor!r}")
+
     def rec(start: int, chosen: list[int]) -> Iterator[UChainSpec]:
         for a in range(start, max_anchor + 1):
             chosen.append(a)
@@ -303,11 +311,12 @@ def check_replacement(P: Partition, spec: UChainSpec, a: int) -> ReplacementResu
     the pair {a, a+1} already lies inside the expanded anchor set the
     family needs no change and the identity substitution is reported.  A
     failed search returns ok=False; it would falsify the replacement
-    property.
+    property.  A numpy integer anchor is taken as the int it equals.
     """
     best, _ = max_simple_u_chains(P)
     if simple_cardinality(P, a) != best:
         raise NotMaximumSimpleChain(f"anchor {a} has size {simple_cardinality(P, a)} < {best}")
+    a = int(a)  # a candidate's anchors are ints
 
     b = spec.anchors
     r = len(b)

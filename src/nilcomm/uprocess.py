@@ -60,6 +60,7 @@ from .errors import (
     NotFullProcess,
     RelabelCollision,
     RemovalSizeMismatch,
+    is_integer,
 )
 from .partitions import Partition, checked_partition
 from .poset import Vertex, sort_key, vertex_list
@@ -303,8 +304,8 @@ def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
     partition, is compared with the actual union; a mismatch raises
     NoMatchingSpec.
     """
-    if not 1 <= r <= t.steps:
-        raise InvalidParameter(f"prefix length {r} out of range 1..{t.steps}")
+    if not is_integer(r) or not 1 <= r <= t.steps:
+        raise InvalidParameter(f"prefix length {r!r} is not an integer in 1..{t.steps}")
     values = []
     for i, a in enumerate(t.anchors[:r]):
         history = t.anchors[:i]

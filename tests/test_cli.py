@@ -114,6 +114,14 @@ def test_verify_rejects_bad_matrix_parameters(capsys):
     assert "error: 4 is not prime" in capsys.readouterr().err
 
 
+def test_verify_takes_a_modulus_up_to_the_int64_bound(capsys):
+    # 2 (p-1)^2 < 2^63 <= 3 (p-1)^2 for p = 2^31 - 1
+    assert main(["verify", "1", "2", "--with-matrix", "--prime", "2147483647"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "1", "3", "--with-matrix", "--prime", "2147483647"]) == 2
+    assert "inner dimension 3 exceeds" in capsys.readouterr().err
+
+
 def test_run_sweep_records():
     report = run_sweep(1, 5, with_matrix=True, samples=3, seed=42)
     assert report.ok

@@ -1,5 +1,6 @@
-"""Source hygiene of the package, read with ``ast`` alone: no unused import
-and no private module-level function or class that nothing refers to."""
+"""Source hygiene of the package, read with ``ast`` alone: no unused import,
+no private module-level function or class that nothing refers to, and one
+home for the modulus rule."""
 import ast
 from pathlib import Path
 
@@ -39,3 +40,15 @@ def test_every_private_definition_is_referenced():
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and node.name not in used]
     assert not unreferenced
+
+
+def test_only_prime_field_states_the_modulus_rule():
+    # Every matrix entry point validates its modulus by building a PrimeField.
+    [field] = [node for node in MODULES["matrixlab.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "PrimeField"]
+    assert "_is_prime" in used_names(field)
+    inside = set(map(id, ast.walk(field)))
+    elsewhere = [f"{name}:{node.lineno}" for name, tree in MODULES.items() for node in ast.walk(tree)
+                 if "_is_prime" in (getattr(node, "id", None), getattr(node, "attr", None))
+                 and id(node) not in inside]
+    assert not elsewhere

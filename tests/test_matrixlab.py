@@ -37,6 +37,7 @@ from strategies import partitions
 
 FIELD = PrimeField()
 BIG_PRIME = 268_435_399  # the largest prime below 2^28
+LARGEST_PRIME = 3_037_000_493  # the largest prime with (p-1)^2 < 2^63
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -150,8 +151,8 @@ def test_prime_field_validation():
         PrimeField(1_000_000)  # even
     with pytest.raises(ValueError):
         PrimeField(91)  # 7 * 13
-    with pytest.raises(ValueError):
-        PrimeField((1 << 31) - 1)  # prime but too large for int64 accumulation
+    with pytest.raises(Int64BoundExceeded):
+        PrimeField(3_037_000_507)  # prime, but a product of two residues leaves int64
 
 
 def test_jordan_matrix_shapes():
@@ -377,7 +378,7 @@ def test_layout_entries_match_pair_predicate():
             entries = list(zip(layout.sources.tolist(), layout.targets.tolist()))
             assert len(set(entries)) == len(entries), P  # one coefficient per entry
             assert structural_action_pairs(P) == predicate_pairs(P), P
-            # order_criterion_check reads sample entries through the poset's index
+            # the sampler's basis order is the poset's vertex order
             assert build_poset(P).vertices == tuple(vertex_list(P)), P
             checked += 1
     assert checked == 138
@@ -590,10 +591,19 @@ def test_modulus_that_is_not_prime_is_refused(p):
     lambda: rank_mod(np.array([1, 2]), 7),
     lambda: rank_mod(np.zeros((2, 2, 2), dtype=np.int64), 7),
     lambda: rank_mod(5, 7),
+    lambda: PrimeField(True),
+    lambda: rank_mod(np.eye(2, dtype=np.int64), True),
+    lambda: generic_jordan_type(from_parts([2, 1]), PrimeField(), True, 0),
+    lambda: generic_jordan_type(from_parts([2, 1]), PrimeField(), 1, True),
+    lambda: sample_nilpotent_commutant(from_parts([2, 1]), PrimeField(), True),
+    lambda: order_criterion_check(from_parts([2, 1]), PrimeField(), True, 0),
 ], ids=["rank_mod float", "jordan_type_from_ranks float", "rank_mod complex",
         "jordan_type_from_ranks object float", "PrimeField float", "rank_mod float modulus",
         "jordan_type_from_ranks float modulus", "run_sweep float samples", "run_sweep float seed",
-        "order_criterion_check float samples", "rank_mod 1-D", "rank_mod 3-D", "rank_mod scalar"])
+        "order_criterion_check float samples", "rank_mod 1-D", "rank_mod 3-D", "rank_mod scalar",
+        "PrimeField bool", "rank_mod bool modulus", "generic_jordan_type bool samples",
+        "generic_jordan_type bool seed", "sample_nilpotent_commutant bool seed",
+        "order_criterion_check bool samples"])
 def test_refused_matrix_input_raises_invalid_parameter(call):
     with pytest.raises(InvalidParameter):
         call()
@@ -615,6 +625,39 @@ def test_integer_input_of_any_type_gives_the_int64_results():
     assert jordan_type_from_ranks(np.array([[0, 2**70], [0, 0]], dtype=object), 7) == from_parts([2])
     assert generic_jordan_type(from_parts([3, 2, 1]), PrimeField(np.int64(7)), np.int64(2),
                                np.int64(0)).q == generic_jordan_type(from_parts([3, 2, 1]), PrimeField(7), 2, 0).q
+
+
+@pytest.mark.parametrize("p, refused", [
+    (2, None), (7, None), (1_000_003, None), (BIG_PRIME, None), (2_147_483_647, None),
+    (np.int64(7), None), (LARGEST_PRIME, None),
+    (3_037_000_507, Int64BoundExceeded), (4_294_967_311, Int64BoundExceeded),
+    (0, InvalidParameter), (1, InvalidParameter), (4, InvalidParameter), (91, InvalidParameter),
+    (7.0, InvalidParameter), (True, InvalidParameter),
+])
+def test_every_matrix_entry_point_takes_the_same_moduli(p, refused):
+    # Order 1 keeps the rank profile's products exact at every accepted modulus.
+    calls = [(lambda: PrimeField(p).p, p),
+             (lambda: rank_mod(np.eye(2, dtype=np.int64), p), 2),
+             (lambda: jordan_type_from_ranks(np.zeros((1, 1), dtype=np.int64), p), from_parts([1]))]
+    for call, expected in calls:
+        if refused is None:
+            assert call() == expected
+        else:
+            with pytest.raises(refused):
+                call()
+
+
+def test_the_largest_modulus_is_exact_at_order_1_only():
+    field = PrimeField(LARGEST_PRIME)
+    one = from_parts([1])
+    sample = sample_nilpotent_commutant(one, field, 0)
+    assert jordan_type_from_ranks(sample.matrix, field.p) == one
+    assert generic_jordan_type(one, field, 2, 0).q == one
+    for P in (from_parts([2]), from_parts([1, 1])):
+        with pytest.raises(Int64BoundExceeded, match="inner dimension 2"):
+            sample_nilpotent_commutant(P, field, 0)
+    with pytest.raises(Int64BoundExceeded, match="inner dimension 2"):
+        jordan_type_from_ranks(np.array([[0, 1], [0, 0]], dtype=np.int64), field.p)
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3,)])

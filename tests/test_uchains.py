@@ -1,6 +1,7 @@
 import tracemalloc
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -375,6 +376,14 @@ def test_replacement_identity_cases():
     P2 = from_parts([2, 2])
     res2 = check_replacement(P2, UChainSpec((1, 3)), 2)
     assert res2.ok and res2.identity
+
+
+def test_numpy_integer_counts_give_the_int_answers():
+    P = from_parts([6, 6, 5, 4, 3, 2, 2, 1, 1])
+    assert check_replacement(P, UChainSpec((1, 3)), np.int64(5)) == check_replacement(P, UChainSpec((1, 3)), 5)
+    assert simple_cardinality(P, np.int64(5)) == simple_cardinality(P, 5)
+    assert max_u_chain_cardinality(P, np.int64(2)) == max_u_chain_cardinality(P, 2)
+    assert list(iter_specs(np.int64(5))) == list(iter_specs(5))
 
 
 def test_replacement_requires_maximum_anchor():

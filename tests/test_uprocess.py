@@ -15,14 +15,18 @@ from nilcomm.errors import (
     NotFullProcess,
     RelabelCollision,
 )
+from nilcomm.greene import oracle_max_k_chain_union
 from nilcomm.partitions import Partition, all_partitions, from_parts, is_almost_rectangular
 from nilcomm.poset import build_poset, sort_key, vertex_list
 from nilcomm.uchains import (
     UChainSpec,
+    check_replacement,
+    iter_specs,
     lambda_u,
     materialize,
     max_simple_u_chains,
     max_u_chain_cardinality,
+    simple_cardinality,
     strand,
     strand_table,
 )
@@ -431,10 +435,26 @@ def test_count_full_processes_matches_enumeration():
     lambda: remove_simple_chain(from_parts([3, 2]), 1.5),  # would act as anchor 2
     lambda: strand(from_parts([3, 1]), 1, 0),
     lambda: strand(from_parts([3, 1]), 0, 1),
+    lambda: union_as_uchain(canonical_process(from_parts([3, 1])), 1.5),
+    lambda: union_as_uchain(canonical_process(from_parts([3, 1])), True),
+    lambda: max_u_chain_cardinality(from_parts([3, 1]), 1.5),
+    lambda: max_u_chain_cardinality(from_parts([3, 1]), True),
+    lambda: simple_cardinality(from_parts([3, 1]), 1.5),
+    lambda: simple_cardinality(from_parts([3, 1]), True),
+    lambda: check_replacement(from_parts([3, 1]), UChainSpec((1,)), 2.0),
+    lambda: list(iter_specs(2.5)),
+    lambda: oracle_max_k_chain_union(build_poset(from_parts([3, 1])), 1.5),  # would return 3
+    lambda: oracle_max_k_chain_union(build_poset(from_parts([3, 1])), True),
+    lambda: strand(from_parts([3, 1]), True, True),
+    lambda: remove_simple_chain(from_parts([3, 1]), True),
 ], ids=["lambda_u", "max_simple_u_chains", "count_full_processes", "enumerate_full_processes",
         "canonical_process", "union_as_uchain", "UChainSpec", "remove_simple_chain anchor 0",
         "remove_simple_chain anchor -1", "remove_simple_chain anchor 1.5", "strand slot 0",
-        "strand anchor 0"])
+        "strand anchor 0", "union_as_uchain float", "union_as_uchain bool",
+        "max_u_chain_cardinality float", "max_u_chain_cardinality bool", "simple_cardinality float",
+        "simple_cardinality bool", "check_replacement float", "iter_specs float",
+        "oracle_max_k_chain_union float", "oracle_max_k_chain_union bool", "strand bool",
+        "remove_simple_chain bool"])
 def test_refused_input_raises_a_nilcomm_error(call):
     with pytest.raises(NilcommError):
         call()
