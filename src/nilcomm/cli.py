@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from . import greene, matrixlab, uchains, uprocess
-from .errors import CheckFailed, EnumerationCapExceeded, NilcommError
+from .errors import CheckFailed, EnumerationCapExceeded, InvalidParameter, NilcommError, is_integer
 from .partitions import (
     Partition,
     all_partitions,
@@ -159,6 +159,9 @@ def run_sweep(n_min: int, n_max: int, *, with_matrix: bool = False,
     that span partitions (``matrixlab.generic_jordan_types``), and each
     partition's checks then read its estimate.
     """
+    for bound in (n_min, n_max):
+        if not is_integer(bound):
+            raise InvalidParameter(f"sweep bounds must be integers, not {bound!r}")
     report = SweepReport(n_min, n_max)
     for n in range(n_min, n_max + 1):
         level = zip(all_partitions(n), repeat(None))

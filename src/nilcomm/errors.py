@@ -64,7 +64,7 @@ class EnumerationCapExceeded(NilcommError):
 
 
 class Int64BoundExceeded(NilcommError):
-    """A product mod p would leave int64: it is exact only while inner_dim*(p-1)^2 < 2^63."""
+    """A product mod p is refused past inner_dim*(p-1)^2 < 2^63, the bound of int64 products."""
 
 
 # -- failed checks (internal consistency) -------------------------------------

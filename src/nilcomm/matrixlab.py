@@ -30,24 +30,30 @@ batch holds the samples of consecutive partitions of one order
 (``generic_jordan_types``: one sweep level, or one partition for
 ``generic_jordan_type``), up to a fixed count of matrices and of
 entries, so that the per-column loop runs once for many small matrices
-and the memory held stays bounded for large ones.  One exact
-elimination kernel, ``_pivots``, serves this and ``rank_mod``: it
-eliminates a batch of matrices forward, one pivot search per column for
-the whole batch, and returns each matrix's pivot columns, which are all
-that either reads.
-It works on word-size residues, as the FFLAS/FFPACK packages do (Dumas,
-Giorgi and Pernet, ACM TOMS 35, 2008), but reduces after every update
-and calls no BLAS.
+and the memory held stays bounded for large ones.  Every partition of a
+call is sampled from the same seeds, and each seed's stream is drawn once
+and read by prefix.  One exact elimination kernel, ``_pivots``, serves
+this and ``rank_mod``: it eliminates a batch of matrices forward, one
+pivot search per column for the whole batch, and returns each matrix's
+pivot columns, which are all that either reads.  A matrix wider than a
+panel is eliminated a panel of columns at a time, and each panel's
+transformation reaches the columns right of it as one product.  This is
+the FFLAS/FFPACK approach (Dumas, Giorgi and Pernet, ACM TOMS 35, 2008):
+word-size residues, products in float64 through BLAS, and an exact
+reduction mod p after each product.
 
-All arithmetic is in int64 on entries reduced to [0, p).  A product of
-inner dimension n is exact only while n*(p-1)^2 < 2^63.  ``PrimeField``
-is the one statement of which moduli are accepted, for sampling and for
+Entries are int64 residues in [0, p), and every elimination update, a
+product of two residues, is exact in int64.  Every longer product is
+formed by ``_matmul``, in float64, which is exact while no sum passes
+2^53: a factor is split into as many limbs as that bound asks for, so
+every accepted modulus stays exact at every order.  ``PrimeField`` is
+the one statement of which moduli are accepted, for sampling and for
 ``rank_mod`` and ``jordan_type_from_ranks`` alike: a prime p whose
-elimination update, a product of two residues, is exact.  Every longer
-product checks the bound where it is formed and raises
-``Int64BoundExceeded`` past it, so no result is ever computed from a
-wrapped sum.  The Krylov blocks A^i V are such products, of inner
-dimension n, formed by ``_matmul``.
+elimination update is exact, (p-1)^2 < 2^63.  A product of inner
+dimension n is refused past n*(p-1)^2 < 2^63, where it is formed, with
+``Int64BoundExceeded``, the bound of the former int64 products, so the
+orders and moduli accepted do not change.  The Krylov blocks A^i V are
+such products, of inner dimension n.
 """
 from __future__ import annotations
 
@@ -61,6 +67,7 @@ import numpy as np
 from .errors import (
     CheckFailed,
     CommutationCheckFailed,
+    EmptyPartition,
     IncomparableSamples,
     Int64BoundExceeded,
     InvalidParameter,
@@ -73,6 +80,7 @@ from .poset import Vertex, build_poset, vertex_list
 
 DEFAULT_PRIME = 1_000_003
 INT64_LIMIT = 1 << 63
+FLOAT64_EXACT = 1 << 53  # every integer up to it is a float64
 
 
 @lru_cache
@@ -112,10 +120,11 @@ class PrimeField:
 
 
 def _check_int64(inner: int, p: int) -> None:
-    """Refuse a product mod p whose int64 accumulation could overflow.
-
-    With factors reduced to [0, p), a dot product of length ``inner`` is at
-    most inner*(p-1)^2 in absolute value.
+    """Refuse a product mod p of inner dimension ``inner`` past
+    inner*(p-1)^2 < 2^63, the largest a dot product of residues in [0, p)
+    can reach, where an int64 product is exact.  The float64 products of
+    ``_matmul`` are exact past it too, but it stays the range of orders
+    and moduli that every matrix entry point accepts.
     """
     if inner * (int(p) - 1) ** 2 >= INT64_LIMIT:
         raise Int64BoundExceeded(
@@ -125,8 +134,33 @@ def _check_int64(inner: int, p: int) -> None:
 
 
 def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    _check_int64(A.shape[-1], p)
-    return (A @ B) % p
+    """A @ B mod p as int64 residues, for factors (or stacks of factors)
+    of residues in [0, p); A may be int64 or float64, B is int64.
+
+    The product runs in float64, through BLAS.  A dot product of length
+    ``inner`` whose right factor is at most b has only nonnegative integer
+    partial sums, of at most inner*(p-1)*b, so it is exact while that is
+    at most 2^53.  Past inner*(p-1)^2 <= 2^53, B is split into the limbs
+    of its entries in base 2^bits, with bits the largest for which
+    b = 2^bits - 1 keeps the bound; the limbs are multiplied side by side
+    in one product, and the exact sums are reduced mod p in int64 and
+    recombined.  The default prime takes one limb up to inner dimension
+    9,007.
+    """
+    inner = A.shape[-1]
+    _check_int64(inner, p)
+    p = int(p)
+    limbs, width = 1, B.shape[-1]
+    if inner * (p - 1) ** 2 > FLOAT64_EXACT:
+        bits = (FLOAT64_EXACT // (inner * (p - 1)) + 1).bit_length() - 1
+        limbs = -(-(p - 1).bit_length() // bits)
+        B = np.concatenate([B >> (bits * i) & (1 << bits) - 1 for i in range(limbs)], axis=-1)
+    C = (A.astype(np.float64, copy=False) @ B.astype(np.float64)).astype(np.int64)
+    C %= p
+    product = C[..., :width]
+    for i in range(1, limbs):
+        product = (product + C[..., i * width:(i + 1) * width] * pow(2, bits * i, p) % p) % p
+    return product
 
 
 def jordan_matrix(P: Partition) -> np.ndarray:
@@ -162,11 +196,13 @@ def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> Co
     return CommutantSample(P, field, seed, A)
 
 
-def _sample_stack(P: Partition, field: PrimeField, seeds: tuple[int, ...]) -> np.ndarray:
+def _sample_stack(P: Partition, field: PrimeField, seeds: tuple[int, ...],
+                  streams: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """P's samples for ``seeds``, as one (len(seeds), n, n) stack.
 
-    Sample s takes its coefficients from ``default_rng(seeds[s])``; one
-    array draw yields the same stream as one scalar draw per coefficient.
+    Sample s takes its coefficients from ``default_rng(seeds[s])``, read
+    from ``streams`` when the caller shares its table of streams (see
+    ``_draws``) and drawn afresh otherwise.
     Commutation with the Jordan matrix (``_commutes_with_jordan``) and
     nilpotency (``_check_key_triangular``) are checked once on the stack,
     in O(n^2) per sample, and a failure names the seed of the sample that
@@ -177,8 +213,7 @@ def _sample_stack(P: Partition, field: PrimeField, seeds: tuple[int, ...]) -> np
     # products of inner dimension up to n: refuse what it could not use.
     _check_int64(n, field.p)
     layout = _sample_layout(P)
-    draws = np.array([np.random.default_rng(s).integers(0, field.p, size=layout.count)
-                      for s in seeds]).reshape(len(seeds), layout.count)
+    draws = _draws({} if streams is None else streams, seeds, layout.count, field.p)
     A = np.zeros((len(seeds), n, n), dtype=np.int64)
     A[:, layout.targets, layout.sources] = draws[:, layout.entry_coefficient]
     commutes = _commutes_with_jordan(layout, A)
@@ -187,6 +222,25 @@ def _sample_stack(P: Partition, field: PrimeField, seeds: tuple[int, ...]) -> np
                                      f"(seed {seeds[commutes.argmin()]})")
     _check_key_triangular(layout, A, seeds)
     return A
+
+
+def _draws(streams: dict[int, np.ndarray], seeds: tuple[int, ...], count: int, p: int) -> np.ndarray:
+    """The first ``count`` draws of each seed's stream, as a (len(seeds),
+    count) array.
+
+    ``streams`` is a table local to one call that keeps, for each seed, the
+    longest stream drawn so far; a seed is drawn again only when a longer
+    stream is asked for, and then at least twice as long, so that a level
+    draws each seed a few times.  ``default_rng(s).integers(0, p, size=N)``
+    is a prefix of the same draw with a larger size, and one array draw
+    yields the same stream as one scalar draw per coefficient, so every
+    prefix is the stream a sample of ``count`` coefficients draws alone.
+    """
+    for s in seeds:
+        if s not in streams or len(streams[s]) < count:
+            size = max(count, 2 * len(streams.get(s, ())))
+            streams[s] = np.random.default_rng(s).integers(0, p, size=size)
+    return np.array([streams[s][:count] for s in seeds])
 
 
 def _seeds(seed: int, samples: int) -> tuple[int, ...]:
@@ -338,6 +392,21 @@ def _pivots(R: np.ndarray, p: int) -> list[list[int]]:
     and those right of it.  The pivots are those of each matrix's reduced
     row echelon form, the columns independent of the columns left of
     them, which no choice of pivot row changes.
+
+    The columns are taken a panel of ``_panel_width(p)`` at a time, and a
+    panel that is not the last one updates only its own columns.  Its
+    pivot rows are normalised, q[c] = 1 by the inverse pow(q[c], p-2, p),
+    so that each row ends as r + sum_k g[r, k] Q_k, where Q_k is the panel's
+    k-th pivot row of the matrix as it entered the panel.  The coefficients
+    g ride along as tag columns, which the same update keeps: the pivot
+    row's copy carries a 1 in its own tag column, and the pivot row itself
+    ends with tag -1 there, which zeroes it right of the panel too.  The
+    update r - r[c]*q reads r[c] and q reduced and leaves r unreduced: an
+    entry falls by at most (p-1)^2 per column, which the panel's width
+    keeps above -2^63, and the tags are reduced once, after the panel.  The
+    columns right of the panel then take the whole transformation as one
+    product.  A matrix no wider than a panel is eliminated by the loop
+    alone.
     """
     p = int(p)
     S, rows, cols = R.shape
@@ -345,23 +414,72 @@ def _pivots(R: np.ndarray, p: int) -> list[list[int]]:
     offsets = np.arange(S) * rows
     pivots: list[list[int]] = [[] for _ in range(S)]
     left = S * rows  # rows not yet used as pivots
-    for c in range(cols):
-        if not left:
-            break
-        grid = (R[:, c] != 0).reshape(S, rows)
-        hits = grid.ravel().nonzero()[0]
-        if not hits.size:
-            continue
-        # A matrix with no row nonzero here gets a zero row, which no hit reads.
-        prow = R[grid.argmax(1) + offsets, c:]
-        q = prow[hits // rows]
-        block = R[hits, c:]
-        R[hits, c:] = (block * q[:, :1] - block[:, :1] * q) % p
-        for s, lead in enumerate(prow[:, 0].tolist()):
-            if lead:
-                pivots[s].append(c)
-                left -= 1
+    width = _panel_width(p)
+    for start in range(0, cols, width):
+        stop = min(start + width, cols)
+        panel, tagging = stop - start, stop < cols
+        W, end = R[:, start:], cols - start
+        if tagging:  # tag columns follow the panel's own
+            W, end = np.concatenate([R[:, start:stop], np.zeros((S * rows, min(panel, rows)), np.int64)],
+                                    axis=1), panel
+            before = [len(piv) for piv in pivots]
+            tagged: list[tuple[int, int, int]] = []  # (matrix, tag, row) of each pivot row
+        for c in range(panel):
+            if not left:
+                break
+            column = W[:, c] % p if tagging else W[:, c]
+            grid = (column != 0).reshape(S, rows)
+            hits = grid.ravel().nonzero()[0]
+            if not hits.size:
+                continue
+            # A matrix with no row nonzero here gets a zero row, which no hit reads.
+            first = grid.argmax(1) + offsets
+            leads = column[first].tolist()
+            live = [s for s, lead in enumerate(leads) if lead]
+            if tagging:
+                tags = [len(pivots[s]) - before[s] for s in live]
+                end = max(end, panel + max(tags) + 1)
+                tagged += zip(live, tags, first[live].tolist())
+            prow = W[first, c:end]
+            block = W[hits, c:end]
+            if tagging:
+                prow[live, [panel - c + k for k in tags]] = 1
+                prow = prow % p * np.array([[pow(lead, p - 2, p)] for lead in leads]) % p
+                W[hits, c:end] = block - column[hits, None] * prow[hits // rows]
+            else:
+                q = prow[hits // rows]
+                W[hits, c:end] = (block * q[:, :1] - block[:, :1] * q) % p
+            for s in live:
+                pivots[s].append(start + c)
+            left -= len(live)
+        if tagging and tagged:
+            matrix, tag, row = map(list, zip(*tagged))
+            top = np.zeros((S, end - panel, cols - stop), np.int64)  # the pivot rows Q_k
+            top[matrix, tag] = R[row, stop:]
+            g = W[:, panel:end].reshape(S, rows, end - panel) % p
+            R[:, stop:] += _matmul(g, top, p).reshape(S * rows, cols - stop)
+            R[:, stop:] %= p
     return pivots
+
+
+# Columns per panel of ``_pivots``.  A matrix no wider than a panel is
+# eliminated by the per-column loop alone, as every batch of the sweeps to
+# n = 28 is (at most 112 columns), and so are the order-136 samples of
+# staircase 16, whose Krylov stack is 136 x 248.  The two eliminations of one
+# staircase sample took, at n = 496, 0.12, 0.12, 0.14, 0.15 and 0.24 s in
+# panels of 128, 192, 256 and 384 columns and in one panel; at n = 990,
+# 0.64, 0.62, 0.64, 0.77 and 2.07 s; two samples of staircase 16 took
+# 0.015 s in panels of 64, 128 or 256.  (Medians of interleaved runs in one
+# process, one BLAS thread, on a 2-vCPU x86-64 host.)
+PANEL_COLUMNS = 256
+
+
+def _panel_width(p: int) -> int:
+    """The columns of one panel of ``_pivots`` mod p: ``PANEL_COLUMNS``, or
+    fewer where width*(p-1)^2 would reach 2^63.  A panel's product, whose
+    inner dimension is its count of pivot rows, then passes the bound of
+    ``_matmul``, and its unreduced entries stay in int64."""
+    return min(PANEL_COLUMNS, (INT64_LIMIT - 1) // (p - 1) ** 2)
 
 
 def _residues(M: np.ndarray, p: int) -> np.ndarray:
@@ -433,15 +551,21 @@ def _jordan_types(As: np.ndarray, p: int) -> list[Partition | NotNilpotent]:
     place of its type, and the other matrices of the batch keep theirs."""
     S, n, _ = As.shape
     outside = np.ones((S, n), dtype=bool)  # the rows of each A outside J
-    for s, rows in enumerate(_pivots(As.transpose(0, 2, 1).copy(), p)):
+    transposes = As.transpose(0, 2, 1).copy()
+    for s, rows in enumerate(_pivots(transposes, p)):
         outside[s, rows] = False
+    # The eliminated transposes are spent: their buffer takes the float64
+    # batch that every Krylov product reads, so no second copy is held.
+    floats = transposes.view(np.float64)
+    floats[...] = As
     width = int(outside.sum(axis=1).max(initial=0))
     V = np.zeros((S, n, width), dtype=np.int64)
     s, j = outside.nonzero()
     V[s, j, outside.cumsum(axis=1)[s, j] - 1] = 1
     powers = [V]
     while len(powers) <= n and powers[-1].any():
-        powers.append(_matmul(As, powers[-1], p))
+        powers.append(_matmul(floats, powers[-1], p))
+    del transposes, floats  # not held through the stack's elimination
     m = len(powers) - 1
     vanished = ~powers.pop().any(axis=(1, 2))  # A^m V = 0 for each nilpotent A
     # Fill the stack block by block and drop each power once it is copied,
@@ -475,17 +599,18 @@ def _jordan_types(As: np.ndarray, p: int) -> list[Partition | NotNilpotent]:
 # runs one Python loop step per column for the whole batch, so small
 # orders gain from many matrices per batch, until the padding of the
 # widest V and the largest index costs more than the loop steps saved.
-# The n=14 sweep with the matrix (675 samples, 5 per partition) took
-# 0.29 s in batches of 5 matrices, 0.15 s of 30, 0.13 s of 60, 0.17 s of
-# 125 and 0.20 s in one batch, with 36.9, 37.2, 37.5, 38.3 and 45.4 MB
-# peak RSS; at n = 20, 2.0, 1.4, 1.0, 0.93 and 1.04 s for 5, 30, 60, 125
-# and 1,000, with 39.4 to 50.0 MB.  (Median times of one process on a
-# 2-vCPU x86-64 host.)  64 matrices pass 2^17 entries from n = 46 on,
-# where the entry bound takes over: it keeps up to 7 samples of order 136
-# in one batch (two samples at n = 96 and 136 ran about a third slower
-# split in two) and gives each sample of order 496 a batch of its own
-# (5 samples of staircase 31 peaked at 46 MiB under tracemalloc in one
-# batch, at 9.3 MiB one at a time).
+# The samples of the n=14 level (675 samples, 5 per partition) took
+# 0.19 s in batches of 5 matrices, 0.081 s of 30, 0.069 s of 60, 0.063 s
+# of 125 and 0.076 s in one batch, with 0.13, 0.43, 0.84, 1.7 and 9.0 MiB
+# peak under tracemalloc; at n = 20, 0.90, 0.42, 0.35, 0.33 and 0.35 s for
+# 5, 30, 60, 125 and 1,000, with 0.4 to 11 MiB.  (Medians of interleaved
+# runs in one process, one BLAS thread, on a 2-vCPU x86-64 host.)  64
+# matrices pass 2^17 entries from n = 46 on, where the entry bound takes
+# over: it keeps up to 7 samples of order 136 in one batch (two samples at
+# n = 96 and 136 ran about a third slower split in two, with the former
+# int64 products) and gives each sample of order 496 a batch of its own
+# (5 samples of staircase 31 peak at 16.6 MiB under tracemalloc one at a
+# time, and at 57 MiB four to a batch).
 BATCH_MATRICES = 64
 BATCH_ELEMENTS = 1 << 17
 
@@ -517,11 +642,8 @@ def _estimate(types: list[Partition | NotNilpotent], seeds: tuple[int, ...], p: 
     for t, s in zip(types, seeds):
         if isinstance(t, NotNilpotent):
             raise NotNilpotent(f"{t} (seed {s})")
-    best = None
-    for t in types:
-        if all(dominance_leq(other, t) for other in types):
-            best = t
-            break
+    distinct = list(dict.fromkeys(types))  # samples mostly agree: compare each type once
+    best = next((t for t in distinct if all(dominance_leq(other, t) for other in distinct)), None)
     if best is None:
         raise IncomparableSamples(
             f"no dominance maximum among sampled types {[str(t) for t in types]} (seed {seeds[0]})"
@@ -556,6 +678,8 @@ def _batches(partitions: Iterable[Partition], samples: int) -> Iterator[list[tup
     batch: list[tuple[int, Partition, slice]] = []
     filled = 0
     for i, P in enumerate(partitions):
+        if not P:
+            raise EmptyPartition("a generic type needs a nonempty partition")
         size = _batch_size(P.n)
         for start in range(0, samples, size):
             piece = slice(start, min(start + size, samples))
@@ -576,29 +700,38 @@ def generic_jordan_types(partitions: Iterable[Partition], field: PrimeField, sam
 
     Each partition is yielded with its estimate once the batch that holds
     its last samples is profiled, so no more than one batch of samples is
-    held at a time.  Every partition is sampled from the same seeds, and
-    a Jordan type does not depend on the batch, so the estimate does not
-    depend on the partition's neighbours.  A partition whose check fails
-    is yielded with the ``CheckFailed`` it raised in place of its
-    estimate, and the other partitions of its batch keep theirs.  A refused parameter raises when
-    the first partition is asked for.
+    held at a time.  Every partition is sampled from the same seeds, each
+    seed's stream drawn once and read by prefix (``_draws``), and a Jordan
+    type does not depend on the batch, so the estimate does not depend on
+    the partition's neighbours.  The streams are dropped once they hold
+    more draws than a batch holds entries, so that they stay bounded too.
+    A partition whose check fails is yielded with the ``CheckFailed`` it
+    raised in place of its estimate, and the other partitions of its batch
+    keep theirs.  A refused parameter raises when the first partition is
+    asked for, and an empty partition, ``EmptyPartition``, when it is
+    reached.
     """
     seeds = _seeds(seed, samples)
     found: dict[int, list[Partition | NotNilpotent] | CheckFailed] = {}
+    streams: dict[int, np.ndarray] = {}  # see _draws
     for batch in _batches(partitions, len(seeds)):
         stacks, owners = [], []
         for i, P, piece in batch:
             if isinstance(found.setdefault(i, []), CheckFailed):
                 continue
             try:
-                stacks.append(_sample_stack(P, field, seeds[piece]))
+                stacks.append(_sample_stack(P, field, seeds[piece], streams))
             except CheckFailed as exc:
                 found[i] = exc
                 continue
             owners += [i] * len(stacks[-1])
         if stacks:
-            for i, t in zip(owners, _jordan_types(np.concatenate(stacks), field.p)):
+            As = np.concatenate(stacks)
+            stacks.clear()  # so that the batch is held once while it is profiled
+            for i, t in zip(owners, _jordan_types(As, field.p)):
                 found[i].append(t)
+        if sum(map(len, streams.values())) > BATCH_ELEMENTS:
+            streams.clear()
         for i, P, piece in batch:
             if piece.stop == len(seeds):  # P's last samples
                 result = found.pop(i)

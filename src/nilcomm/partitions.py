@@ -12,7 +12,7 @@ from collections import Counter
 from itertools import pairwise
 from typing import Iterable, Iterator
 
-from .errors import CheckFailed, EmptyPartition, NonPositivePart, UnequalWeight
+from .errors import CheckFailed, EmptyPartition, InvalidParameter, NonPositivePart, UnequalWeight, is_integer
 
 
 class Partition:
@@ -157,8 +157,15 @@ def conjugate(P: Partition) -> Partition:
     return Partition(cols)
 
 
+def _check_order(n: int) -> None:
+    if not is_integer(n):
+        raise InvalidParameter(f"a partition's size must be an integer, not {n!r}")
+
+
 def all_partitions(n: int) -> Iterator[Partition]:
-    """Generate every partition of n, parts weakly decreasing."""
+    """Generate every partition of n, parts weakly decreasing; a float or
+    a bool n raises ``InvalidParameter`` when the first is asked for."""
+    _check_order(n)
     if n < 0:
         return
     if n == 0:
@@ -182,6 +189,7 @@ def partition_count(n: int) -> int:
 
     Independent of all_partitions; used to cross-check sweep coverage.
     """
+    _check_order(n)
     if n < 0:
         return 0
     # table[m][k] = number of partitions of m with parts <= k

@@ -10,7 +10,7 @@ import pytest
 
 from nilcomm import cli, matrixlab, uprocess
 from nilcomm.cli import main, run_sweep
-from nilcomm.errors import CheckFailed, RelabelCollision, StrandsOverlap
+from nilcomm.errors import CheckFailed, EmptyPartition, InvalidParameter, RelabelCollision, StrandsOverlap
 from nilcomm.partitions import Partition, all_partitions, partition_count
 
 
@@ -90,6 +90,18 @@ def test_verify_rejects_bad_range(capsys):
     assert main(["verify", "3", "2"]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["verify", "0", "2"]) == 2
+
+
+@pytest.mark.parametrize("bounds", [(1, 2.5), (1.0, 3), (True, 2), (1, True)])
+def test_run_sweep_refuses_bounds_that_are_not_integers(bounds):
+    with pytest.raises(InvalidParameter, match="sweep bounds must be integers"):
+        run_sweep(*bounds)
+
+
+@pytest.mark.parametrize("with_matrix", [False, True])
+def test_a_sweep_of_the_empty_partition_is_refused(with_matrix):
+    with pytest.raises(EmptyPartition):
+        run_sweep(0, 0, with_matrix=with_matrix)
 
 
 def test_verify_json_report(capsys):
@@ -315,7 +327,7 @@ def test_a_sample_that_is_not_nilpotent_fails_its_partition_only(monkeypatch):
     planted = Partition([3, 2, 1])
     sample_stack = matrixlab._sample_stack
 
-    def plant(P, field, seeds):
+    def plant(P, field, seeds, streams):
         A = sample_stack(P, field, seeds)
         if P == planted:
             A[seeds.index(1)] += np.eye(P.n, dtype=np.int64)

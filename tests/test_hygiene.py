@@ -1,6 +1,6 @@
 """Source hygiene of the package, read with ``ast`` alone: no unused import,
-no private module-level function or class that nothing refers to, and one
-home for the modulus rule."""
+no private module-level function or class that nothing refers to, one
+home for the modulus rule, and one function that forms matrix products."""
 import ast
 from pathlib import Path
 
@@ -52,3 +52,16 @@ def test_only_prime_field_states_the_modulus_rule():
                  if "_is_prime" in (getattr(node, "id", None), getattr(node, "attr", None))
                  and id(node) not in inside]
     assert not elsewhere
+
+
+def test_only_matmul_forms_a_product():
+    # Every matrix product goes through matrixlab._matmul, which keeps it exact mod p.
+    [matmul] = [node for node in MODULES["matrixlab.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "_matmul"]
+    inside = set(map(id, ast.walk(matmul)))
+    products = [f"{name}:{node.lineno}" for name, tree in MODULES.items() for node in ast.walk(tree)
+                if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot", "einsum"))
+                and id(node) not in inside]
+    assert not products
+    assert any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) for node in ast.walk(matmul))

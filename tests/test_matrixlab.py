@@ -12,6 +12,7 @@ from nilcomm import matrixlab
 from nilcomm.cli import run_sweep
 from nilcomm.errors import (
     CommutationCheckFailed,
+    EmptyPartition,
     IncomparableSamples,
     Int64BoundExceeded,
     InvalidParameter,
@@ -312,7 +313,7 @@ def test_incomparable_samples_are_refused(monkeypatch):
     fake_types = {0: Partition([3, 1, 1, 1]), 1: Partition([2, 2, 2])}
     monkeypatch.setattr(
         matrixlab, "_sample_stack",
-        lambda P, field, seeds: np.array(seeds),
+        lambda P, field, seeds, streams: np.array(seeds),
     )
     monkeypatch.setattr(
         matrixlab, "_jordan_types",
@@ -525,6 +526,47 @@ def test_batched_pivots_equal_each_matrix_alone(ranks, rows, cols, p, seed):
             assert tuple(piv) == M.to_dense().rref()[1]
 
 
+def batch_of_ranks(ranks, rows, cols, p, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([(rng.integers(0, p, (rows, r)).astype(object)
+                      .dot(rng.integers(0, p, (r, cols)).astype(object)) % p)
+                     for r in ranks], dtype=np.int64).reshape(len(ranks), rows, cols)
+
+
+@settings(max_examples=60)
+@given(ranks=st.lists(st.integers(0, 11), min_size=1, max_size=4), rows=st.integers(2, 12),
+       cols=st.integers(9, 30), panel=st.integers(1, 4), p=st.sampled_from([3, 1_000_003, BIG_PRIME]),
+       seed=SEEDS)
+def test_blocked_pivots_equal_the_column_loop_and_sympy(ranks, rows, cols, panel, p, seed):
+    # Panels of at most 4 columns: every batch crosses at least 3 of them.
+    batch = batch_of_ranks([min(r, rows - 1) for r in ranks], rows, cols, p, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrixlab, "PANEL_COLUMNS", cols)
+        loop = matrixlab._pivots(batch.copy(), p)
+        mp.setattr(matrixlab, "PANEL_COLUMNS", panel)
+        assert -(-cols // matrixlab._panel_width(p)) >= 3
+        assert matrixlab._pivots(batch.copy(), p) == loop
+    for A, piv in zip(batch, loop):
+        M = sympy_matrix(A, p)
+        assert len(piv) == M.rank() < rows
+        assert tuple(piv) == M.to_dense().rref()[1]
+
+
+@pytest.mark.parametrize("p", [3, 1_000_003, BIG_PRIME])
+def test_blocked_pivots_at_the_module_panel_width(p):
+    # 600 columns cross 3 panels of 256 at p = 3 and 1,000,003, and 5 of 127
+    # at BIG_PRIME, where a panel's product meets the int64 bound.
+    batch = batch_of_ranks([5, 0, 11, 12], 12, 600, p, 5)
+    assert -(-600 // matrixlab._panel_width(p)) == (5 if p == BIG_PRIME else 3)
+    pivots = matrixlab._pivots(batch.copy(), p)
+    for A, piv in zip(batch, pivots):
+        assert piv == rref_mod(A, p)[1]
+        assert len(piv) == sympy_matrix(A, p).rank()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrixlab, "PANEL_COLUMNS", 600)
+        assert matrixlab._pivots(batch.copy(), p) == pivots
+
+
 def test_one_batch_mixes_widths_and_nilpotency_indices():
     # Order 9: types (4,2,2,1), (1^9), (9) and (5,4) have 4, 9, 1 and 2
     # Jordan blocks, and their powers vanish after 4, 1, 9 and 5 steps.
@@ -682,6 +724,41 @@ def test_array_draw_matches_scalar_draws(p):
             == [int(scalar.integers(0, p)) for _ in range(500)])
 
 
+@pytest.mark.parametrize("p", [2, 3, 1_000_003, BIG_PRIME, LARGEST_PRIME])
+def test_a_shorter_draw_is_a_prefix_of_a_longer_one(p):
+    # A call reads every partition's coefficients off one stream per seed.
+    for seed in (0, 1, 2**63):
+        longest = np.random.default_rng(seed).integers(0, p, size=3000)
+        for length in (0, 1, 2, 3, 17, 256, 1001, 2999):
+            assert np.array_equal(np.random.default_rng(seed).integers(0, p, size=length),
+                                  longest[:length]), (seed, length)
+
+
+def test_a_level_draws_each_seed_once_per_longer_stream(monkeypatch):
+    drawn = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: drawn.append(seed) or default_rng(seed))
+    level = list(all_partitions(10))
+    counts = [matrixlab._sample_layout(P).count for P in level]
+    longer = sum(1 for i, count in enumerate(counts) if count > max(counts[:i], default=-1))
+    for _ in range(2):  # the streams belong to one call, not to the module
+        drawn.clear()
+        estimates = list(generic_jordan_types(level, FIELD, 5, 3))
+        times = drawn.count(3)
+        assert 1 <= times <= longer < len(level)
+        assert sorted(drawn) == sorted(list(range(3, 8)) * times)
+    drawn.clear()
+    assert estimates == [(P, generic_jordan_type(P, FIELD, 5, 3)) for P in level]
+    assert len(drawn) == 5 * len(level)  # one partition per call: each seed drawn once
+
+
+def test_the_generic_type_of_the_empty_partition_is_refused():
+    with pytest.raises(EmptyPartition):
+        generic_jordan_type(Partition(), PrimeField(), 2, 0)
+    with pytest.raises(EmptyPartition):
+        list(generic_jordan_types([from_parts([2, 1]), Partition()], FIELD, 2, 0))
+
+
 @pytest.mark.parametrize("p", [2, 3, 7, BIG_PRIME])
 def test_sampler_matches_reference_loop_for_other_primes(p):
     field = PrimeField(p)
@@ -724,6 +801,26 @@ def test_int64_bound_is_exact_up_to_its_edge():
     # The elimination update multiplies two residues: (p-1)^2 >= 2^63 past p = 2^32.
     with pytest.raises(Int64BoundExceeded):
         rank_mod(np.eye(2, dtype=np.int64), 4_294_967_311)
+
+
+@pytest.mark.parametrize("p, inner", [(1_000_003, 9_007), (1_000_003, 9_008), (1_000_003, 30_000),
+                                      (BIG_PRIME, 1), (BIG_PRIME, 128)])
+def test_float64_products_are_exact_at_the_limb_edges(p, inner):
+    # The default prime takes one limb while inner (p-1)^2 <= 2^53, up to 9,007;
+    # at BIG_PRIME one product of two residues passes 2^53, so every inner
+    # dimension up to the int64 edge, 128, splits a factor into limbs.
+    assert (inner * (p - 1) ** 2 <= matrixlab.FLOAT64_EXACT) == (inner <= 9_007 and p == 1_000_003)
+    worst = np.full((2, inner), p - 1, dtype=np.int64)
+    exact = worst.astype(object).dot(worst.T.astype(object)) % p
+    assert np.array_equal(matrixlab._matmul(worst, worst.T, p), exact)
+    # Entries near p - 1 of both parities, whose partial sums past 2^53 a
+    # single float64 product would round.
+    rng = np.random.default_rng(inner)
+    A = p - 1 - rng.integers(0, 1000, (3, inner))
+    B = p - 1 - rng.integers(0, 1000, (inner, 4))
+    got = matrixlab._matmul(A, B, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, A.astype(object).dot(B.astype(object)) % p)
 
 
 def test_int64_bound_is_exact_for_a_numpy_modulus():
@@ -939,7 +1036,7 @@ def test_impossible_ranks_fail_only_their_partition(monkeypatch):
     # [A V | V] has width 3 (from J_(1,1,1) = 0), so the pivots 0, 1, 3 read
     # ranks (3, 2, 0) for J_(2,1).
     monkeypatch.setattr(matrixlab, "_sample_stack",
-                        lambda P, field, seeds: np.stack([jordan_matrix(P)] * len(seeds)))
+                        lambda P, field, seeds, streams: np.stack([jordan_matrix(P)] * len(seeds)))
     plant_pivots(monkeypatch, 0, [0, 1, 3])
     (first, refused), (second, kept) = generic_jordan_types(
         [from_parts([2, 1]), from_parts([1, 1, 1])], FIELD, 1, 0)

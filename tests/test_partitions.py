@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from nilcomm.errors import EmptyPartition, NonMonotoneSizes, NonPositivePart, UnequalWeight
+from nilcomm.errors import EmptyPartition, InvalidParameter, NonMonotoneSizes, NonPositivePart, UnequalWeight
 from nilcomm.partitions import (
     Partition,
     all_partitions,
@@ -165,6 +165,14 @@ def test_conjugate_reverses_dominance():
         ps = list(all_partitions(n))
         for a, b in itertools.product(ps, ps):
             assert dominance_leq(a, b) == dominance_leq(conjugate(b), conjugate(a))
+
+
+@pytest.mark.parametrize("n", [2.5, True, False, "3"])
+def test_a_size_that_is_not_an_integer_is_refused(n):
+    with pytest.raises(InvalidParameter):
+        list(all_partitions(n))
+    with pytest.raises(InvalidParameter):
+        partition_count(n)
 
 
 def test_partition_counts():
