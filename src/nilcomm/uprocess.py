@@ -39,9 +39,12 @@ pull-back of removed sets and the anchor transport of
 ``_as_spec`` is the only statement of how lifted anchor values pair up
 into a specification.  It realizes each specification's family once per
 start partition: ``_realized`` keeps only the latest start partition's
-families, like ``strand_table``, and every call still compares the
-family with its own prefix union, so ``union_as_uchain`` stays an
-independent check of ``prefix_families``.
+families, like ``strand_table``, with the latest path ``union_as_uchain``
+has checked.  A prefix is compared with its family once while its
+anchors and removed sets match that path; a call for a trace that
+differs from it at step i grows the path again from step i.  The path
+shares nothing with ``prefix_families``, so ``union_as_uchain`` stays an
+independent check of it.
 """
 from __future__ import annotations
 
@@ -295,6 +298,22 @@ def canonical_process(P: Partition) -> ProcessTrace:
     return _search(P, pick_all=False)[0]
 
 
+@dataclass(slots=True)
+class _Step:
+    """Step i of a checked path: its anchor and removed set, and the prefix to it.
+
+    ``values`` are the lifted anchor values of steps 0..i, ascending, and
+    ``union`` their removed sets' union; ``spec`` is the prefix's
+    specification once a call for that prefix has checked it.
+    """
+
+    anchor: int
+    removed: frozenset[Vertex]
+    values: list[int]
+    union: frozenset[Vertex]
+    spec: UChainSpec | None = None
+
+
 def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
     """An anchor set whose chain family equals C_1 ∪ ... ∪ C_r as vertices.
 
@@ -302,15 +321,33 @@ def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
     with ``_lift``; the collected values always regroup into adjacent
     pairs.  The family, realized by ``materialize`` once per start
     partition, is compared with the actual union; a mismatch raises
-    NoMatchingSpec.
+    NoMatchingSpec.  A prefix is checked once while its anchors and
+    removed sets match the latest checked path of ``t.start``: the call
+    is served from the path's first r steps when each step's anchor is
+    equal and its removed set is the same object; otherwise the path is
+    cut at the first step that differs and grown from there, one step at
+    a time.  The path keeps a reference to each removed set, so the
+    identity of a set it holds is never reused.  A prefix whose check
+    raised is checked again by the next call for it.
     """
     if not is_integer(r) or not 1 <= r <= t.steps:
         raise InvalidParameter(f"prefix length {r!r} is not an integer in 1..{t.steps}")
-    values = []
-    for i, a in enumerate(t.anchors[:r]):
-        history = t.anchors[:i]
-        values += (_lift(a, history), _lift(a + 1, history))
-    return _as_spec(t.start, sorted(values), frozenset().union(*t.removed[:r]))
+    _, path = _realized(t.start)
+    i = 0
+    while i < r and i < len(path) and path[i].anchor == t.anchors[i] and path[i].removed is t.removed[i]:
+        i += 1
+    if i < r:
+        del path[i:]
+        values, union = (path[-1].values, path[-1].union) if path else ((), frozenset())
+        for j in range(i, r):
+            a, history = t.anchors[j], t.anchors[:j]
+            values = sorted((*values, _lift(a, history), _lift(a + 1, history)))
+            union = union | t.removed[j]
+            path.append(_Step(a, t.removed[j], values, union))
+    step = path[r - 1]
+    if step.spec is None:
+        step.spec = _as_spec(t.start, step.values, step.union)
+    return step.spec
 
 
 def _as_spec(P: Partition, values: Sequence[int], union: frozenset[Vertex]) -> UChainSpec:
@@ -324,7 +361,7 @@ def _as_spec(P: Partition, values: Sequence[int], union: frozenset[Vertex]) -> U
     anchors = list(values[::2])
     if list(values[1::2]) != [a + 1 for a in anchors]:
         raise NoMatchingSpec(f"transported values {list(values)} do not pair up")
-    families = _realized(P)
+    families, _ = _realized(P)
     key = tuple(anchors)
     known = families.get(key)
     if known is None:
@@ -342,15 +379,17 @@ def _as_spec(P: Partition, values: Sequence[int], union: frozenset[Vertex]) -> U
 
 
 @lru_cache(maxsize=1)
-def _realized(P: Partition) -> dict[tuple[int, ...], tuple[UChainSpec, frozenset[Vertex]]]:
-    """The specifications that ``_as_spec`` has met in P, with their families.
+def _realized(P: Partition) -> tuple[dict[tuple[int, ...], tuple[UChainSpec, frozenset[Vertex]]], list[_Step]]:
+    """The families ``_as_spec`` has met in P, and ``union_as_uchain``'s checked path.
 
-    Keyed by the anchors, each entry holds the validated specification and
-    its family's union.  Only the latest start partition's entries are
-    kept, like ``strand_table``'s strands, so the memory stays at one
-    partition's families however many partitions are seen.
+    The families are keyed by the anchors, each entry holding the
+    validated specification and its family's union.  The path holds at
+    most one ``_Step`` per step, O(steps · n) vertices.  Only the latest
+    start partition's entry is kept, like ``strand_table``'s strands, so
+    the memory stays at one partition's families however many partitions
+    are seen.
     """
-    return {}
+    return {}, []
 
 
 def trace_to_json(t: ProcessTrace) -> str:

@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with ``ast`` alone: no unused import,
 no private module-level function or class that nothing refers to, one
-home for the modulus rule, and one function that forms matrix products."""
+home for the modulus rule, one function that forms matrix products, and
+memos of one entry."""
 import ast
 from pathlib import Path
 
@@ -65,3 +66,31 @@ def test_only_matmul_forms_a_product():
                 and id(node) not in inside]
     assert not products
     assert any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) for node in ast.walk(matmul))
+
+
+MEMOS = ("lru_cache", "cache")
+WIDE_MEMOS = {"matrixlab.py: _is_prime"}  # one bool per modulus checked, no partition
+
+
+def test_every_memo_holds_one_entry():
+    # A memo keyed by a partition keeps what it returns alive: wider than one
+    # entry, it would hold every partition of a sweep.
+    def is_memo(node):
+        return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in MEMOS
+
+    wide = []
+    for name, tree in MODULES.items():
+        decorated = {id(deco): node.name for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) for deco in node.decorator_list}
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and is_memo(node.func):
+                size = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "maxsize"), None)
+                one = isinstance(size, ast.Constant) and type(size.value) is int and size.value == 1
+            elif is_memo(node) and id(node) not in called:
+                one = False  # a bare @lru_cache keeps 128 entries, @cache all
+            else:
+                continue
+            if not one:
+                wide.append(f"{name}: {decorated.get(id(node), node.lineno)}")
+    assert set(wide) == WIDE_MEMOS  # equal, so the scan is seen to find one

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import random
 import tracemalloc
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given
@@ -250,6 +252,58 @@ def test_a_second_start_partition_realizes_its_own_families(monkeypatch):
     assert realized == expected
     assert (second, UChainSpec((1, 3))) in realized
     assert uprocess._realized.cache_info().currsize == 1
+
+
+def test_the_checked_path_cannot_hide_a_fault():
+    # the path holds all three steps of t; a trace that differs from it only
+    # in the removed set of step 2 must not be served the checked prefixes
+    P = from_parts([5, 4, 3, 3, 2, 1])
+    t = enumerate_full_processes(P)[0]
+    specs = [union_as_uchain(t, r) for r in (3, 2, 1)]
+    family = materialize(P, specs[1]).union
+    inside = min(t.removed[1], key=sort_key)
+    outside = min(set(vertex_list(P)) - family, key=sort_key)
+    swapped = dataclasses.replace(t, removed=(t.removed[0], (t.removed[1] - {inside}) | {outside}, t.removed[2]))
+    for r in (2, 3):
+        with pytest.raises(NoMatchingSpec, match="realize"):
+            union_as_uchain(swapped, r)
+    assert [union_as_uchain(t, r) for r in (3, 2, 1)] == specs
+
+
+def test_any_call_order_gets_the_in_order_specs():
+    # every (trace, r) pair of each P with n <= 9 and of the next partition,
+    # asked shuffled, in descending r per trace, and alternating between the
+    # two, gets the spec that an in-order walk from a cleared cache gets
+    rng = random.Random(0)
+    starts = [P for n in range(1, 10) for P in all_partitions(n)]
+    for P, other in zip(starts, starts[1:] + starts[:1]):
+        walks, expected = [], {}
+        for start in (P, other):
+            uprocess._realized.cache_clear()
+            traces = enumerate_full_processes(start)
+            expected.update({(t, r): union_as_uchain(t, r) for t in traces for r in range(1, t.steps + 1)})
+            walks.append([(t, r) for t in traces for r in range(t.steps, 0, -1)])
+        uprocess._realized.cache_clear()
+        shuffled = rng.sample(list(expected), len(expected))
+        alternating = [pair for pairs in zip_longest(*walks) for pair in pairs if pair]
+        for order in (shuffled, walks[0] + walks[1], alternating):
+            assert [union_as_uchain(t, r) for t, r in order] == [expected[pair] for pair in order], P
+
+
+def test_an_in_order_walk_checks_each_prefix_once(monkeypatch):
+    # a call for a shorter prefix must not cut the path: the next trace may
+    # share more than that prefix with it
+    checked = []
+    as_spec = uprocess._as_spec
+    monkeypatch.setattr(uprocess, "_as_spec",
+                        lambda P, values, union: checked.append(values) or as_spec(P, values, union))
+    uprocess._realized.cache_clear()
+    traces = enumerate_full_processes(staircase(8))
+    calls = [(t, r) for t in traces for r in range(1, t.steps + 1)]
+    for t, r in calls:
+        union_as_uchain(t, r)
+    prefixes = {t.anchors[:r] for t, r in calls}
+    assert len(checked) == len(prefixes) < len(calls)
 
 
 def test_canonical_process():
