@@ -52,17 +52,12 @@ from .uprocess import (
 )
 from .matrixlab import (
     DEFAULT_PRIME,
-    CommutantSample,
     GenericTypeEstimate,
     OrderCheckReport,
     PrimeField,
     generic_jordan_type,
-    jordan_matrix,
     jordan_type_from_ranks,
     order_criterion_check,
-    rank_mod,
-    sample_nilpotent_commutant,
-    structural_action_pairs,
 )
 
 __version__ = "0.1.0"

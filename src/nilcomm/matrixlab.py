@@ -32,10 +32,10 @@ batch holds the samples of consecutive partitions of one order
 entries, so that the per-column loop runs once for many small matrices
 and the memory held stays bounded for large ones.  Every partition of a
 call is sampled from the same seeds, and each seed's stream is drawn once
-and read by prefix.  One exact elimination kernel, ``_pivots``, serves
-this and ``rank_mod``: it eliminates a batch of matrices forward, one
-pivot search per column for the whole batch, and returns each matrix's
-pivot columns, which are all that either reads.  A matrix wider than a
+and read by prefix.  One exact elimination kernel, ``_pivots``, gives
+every rank: it eliminates a batch of matrices forward, one pivot search
+per column for the whole batch, and returns each matrix's pivot
+columns, which are all that the profile reads.  A matrix wider than a
 panel is eliminated a panel of columns at a time, and each panel's
 transformation reaches the columns right of it as one product.  This is
 the FFLAS/FFPACK approach (Dumas, Giorgi and Pernet, ACM TOMS 35, 2008):
@@ -48,12 +48,12 @@ formed by ``_matmul``, in float64, which is exact while no sum passes
 2^53: a factor is split into as many limbs as that bound asks for, so
 every accepted modulus stays exact at every order.  ``PrimeField`` is
 the one statement of which moduli are accepted, for sampling and for
-``rank_mod`` and ``jordan_type_from_ranks`` alike: a prime p whose
-elimination update is exact, (p-1)^2 < 2^63.  A product of inner
-dimension n is refused past n*(p-1)^2 < 2^63, where it is formed, with
-``Int64BoundExceeded``, the bound of the former int64 products, so the
-orders and moduli accepted do not change.  The Krylov blocks A^i V are
-such products, of inner dimension n.
+``jordan_type_from_ranks`` alike: a prime p whose elimination update is
+exact, (p-1)^2 < 2^63.  A product of inner dimension n is refused past
+n*(p-1)^2 < 2^63, where it is formed, with ``Int64BoundExceeded``, the
+bound of the former int64 products, so the orders and moduli accepted
+do not change.  The Krylov blocks A^i V are such products, of inner
+dimension n.
 """
 from __future__ import annotations
 
@@ -101,12 +101,13 @@ def _is_prime(m: int) -> bool:
 class PrimeField:
     """A prime modulus; arithmetic is field arithmetic mod p.
 
-    The modulus rule of every matrix entry point, checked in this order:
-    p is an integer (numpy integers pass, a bool does not); the product of
-    two residues, the elimination's update, is exact, (p-1)^2 < 2^63, or
-    ``Int64BoundExceeded`` is raised; and p is prime.  The largest such
-    prime is 3,037,000,493, exact at order 1 only: a product of inner
-    dimension n checks n*(p-1)^2 < 2^63 where it is formed.
+    The modulus rule of the sampler and of ``jordan_type_from_ranks``,
+    checked in this order: p is an integer (numpy integers pass, a bool
+    does not); the product of two residues, the elimination's update, is
+    exact, (p-1)^2 < 2^63, or ``Int64BoundExceeded`` is raised; and p is
+    prime.  The largest such prime is 3,037,000,493, exact at order 1
+    only: a product of inner dimension n checks n*(p-1)^2 < 2^63 where it
+    is formed.
     """
 
     p: int = DEFAULT_PRIME
@@ -163,46 +164,13 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return product
 
 
-def jordan_matrix(P: Partition) -> np.ndarray:
-    """Block-diagonal nilpotent matrix stepping u -> u+1 within each row."""
-    index = {v: i for i, v in enumerate(vertex_list(P))}
-    B = np.zeros((P.n, P.n), dtype=np.int64)
-    for (u, p, k), i in index.items():
-        if u < p:
-            B[index[u + 1, p, k], i] = 1
-    return B
-
-
-@dataclass(frozen=True)
-class CommutantSample:
-    """A sampled matrix commuting with the Jordan matrix of a partition (read-only)."""
-
-    partition: Partition
-    field: PrimeField
-    seed: int
-    matrix: np.ndarray
-
-
-def sample_nilpotent_commutant(P: Partition, field: PrimeField, seed: int) -> CommutantSample:
-    """Draw a uniform element of the triangular part of the centralizer.
-
-    All free coefficients are uniform in the field; ``seed`` must be >= 0.
-    The sample is ``_sample_stack``'s batch of one, certified to commute
-    with the Jordan matrix and to be nilpotent; a failure of either
-    signals a parametrization bug.
-    """
-    A = _sample_stack(P, field, _seeds(seed, 1))[0]
-    A.flags.writeable = False
-    return CommutantSample(P, field, seed, A)
-
-
 def _sample_stack(P: Partition, field: PrimeField, seeds: tuple[int, ...],
-                  streams: dict[int, np.ndarray] | None = None) -> np.ndarray:
+                  streams: dict[int, np.ndarray]) -> np.ndarray:
     """P's samples for ``seeds``, as one (len(seeds), n, n) stack.
 
     Sample s takes its coefficients from ``default_rng(seeds[s])``, read
-    from ``streams`` when the caller shares its table of streams (see
-    ``_draws``) and drawn afresh otherwise.
+    from the caller's table of streams (see ``_draws``; an empty table
+    draws every seed afresh).
     Commutation with the Jordan matrix (``_commutes_with_jordan``) and
     nilpotency (``_check_key_triangular``) are checked once on the stack,
     in O(n^2) per sample, and a failure names the seed of the sample that
@@ -213,7 +181,7 @@ def _sample_stack(P: Partition, field: PrimeField, seeds: tuple[int, ...],
     # products of inner dimension up to n: refuse what it could not use.
     _check_int64(n, field.p)
     layout = _sample_layout(P)
-    draws = _draws({} if streams is None else streams, seeds, layout.count, field.p)
+    draws = _draws(streams, seeds, layout.count, field.p)
     A = np.zeros((len(seeds), n, n), dtype=np.int64)
     A[:, layout.targets, layout.sources] = draws[:, layout.entry_coefficient]
     commutes = _commutes_with_jordan(layout, A)
@@ -338,10 +306,10 @@ def _commutes_with_jordan(layout: _SampleLayout, A: np.ndarray) -> np.ndarray:
     return (AB == BA).all(axis=(-2, -1))
 
 
-def _check_key_triangular(layout: _SampleLayout, A: np.ndarray, seeds: tuple[int, ...] = ()) -> None:
-    """Certify that A is nilpotent: strictly lower triangular once rows and
-    columns are ordered by the key (2u - p, p, k) of their basis triples.
-    A may be a stack of samples, shape (len(seeds), n, n); the error then
+def _check_key_triangular(layout: _SampleLayout, A: np.ndarray, seeds: tuple[int, ...]) -> None:
+    """Certify that each sample of the stack A, shape (len(seeds), n, n),
+    is nilpotent: strictly lower triangular once rows and columns are
+    ordered by the key (2u - p, p, k) of their basis triples.  The error
     names the seed of the sample that fails.
 
     The key strictly increases along every sampled coefficient.  Shift j
@@ -353,26 +321,14 @@ def _check_key_triangular(layout: _SampleLayout, A: np.ndarray, seeds: tuple[int
     matrix is nilpotent; the check costs O(n^2) instead of forming powers.
     """
     position = layout.position
-    *sample, targets, sources = A.nonzero()
+    sample, targets, sources = A.nonzero()
     bad = (position[targets] <= position[sources]).nonzero()[0]
     if bad.size:
         dst, src = targets[bad[0]], sources[bad[0]]
-        of = f" (seed {seeds[sample[0][bad[0]]]})" if seeds else ""
-        raise NotNilpotent(f"sampled matrix{of} moves {layout.vertices[src]} (basis index {src}) "
+        raise NotNilpotent(f"sampled matrix (seed {seeds[sample[bad[0]]]}) moves "
+                           f"{layout.vertices[src]} (basis index {src}) "
                            f"to {layout.vertices[dst]} (basis index {dst}), against the key "
                            "order (2u - p, p, k): nilpotency is not certified")
-
-
-def structural_action_pairs(P: Partition) -> frozenset[tuple[Vertex, Vertex]]:
-    """Ordered pairs (v, w) where some sampled matrix can move v onto w.
-
-    Every matrix entry is carried by a single free coefficient, so the
-    pairs are exactly the layout's (source, target) entries.
-    """
-    layout = _sample_layout(P)
-    vertices = layout.vertices
-    return frozenset((vertices[src], vertices[dst])
-                     for src, dst in zip(layout.sources.tolist(), layout.targets.tolist()))
 
 
 def _pivots(R: np.ndarray, p: int) -> list[list[int]]:
@@ -497,14 +453,6 @@ def _residues(M: np.ndarray, p: int) -> np.ndarray:
     if kind != "O" and M.itemsize < 8:  # a narrow integer type cannot hold p
         M = M.astype(np.int64)
     return (M % int(p)).astype(np.int64, copy=False)
-
-
-def rank_mod(A: np.ndarray, p: int) -> int:
-    """Rank over the prime field by Gaussian elimination."""
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise InvalidParameter(f"rank_mod needs a 2-D array, not shape {A.shape}")
-    return len(_pivots(_residues(A[None], p), p)[0])
 
 
 def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
@@ -779,7 +727,7 @@ def order_criterion_check(P: Partition, field: PrimeField, samples: int, seed: i
         raise PosetTooLarge(f"order check is exhaustive over pairs; n={P.n} > 8")
     D = build_poset(P)
     layout = _sample_layout(P)
-    A = _sample_stack(P, field, seeds)
+    A = _sample_stack(P, field, seeds, {})
     # (source, target) -> whether some sample moves source onto target
     moved = dict(zip(zip(layout.sources.tolist(), layout.targets.tolist()),
                      A[:, layout.targets, layout.sources].any(axis=0).tolist()))

@@ -69,7 +69,10 @@ from .partitions import Partition, checked_partition
 from .poset import Vertex, sort_key, vertex_list
 from .uchains import UChainSpec, materialize, max_simple_u_chains, strand
 
-TRACE_CAP = 10 ** 6  # no partition of n <= 28 has more than 48 full traces
+# Full traces refused past this count.  Below it with room to spare: over
+# every partition of n <= 28, ``count_full_processes`` is at most 120,
+# first reached by (9,7,5,3,1) at n = 25 (found by scanning them all).
+TRACE_CAP = 10 ** 6
 
 
 def _lift(p: int, history: Sequence[int]) -> int:

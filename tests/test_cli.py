@@ -328,7 +328,7 @@ def test_a_sample_that_is_not_nilpotent_fails_its_partition_only(monkeypatch):
     sample_stack = matrixlab._sample_stack
 
     def plant(P, field, seeds, streams):
-        A = sample_stack(P, field, seeds)
+        A = sample_stack(P, field, seeds, streams)
         if P == planted:
             A[seeds.index(1)] += np.eye(P.n, dtype=np.int64)
         return A

@@ -1,20 +1,29 @@
 """Source hygiene of the package, read with ``ast`` alone: no unused import,
-no private module-level function or class that nothing refers to, one
-home for the modulus rule, one function that forms matrix products, and
-memos of one entry."""
+no private module-level function or class that nothing refers to, no
+public function that only the tests call, one home for the modulus rule,
+one function that forms matrix products, and memos of one entry."""
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import nilcomm
 
 MODULES = {path.name: ast.parse(path.read_text(), str(path))
            for path in sorted(Path(nilcomm.__file__).parent.glob("*.py"))}
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+README = Path(__file__).parents[1] / "README.md"
+
+
+def name_reads(tree):
+    """How often each name is read in ``tree``, as bare name or attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
 
 
 def used_names(tree):
     """Every name read in ``tree``: bare names and attribute names."""
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+    return set(name_reads(tree))
 
 
 def test_every_import_is_used():
@@ -41,6 +50,22 @@ def test_every_private_definition_is_referenced():
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and node.name not in used]
     assert not unreferenced
+
+
+# Public functions that no caller reads, each with its reason.
+TEST_ONLY = {"partitions.py: is_almost_rectangular"}  # the tests' oracle for r_of
+
+
+def test_every_public_function_has_a_caller():
+    # A caller is the package outside the function's own definition (the
+    # re-exports of ``__init__`` are no caller), the acceptance suite, or
+    # the README.
+    package = sum((name_reads(tree) for name, tree in MODULES.items() if name != "__init__.py"), Counter())
+    elsewhere = used_names(ast.parse(ACCEPTANCE.read_text())) | set(re.findall(r"\w+", README.read_text()))
+    uncalled = [f"{name}: {node.name}" for name, tree in MODULES.items() for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and package[node.name] == name_reads(node)[node.name] and node.name not in elsewhere]
+    assert set(uncalled) == TEST_ONLY  # equal, so the scan is seen to find one
 
 
 def test_only_prime_field_states_the_modulus_rule():

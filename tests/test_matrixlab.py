@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -23,12 +22,8 @@ from nilcomm.matrixlab import (
     PrimeField,
     generic_jordan_type,
     generic_jordan_types,
-    jordan_matrix,
     jordan_type_from_ranks,
     order_criterion_check,
-    rank_mod,
-    sample_nilpotent_commutant,
-    structural_action_pairs,
 )
 from nilcomm.partitions import Partition, all_partitions, conjugate, dominance_leq, from_parts
 from nilcomm.poset import build_poset, vertex_list
@@ -42,6 +37,36 @@ LARGEST_PRIME = 3_037_000_493  # the largest prime with (p-1)^2 < 2^63
 SEEDS = st.integers(0, 2**32 - 1)
 
 
+def jordan_matrix(P):
+    """Block-diagonal nilpotent matrix stepping u -> u+1 within each row."""
+    index = {v: i for i, v in enumerate(vertex_list(P))}
+    B = np.zeros((P.n, P.n), dtype=np.int64)
+    for (u, p, k), i in index.items():
+        if u < p:
+            B[index[u + 1, p, k], i] = 1
+    return B
+
+
+def structural_action_pairs(P):
+    """Ordered pairs (v, w) where some sampled matrix can move v onto w.
+
+    Every matrix entry is carried by a single free coefficient, so the
+    pairs are exactly the layout's (source, target) entries.
+    """
+    layout = matrixlab._sample_layout(P)
+    vertices = layout.vertices
+    return frozenset((vertices[src], vertices[dst])
+                     for src, dst in zip(layout.sources.tolist(), layout.targets.tolist()))
+
+
+def rank_mod(A, p):
+    """Rank over the prime field: the pivot count of the elimination kernel."""
+    return len(matrixlab._pivots(matrixlab._residues(np.asarray(A)[None], p), p)[0])
+
+
+def sample(P, field, seed):
+    """The sample of one seed, certified: ``_sample_stack``'s batch of one."""
+    return matrixlab._sample_stack(P, field, (seed,), {})[0]
 
 
 def sympy_matrix(A, p):
@@ -195,8 +220,7 @@ def test_samples_commute_and_are_nilpotent():
     for parts in ([1, 1], [3], [4, 2, 2, 1, 1], [5, 4, 3, 3, 2, 1]):
         P = from_parts(parts)
         B = jordan_matrix(P)
-        s = sample_nilpotent_commutant(P, FIELD, seed=11)
-        A = s.matrix
+        A = sample(P, FIELD, 11)
         assert np.array_equal((A @ B) % FIELD.p, (B @ A) % FIELD.p)
         power = A % FIELD.p
         for _ in range(P.n):
@@ -208,25 +232,25 @@ def test_key_order_certificate_agrees_with_squaring():
     for n in range(1, 11):
         for P in all_partitions(n):
             for seed in range(2):
-                A = sample_nilpotent_commutant(P, FIELD, seed).matrix  # key order certified
+                A = sample(P, FIELD, seed)  # key order certified
                 assert squaring_is_nilpotent(A, FIELD.p), (P, seed)
 
 
 def test_planted_entry_against_key_order_raises():
     P = from_parts([3, 2, 2, 1])
-    A = sample_nilpotent_commutant(P, FIELD, seed=0).matrix
+    A = sample(P, FIELD, 0)
     layout = matrixlab._sample_layout(P)
-    matrixlab._check_key_triangular(layout, A)
+    matrixlab._check_key_triangular(layout, A[None], (0,))
     dst, src = np.argwhere(A)[0]  # a sampled coefficient carries src to dst
     reversed_entry = A.copy()
     reversed_entry[src, dst] = 1
     with pytest.raises(NotNilpotent, match="key order"):
-        matrixlab._check_key_triangular(layout, reversed_entry)
+        matrixlab._check_key_triangular(layout, reversed_entry[None], (0,))
     diagonal = A.copy()
     diagonal[src, src] = 1
     assert not squaring_is_nilpotent(diagonal, FIELD.p)
     with pytest.raises(NotNilpotent, match="key order"):
-        matrixlab._check_key_triangular(layout, diagonal)
+        matrixlab._check_key_triangular(layout, diagonal[None], (0,))
 
 
 def commutes_by_products(P, A, p):
@@ -239,7 +263,7 @@ def test_shift_commutation_agrees_with_products():
     for n in range(1, 11):
         for P in all_partitions(n):
             for seed in range(2):
-                A = sample_nilpotent_commutant(P, FIELD, seed).matrix  # shift check passed
+                A = sample(P, FIELD, seed)  # shift check passed
                 assert commutes_by_products(P, A, FIELD.p), (P, seed)
 
 
@@ -247,7 +271,7 @@ def test_shift_commutation_agrees_with_products_on_every_planted_entry():
     broken = 0
     for n in range(1, 7):
         for P in all_partitions(n):
-            A = sample_nilpotent_commutant(P, FIELD, seed=1).matrix
+            A = sample(P, FIELD, 1)
             layout = matrixlab._sample_layout(P)
             for i in range(n):
                 for j in range(n):
@@ -272,13 +296,12 @@ def test_planted_off_band_entry_raises(monkeypatch):
 
     monkeypatch.setattr(matrixlab, "_commutes_with_jordan", planted)
     with pytest.raises(CommutationCheckFailed):
-        sample_nilpotent_commutant(P, FIELD, seed=0)
+        sample(P, FIELD, 0)
 
 
 def test_two_singletons_couple_one_way():
     # rows (1,1,1) -> (1,1,2) may couple, never the reverse, never the diagonal
-    s = sample_nilpotent_commutant(from_parts([1, 1]), FIELD, seed=3)
-    A = s.matrix
+    A = sample(from_parts([1, 1]), FIELD, 3)
     assert A[0, 1] == 0 and A[0, 0] == 0 and A[1, 1] == 0
     assert A[1, 0] != 0
     assert generic_jordan_type(from_parts([1, 1]), FIELD, 3, seed=3).q.parts == (2,)
@@ -287,10 +310,8 @@ def test_two_singletons_couple_one_way():
 def test_single_block_elements_are_polynomials_in_it():
     for n in range(1, 5):
         P = from_parts([n])
-        s = sample_nilpotent_commutant(P, FIELD, seed=5)
-        B = jordan_matrix(P)
         # entries are constant along subdiagonals and zero on/above the diagonal
-        A = s.matrix
+        A = sample(P, FIELD, 5)
         for i in range(n):
             for j in range(n):
                 if i <= j:
@@ -352,14 +373,6 @@ def test_order_check_guards_size():
             order_criterion_check(from_parts([2, 1]), FIELD, samples, 0)
 
 
-def test_sample_is_immutable():
-    s = sample_nilpotent_commutant(from_parts([2, 1]), FIELD, seed=0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        s.seed = 1
-    with pytest.raises(ValueError):
-        s.matrix[0, 0] = 1
-
-
 def predicate_pairs(P):
     """Pairs (v, w) that a commuting matrix can carry, from the shift rule:
     w = (u2, p2, k2) lies at least 0 and at least p2 - p positions right of
@@ -387,8 +400,6 @@ def test_layout_entries_match_pair_predicate():
 
 def test_negative_seed_is_refused():
     P = from_parts([2, 1])
-    with pytest.raises(InvalidParameter, match="seed -1 is negative"):
-        sample_nilpotent_commutant(P, FIELD, -1)
     with pytest.raises(InvalidParameter, match="seed -5 is negative"):
         generic_jordan_type(P, PrimeField(), 2, -5)
 
@@ -398,8 +409,7 @@ def test_seeds_past_int64_do_not_wrap():
     P = from_parts([2, 1])
     est = generic_jordan_type(P, FIELD, 2, np.int64(2**63 - 1))
     assert est.seeds == (2**63 - 1, 2**63)
-    assert est.types == tuple(jordan_type_from_ranks(sample_nilpotent_commutant(P, FIELD, s).matrix,
-                                                     FIELD.p) for s in est.seeds)
+    assert est.types == tuple(jordan_type_from_ranks(sample(P, FIELD, s), FIELD.p) for s in est.seeds)
     assert order_criterion_check(P, FIELD, 2, np.int64(2**63 - 1)).seeds == (2**63 - 1, 2**63)
     with pytest.raises(InvalidParameter, match="seed -1 is negative"):
         order_criterion_check(P, FIELD, 2, -1)
@@ -424,7 +434,7 @@ def test_rank_mod_matches_sympy(rows, cols, rank, p, seed):
 @settings(max_examples=40)
 @given(P=partitions(30), seed=SEEDS)
 def test_jordan_type_matches_sympy_power_ranks(P, seed):
-    A = sample_nilpotent_commutant(P, FIELD, seed).matrix
+    A = sample(P, FIELD, seed)
     assert jordan_type_from_ranks(A, FIELD.p) == sympy_jordan_type(A, FIELD.p)
 
 
@@ -466,7 +476,7 @@ def test_krylov_start_complements_the_image(monkeypatch):
     for n in range(1, 11):
         for P in all_partitions(n):
             for seed in range(2):
-                A = sample_nilpotent_commutant(P, FIELD, seed).matrix
+                A = sample(P, FIELD, seed)
                 eliminated.clear()
                 Q = jordan_type_from_ranks(A, FIELD.p)
                 width = n - rank_mod(A, FIELD.p)
@@ -584,8 +594,7 @@ def test_generic_types_equal_each_sample_alone_at_p_3():
     field, checked = PrimeField(3), 0
     for n in range(1, 11):
         for P in all_partitions(n):
-            alone = tuple(jordan_type_from_ranks(sample_nilpotent_commutant(P, field, s).matrix, 3)
-                          for s in range(4))
+            alone = tuple(jordan_type_from_ranks(sample(P, field, s), 3) for s in range(4))
             if any(all(dominance_leq(t, best) for t in alone) for best in alone):
                 assert generic_jordan_type(P, field, 4, 0).types == alone, P
                 checked += 1
@@ -619,10 +628,13 @@ def test_modulus_that_is_not_prime_is_refused(p):
         jordan_type_from_ranks(np.array([[0, 1], [0, 0]], dtype=np.int64), p)
 
 
+# ``rank_mod`` is this file's helper: the elimination kernel's pivot count
+# of ``_residues``, which also forms the residues of ``jordan_type_from_ranks``.
 @pytest.mark.parametrize("call", [
     lambda: rank_mod(np.array([[0.5, 1], [1, 2]]), 7),  # 0.5 is 4 in GF(7): rank 1, not 2
     lambda: jordan_type_from_ranks(np.array([[0, 0.5], [0, 0]]), 7),
     lambda: rank_mod(np.array([[1j, 0], [0, 1]]), 7),
+    lambda: jordan_type_from_ranks(np.array([[0, 1j], [0, 0]]), 7),
     lambda: jordan_type_from_ranks(np.array([[0, 0.5], [0, 0]], dtype=object), 7),
     lambda: PrimeField(1_000_003.0),
     lambda: rank_mod(np.eye(2, dtype=np.int64), 7.0),
@@ -630,22 +642,21 @@ def test_modulus_that_is_not_prime_is_refused(p):
     lambda: run_sweep(1, 4, with_matrix=True, samples=2.0),
     lambda: run_sweep(1, 4, with_matrix=True, seed=0.5),
     lambda: order_criterion_check(from_parts([2, 1]), PrimeField(), 1.5, 0),
-    lambda: rank_mod(np.array([1, 2]), 7),
-    lambda: rank_mod(np.zeros((2, 2, 2), dtype=np.int64), 7),
-    lambda: rank_mod(5, 7),
+    lambda: jordan_type_from_ranks(np.zeros((2, 2, 2), dtype=np.int64), 7),
+    lambda: jordan_type_from_ranks(5, 7),
     lambda: PrimeField(True),
     lambda: rank_mod(np.eye(2, dtype=np.int64), True),
     lambda: generic_jordan_type(from_parts([2, 1]), PrimeField(), True, 0),
     lambda: generic_jordan_type(from_parts([2, 1]), PrimeField(), 1, True),
-    lambda: sample_nilpotent_commutant(from_parts([2, 1]), PrimeField(), True),
+    lambda: order_criterion_check(from_parts([2, 1]), PrimeField(), 1, True),
     lambda: order_criterion_check(from_parts([2, 1]), PrimeField(), True, 0),
 ], ids=["rank_mod float", "jordan_type_from_ranks float", "rank_mod complex",
-        "jordan_type_from_ranks object float", "PrimeField float", "rank_mod float modulus",
-        "jordan_type_from_ranks float modulus", "run_sweep float samples", "run_sweep float seed",
-        "order_criterion_check float samples", "rank_mod 1-D", "rank_mod 3-D", "rank_mod scalar",
-        "PrimeField bool", "rank_mod bool modulus", "generic_jordan_type bool samples",
-        "generic_jordan_type bool seed", "sample_nilpotent_commutant bool seed",
-        "order_criterion_check bool samples"])
+        "jordan_type_from_ranks complex", "jordan_type_from_ranks object float", "PrimeField float",
+        "rank_mod float modulus", "jordan_type_from_ranks float modulus", "run_sweep float samples",
+        "run_sweep float seed", "order_criterion_check float samples", "jordan_type_from_ranks 3-D",
+        "jordan_type_from_ranks scalar", "PrimeField bool", "rank_mod bool modulus",
+        "generic_jordan_type bool samples", "generic_jordan_type bool seed",
+        "order_criterion_check bool seed", "order_criterion_check bool samples"])
 def test_refused_matrix_input_raises_invalid_parameter(call):
     with pytest.raises(InvalidParameter):
         call()
@@ -679,7 +690,6 @@ def test_integer_input_of_any_type_gives_the_int64_results():
 def test_every_matrix_entry_point_takes_the_same_moduli(p, refused):
     # Order 1 keeps the rank profile's products exact at every accepted modulus.
     calls = [(lambda: PrimeField(p).p, p),
-             (lambda: rank_mod(np.eye(2, dtype=np.int64), p), 2),
              (lambda: jordan_type_from_ranks(np.zeros((1, 1), dtype=np.int64), p), from_parts([1]))]
     for call, expected in calls:
         if refused is None:
@@ -692,12 +702,11 @@ def test_every_matrix_entry_point_takes_the_same_moduli(p, refused):
 def test_the_largest_modulus_is_exact_at_order_1_only():
     field = PrimeField(LARGEST_PRIME)
     one = from_parts([1])
-    sample = sample_nilpotent_commutant(one, field, 0)
-    assert jordan_type_from_ranks(sample.matrix, field.p) == one
+    assert jordan_type_from_ranks(sample(one, field, 0), field.p) == one
     assert generic_jordan_type(one, field, 2, 0).q == one
     for P in (from_parts([2]), from_parts([1, 1])):
         with pytest.raises(Int64BoundExceeded, match="inner dimension 2"):
-            sample_nilpotent_commutant(P, field, 0)
+            sample(P, field, 0)
     with pytest.raises(Int64BoundExceeded, match="inner dimension 2"):
         jordan_type_from_ranks(np.array([[0, 1], [0, 0]], dtype=np.int64), field.p)
 
@@ -712,9 +721,8 @@ def test_sampler_matches_reference_loop():
     for n in range(1, 11):
         for P in all_partitions(n):
             for seed in range(5):
-                s = sample_nilpotent_commutant(P, FIELD, seed)
                 A = reference_sample(P, FIELD, seed)
-                assert np.array_equal(s.matrix, A), (P, seed)
+                assert np.array_equal(sample(P, FIELD, seed), A), (P, seed)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, BIG_PRIME])
@@ -765,9 +773,8 @@ def test_sampler_matches_reference_loop_for_other_primes(p):
     for n in range(1, 9):
         for P in all_partitions(n):
             for seed in range(2):
-                s = sample_nilpotent_commutant(P, field, seed)
                 A = reference_sample(P, field, seed)
-                assert np.array_equal(s.matrix, A), (P, p, seed)
+                assert np.array_equal(sample(P, field, seed), A), (P, p, seed)
 
 
 def test_sample_layout_is_built_once_per_partition():
@@ -780,7 +787,7 @@ def test_sample_layout_is_built_once_per_partition():
 def test_sampling_refuses_int64_overflow():
     # n = 800 at p just below 2^28: 800 (p-1)^2 > 2^63, so int64 products would wrap.
     with pytest.raises(Int64BoundExceeded, match=r"2\^63"):
-        sample_nilpotent_commutant(from_parts([80] * 10), PrimeField(BIG_PRIME), seed=0)
+        sample(from_parts([80] * 10), PrimeField(BIG_PRIME), 0)
 
 
 def test_int64_bound_is_exact_up_to_its_edge():
@@ -874,10 +881,10 @@ def test_vectorized_layout_matches_the_loop_array_for_array():
 def test_sample_stack_is_the_samples_one_by_one():
     for P in (from_parts([1]), from_parts([3, 1]), from_parts([4, 2, 2, 1, 1])):
         seeds = (3, 0, 2**63, 7)
-        stack = matrixlab._sample_stack(P, FIELD, seeds)
+        stack = matrixlab._sample_stack(P, FIELD, seeds, {})
         assert stack.shape == (4, P.n, P.n)
         for A, seed in zip(stack, seeds):
-            assert np.array_equal(A, sample_nilpotent_commutant(P, FIELD, seed).matrix), (P, seed)
+            assert np.array_equal(A, sample(P, FIELD, seed)), (P, seed)
 
 
 def test_sample_stack_names_the_seed_that_fails_a_certificate(monkeypatch):
@@ -890,12 +897,12 @@ def test_sample_stack_names_the_seed_that_fails_a_certificate(monkeypatch):
 
     monkeypatch.setattr(matrixlab, "_commutes_with_jordan", planted)
     with pytest.raises(CommutationCheckFailed, match=r"\(seed 12\)"):
-        matrixlab._sample_stack(P, FIELD, (10, 11, 12, 13))
+        matrixlab._sample_stack(P, FIELD, (10, 11, 12, 13), {})
     # With the commutation check passing the planted row, the key order refuses it.
     monkeypatch.setattr(matrixlab, "_commutes_with_jordan",
                         lambda layout, A: planted(layout, A) | True)
     with pytest.raises(NotNilpotent, match=r"sampled matrix \(seed 12\) moves .* key order"):
-        matrixlab._sample_stack(P, FIELD, (10, 11, 12, 13))
+        matrixlab._sample_stack(P, FIELD, (10, 11, 12, 13), {})
 
 
 def test_generic_type_of_a_large_partition_holds_one_batch_at_a_time():
