@@ -64,7 +64,7 @@ class EnumerationCapExceeded(NilcommError):
 
 
 class Int64BoundExceeded(NilcommError):
-    """A product mod p is refused past inner_dim*(p-1)^2 < 2^63, the bound of int64 products."""
+    """``PrimeField`` refuses a modulus whose product of two residues, up to (p-1)^2, leaves int64."""
 
 
 # -- failed checks (internal consistency) -------------------------------------

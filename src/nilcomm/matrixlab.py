@@ -43,17 +43,14 @@ word-size residues, products in float64 through BLAS, and an exact
 reduction mod p after each product.
 
 Entries are int64 residues in [0, p), and every elimination update, a
-product of two residues, is exact in int64.  Every longer product is
-formed by ``_matmul``, in float64, which is exact while no sum passes
+product of two residues, is exact in int64.  That is the layer's one
+numeric rule, stated by ``PrimeField`` for sampling and for
+``jordan_type_from_ranks`` alike: a prime p with (p-1)^2 < 2^63, handed
+to every kernel as a Python int.  Every longer product, the Krylov
+blocks A^i V (inner dimension n) and a wide elimination's panel updates,
+is formed by ``_matmul``, in float64, which is exact while no sum passes
 2^53: a factor is split into as many limbs as that bound asks for, so
-every accepted modulus stays exact at every order.  ``PrimeField`` is
-the one statement of which moduli are accepted, for sampling and for
-``jordan_type_from_ranks`` alike: a prime p whose elimination update is
-exact, (p-1)^2 < 2^63.  A product of inner dimension n is refused past
-n*(p-1)^2 < 2^63, where it is formed, with ``Int64BoundExceeded``, the
-bound of the former int64 products, so the orders and moduli accepted
-do not change.  The Krylov blocks A^i V are such products, of inner
-dimension n.
+every accepted modulus stays exact at every order.
 """
 from __future__ import annotations
 
@@ -101,13 +98,13 @@ def _is_prime(m: int) -> bool:
 class PrimeField:
     """A prime modulus; arithmetic is field arithmetic mod p.
 
-    The modulus rule of the sampler and of ``jordan_type_from_ranks``,
-    checked in this order: p is an integer (numpy integers pass, a bool
-    does not); the product of two residues, the elimination's update, is
-    exact, (p-1)^2 < 2^63, or ``Int64BoundExceeded`` is raised; and p is
-    prime.  The largest such prime is 3,037,000,493, exact at order 1
-    only: a product of inner dimension n checks n*(p-1)^2 < 2^63 where it
-    is formed.
+    The one modulus rule of the sampler and of ``jordan_type_from_ranks``,
+    checked in this order: p is an integer (numpy integers pass and are
+    stored as a Python int, a bool does not); the product of two residues,
+    the elimination's update, is exact in int64, (p-1)^2 < 2^63, or
+    ``Int64BoundExceeded`` is raised; and p is prime.  The largest such
+    prime is 3,037,000,493.  No order is refused: ``_matmul`` keeps every
+    longer product exact.
     """
 
     p: int = DEFAULT_PRIME
@@ -115,23 +112,12 @@ class PrimeField:
     def __post_init__(self):
         if not is_integer(self.p):
             raise InvalidParameter(f"modulus {self.p!r} is not an integer")
-        _check_int64(1, self.p)
+        object.__setattr__(self, "p", int(self.p))
+        if (self.p - 1) ** 2 >= INT64_LIMIT:
+            raise Int64BoundExceeded(f"modulus {self.p}: a product of two residues, up to (p-1)^2, "
+                                     "is exact in int64 only while (p-1)^2 < 2^63")
         if not _is_prime(self.p):
             raise InvalidParameter(f"{self.p} is not prime")
-
-
-def _check_int64(inner: int, p: int) -> None:
-    """Refuse a product mod p of inner dimension ``inner`` past
-    inner*(p-1)^2 < 2^63, the largest a dot product of residues in [0, p)
-    can reach, where an int64 product is exact.  The float64 products of
-    ``_matmul`` are exact past it too, but it stays the range of orders
-    and moduli that every matrix entry point accepts.
-    """
-    if inner * (int(p) - 1) ** 2 >= INT64_LIMIT:
-        raise Int64BoundExceeded(
-            f"int64 products mod {p} are exact only while inner_dim*(p-1)^2 < 2^63; "
-            f"inner dimension {inner} exceeds that"
-        )
 
 
 def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
@@ -147,10 +133,15 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     in one product, and the exact sums are reduced mod p in int64 and
     recombined.  The default prime takes one limb up to inner dimension
     9,007.
+
+    p is a ``PrimeField`` modulus, so p - 1 < 2^31.5, and the one
+    precondition is inner*(p-1) <= 2^53, which a one-bit limb needs.
+    Every caller meets it: a panel product has inner dimension at most
+    ``PANEL_COLUMNS``, and a Krylov product has inner dimension n, which
+    would have to pass 2.9 million, an n x n matrix that cannot be
+    allocated.
     """
     inner = A.shape[-1]
-    _check_int64(inner, p)
-    p = int(p)
     limbs, width = 1, B.shape[-1]
     if inner * (p - 1) ** 2 > FLOAT64_EXACT:
         bits = (FLOAT64_EXACT // (inner * (p - 1)) + 1).bit_length() - 1
@@ -177,9 +168,6 @@ def _sample_stack(P: Partition, field: PrimeField, seeds: tuple[int, ...],
     fails.
     """
     n = P.n
-    # Forming a sample takes no product, but its rank profile takes
-    # products of inner dimension up to n: refuse what it could not use.
-    _check_int64(n, field.p)
     layout = _sample_layout(P)
     draws = _draws(streams, seeds, layout.count, field.p)
     A = np.zeros((len(seeds), n, n), dtype=np.int64)
@@ -364,7 +352,6 @@ def _pivots(R: np.ndarray, p: int) -> list[list[int]]:
     product.  A matrix no wider than a panel is eliminated by the loop
     alone.
     """
-    p = int(p)
     S, rows, cols = R.shape
     R = R.reshape(S * rows, cols)
     offsets = np.arange(S) * rows
@@ -432,27 +419,23 @@ PANEL_COLUMNS = 256
 
 def _panel_width(p: int) -> int:
     """The columns of one panel of ``_pivots`` mod p: ``PANEL_COLUMNS``, or
-    fewer where width*(p-1)^2 would reach 2^63.  A panel's product, whose
-    inner dimension is its count of pivot rows, then passes the bound of
-    ``_matmul``, and its unreduced entries stay in int64."""
+    fewer where width*(p-1)^2 would reach 2^63, so that a panel's
+    unreduced entries stay in int64."""
     return min(PANEL_COLUMNS, (INT64_LIMIT - 1) // (p - 1) ** 2)
 
 
-def _residues(M: np.ndarray, p: int) -> np.ndarray:
-    """The entries of M mod p in a new int64 array, after the input checks.
-
-    p must pass ``PrimeField``, and M must hold integers: its dtype is
-    bool, signed or unsigned integer, or object with every entry an
-    integer.
+def _residues(M: np.ndarray, field: PrimeField) -> np.ndarray:
+    """The entries of M mod ``field.p`` in a new int64 array, after the
+    entry check: M must hold integers, its dtype bool, signed or unsigned
+    integer, or object with every entry an integer.
     """
-    PrimeField(p)
     kind = M.dtype.kind
     # A bool entry is an integer here: a 0/1 matrix is a matrix.
     if kind not in "biuO" or kind == "O" and not all(isinstance(x, (int, np.integer)) for x in M.flat):
         raise InvalidParameter(f"entries must be integers, not of dtype {M.dtype}")
     if kind != "O" and M.itemsize < 8:  # a narrow integer type cannot hold p
         M = M.astype(np.int64)
-    return (M % int(p)).astype(np.int64, copy=False)
+    return (M % field.p).astype(np.int64, copy=False)
 
 
 def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
@@ -486,7 +469,8 @@ def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidParameter(f"the rank profile needs a square matrix, not shape {A.shape}")
-    found = _jordan_types(_residues(A[None], p), p)[0]
+    field = PrimeField(p)
+    found = _jordan_types(_residues(A[None], field), field.p)[0]
     if isinstance(found, NotNilpotent):
         raise found
     return found

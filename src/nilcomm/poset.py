@@ -66,10 +66,10 @@ class Poset:
     ``succ[i]`` lists the vertices that cover vertex i, ascending; it is
     the one copy of the covers, which ``covers`` lists as vertex pairs.
     ``topo`` is one topological order; both take O(m + covers) to build,
-    and a cyclic cover list is refused there.  ``less``, ``leq``
-    and ``is_chain`` read an int-bitset closure computed on the first such
-    query, in one pass over the reverse topological order; the flow and its
-    certificate read only ``succ``, so they never build it.
+    and a cyclic cover list is refused there.  ``less`` and ``is_chain``
+    read an int-bitset closure computed on the first such query, in one
+    pass over the reverse topological order; the flow and its certificate
+    read only ``succ``, so they never build it.
 
     Immutable after construction; all queries are pure.
     """
@@ -107,9 +107,6 @@ class Poset:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def __contains__(self, v: Vertex) -> bool:
-        return v in self.index
-
     @cached_property
     def _up(self) -> list[int]:
         """Bit j of ``_up[i]`` is set iff vertex j is strictly above vertex i."""
@@ -124,9 +121,6 @@ class Poset:
     def less(self, v: Vertex, w: Vertex) -> bool:
         """Strict order: v < w."""
         return bool(self._up[self._index(v)] >> self._index(w) & 1)
-
-    def leq(self, v: Vertex, w: Vertex) -> bool:
-        return self.less(v, w) or v == w
 
     def is_chain(self, S: Iterable[Vertex]) -> bool:
         """True iff every pair of S is comparable (empty sets vacuously so)."""

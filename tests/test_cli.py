@@ -126,12 +126,18 @@ def test_verify_rejects_bad_matrix_parameters(capsys):
     assert "error: 4 is not prime" in capsys.readouterr().err
 
 
-def test_verify_takes_a_modulus_up_to_the_int64_bound(capsys):
-    # 2 (p-1)^2 < 2^63 <= 3 (p-1)^2 for p = 2^31 - 1
-    assert main(["verify", "1", "2", "--with-matrix", "--prime", "2147483647"]) == 0
-    capsys.readouterr()
-    assert main(["verify", "1", "3", "--with-matrix", "--prime", "2147483647"]) == 2
-    assert "inner dimension 3 exceeds" in capsys.readouterr().err
+def test_verify_takes_a_modulus_up_to_the_int64_bound(monkeypatch, capsys):
+    # The largest prime with (p-1)^2 < 2^63 is exact at every order: its
+    # report is the default prime's, byte for byte.  A prime past it is refused.
+    monkeypatch.delenv("NILCOMM_PRIME", raising=False)
+    assert main(["verify", "1", "8", "--with-matrix", "--json"]) == 0
+    blob = capsys.readouterr().out.encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "d311e990fb7eb194f50d9ee1fead397a4f32e5be01a30a4c35690333048e57bb")
+    assert main(["verify", "1", "8", "--with-matrix", "--prime", "3037000493", "--json"]) == 0
+    assert capsys.readouterr().out.encode() == blob
+    assert main(["verify", "1", "3", "--with-matrix", "--prime", "4294967311"]) == 2
+    assert "2^63" in capsys.readouterr().err
 
 
 def test_run_sweep_records():

@@ -78,6 +78,13 @@ def test_only_prime_field_states_the_modulus_rule():
                  if "_is_prime" in (getattr(node, "id", None), getattr(node, "attr", None))
                  and id(node) not in inside]
     assert not elsewhere
+    # Nor is a modulus, or an order, refused past int64 anywhere else.
+    raised = [f"{name}:{node.lineno}" for name, tree in MODULES.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and "Int64BoundExceeded" in used_names(node)
+              and id(node) not in inside]
+    assert not raised
+    assert any(isinstance(node, ast.Raise) and "Int64BoundExceeded" in used_names(node)
+               for node in ast.walk(field))
 
 
 def test_only_matmul_forms_a_product():

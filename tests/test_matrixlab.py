@@ -61,7 +61,8 @@ def structural_action_pairs(P):
 
 def rank_mod(A, p):
     """Rank over the prime field: the pivot count of the elimination kernel."""
-    return len(matrixlab._pivots(matrixlab._residues(np.asarray(A)[None], p), p)[0])
+    field = PrimeField(p)
+    return len(matrixlab._pivots(matrixlab._residues(np.asarray(A)[None], field), field.p)[0])
 
 
 def sample(P, field, seed):
@@ -545,10 +546,13 @@ def batch_of_ranks(ranks, rows, cols, p, seed):
 
 @settings(max_examples=60)
 @given(ranks=st.lists(st.integers(0, 11), min_size=1, max_size=4), rows=st.integers(2, 12),
-       cols=st.integers(9, 30), panel=st.integers(1, 4), p=st.sampled_from([3, 1_000_003, BIG_PRIME]),
-       seed=SEEDS)
+       cols=st.integers(9, 30), panel=st.integers(1, 4),
+       p=st.sampled_from([3, 1_000_003, BIG_PRIME, 2_147_483_647, LARGEST_PRIME]), seed=SEEDS)
 def test_blocked_pivots_equal_the_column_loop_and_sympy(ranks, rows, cols, panel, p, seed):
     # Panels of at most 4 columns: every batch crosses at least 3 of them.
+    # At 2^31 - 1 and LARGEST_PRIME the module's width, 2 and 1 columns,
+    # is narrower still, so both runs take the tagged path and sympy is
+    # the oracle.
     batch = batch_of_ranks([min(r, rows - 1) for r in ranks], rows, cols, p, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrixlab, "PANEL_COLUMNS", cols)
@@ -562,12 +566,14 @@ def test_blocked_pivots_equal_the_column_loop_and_sympy(ranks, rows, cols, panel
         assert tuple(piv) == M.to_dense().rref()[1]
 
 
-@pytest.mark.parametrize("p", [3, 1_000_003, BIG_PRIME])
+@pytest.mark.parametrize("p", [3, 1_000_003, BIG_PRIME, 2_147_483_647, LARGEST_PRIME])
 def test_blocked_pivots_at_the_module_panel_width(p):
-    # 600 columns cross 3 panels of 256 at p = 3 and 1,000,003, and 5 of 127
-    # at BIG_PRIME, where a panel's product meets the int64 bound.
+    # 600 columns cross 3 panels of 256 at p = 3 and 1,000,003, and more
+    # where width (p-1)^2 < 2^63 keeps a panel narrower: 127 columns at
+    # BIG_PRIME, 2 at 2^31 - 1 and 1 at LARGEST_PRIME.
     batch = batch_of_ranks([5, 0, 11, 12], 12, 600, p, 5)
-    assert -(-600 // matrixlab._panel_width(p)) == (5 if p == BIG_PRIME else 3)
+    panels = {3: 3, 1_000_003: 3, BIG_PRIME: 5, 2_147_483_647: 300, LARGEST_PRIME: 600}[p]
+    assert -(-600 // matrixlab._panel_width(p)) == panels
     pivots = matrixlab._pivots(batch.copy(), p)
     for A, piv in zip(batch, pivots):
         assert piv == rref_mod(A, p)[1]
@@ -699,16 +705,17 @@ def test_every_matrix_entry_point_takes_the_same_moduli(p, refused):
                 call()
 
 
-def test_the_largest_modulus_is_exact_at_order_1_only():
+def test_the_largest_modulus_is_exact_past_order_1():
+    # n (p-1)^2 passes 2^63 from order 2 on, which the former int64 bound
+    # refused: each sample is the reference loop's, its type sympy's, and
+    # each estimate the default prime's from the same seed.
     field = PrimeField(LARGEST_PRIME)
-    one = from_parts([1])
-    assert jordan_type_from_ranks(sample(one, field, 0), field.p) == one
-    assert generic_jordan_type(one, field, 2, 0).q == one
-    for P in (from_parts([2]), from_parts([1, 1])):
-        with pytest.raises(Int64BoundExceeded, match="inner dimension 2"):
-            sample(P, field, 0)
-    with pytest.raises(Int64BoundExceeded, match="inner dimension 2"):
-        jordan_type_from_ranks(np.array([[0, 1], [0, 0]], dtype=np.int64), field.p)
+    for P in map(from_parts, ([1], [2], [1, 1], [3, 2, 1], [4, 2, 2, 1])):
+        A = sample(P, field, 0)
+        assert np.array_equal(A, reference_sample(P, field, 0)), P
+        assert jordan_type_from_ranks(A, field.p) == sympy_jordan_type(A, field.p), P
+        assert generic_jordan_type(P, field, 3, 0).q == generic_jordan_type(P, FIELD, 3, 0).q, P
+    assert jordan_type_from_ranks(np.array([[0, 1], [0, 0]], dtype=np.int64), field.p) == from_parts([2])
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3,)])
@@ -784,38 +791,41 @@ def test_sample_layout_is_built_once_per_partition():
     assert (info.misses, info.hits) == (1, 0)  # one stack holds all five samples
 
 
-def test_sampling_refuses_int64_overflow():
-    # n = 800 at p just below 2^28: 800 (p-1)^2 > 2^63, so int64 products would wrap.
-    with pytest.raises(Int64BoundExceeded, match=r"2\^63"):
-        sample(from_parts([80] * 10), PrimeField(BIG_PRIME), 0)
+def test_sampling_is_exact_past_the_former_int64_bound():
+    # n (p-1)^2 >= 2^63, which the former int64 bound refused, for
+    # staircase 16 (n = 136) at each of these primes and for [12]*8
+    # (n = 96) past BIG_PRIME.  The generic type does not depend on the
+    # prime: each estimate is the default prime's from the same seed.
+    for P in (from_parts(range(16, 0, -1)), from_parts([12] * 8)):
+        expected = generic_jordan_type(P, FIELD, 2, 0).q
+        for p in (BIG_PRIME, 2_147_483_647, LARGEST_PRIME):
+            assert generic_jordan_type(P, PrimeField(p), 2, 0).q == expected, (P, p)
 
 
 def test_int64_bound_is_exact_up_to_its_edge():
-    # 128 (p-1)^2 < 2^63 <= 129 (p-1)^2 for the largest prime below 2^28.
-    worst = np.full((2, 128), BIG_PRIME - 1, dtype=np.int64)
-    exact = worst.astype(object).dot(worst.T.astype(object)) % BIG_PRIME
-    assert np.array_equal(matrixlab._matmul(worst, worst.T, BIG_PRIME), exact)
-    wider = np.full((2, 129), BIG_PRIME - 1, dtype=np.int64)
-    with pytest.raises(Int64BoundExceeded):
-        matrixlab._matmul(wider, wider.T, BIG_PRIME)
-    # A batched product contracts its last axis, not its rows.
-    batch = np.stack([worst] * 3)
-    assert np.array_equal(matrixlab._matmul(batch, batch.transpose(0, 2, 1), BIG_PRIME),
-                          np.stack([exact] * 3))
-    wide_batch = np.stack([wider] * 3)
-    with pytest.raises(Int64BoundExceeded):
-        matrixlab._matmul(wide_batch, wide_batch.transpose(0, 2, 1), BIG_PRIME)
+    # 128 (p-1)^2 < 2^63 <= 129 (p-1)^2 for the largest prime below 2^28,
+    # the former bound of a product: both sides of it are exact.
+    for inner in (128, 129):
+        worst = np.full((2, inner), BIG_PRIME - 1, dtype=np.int64)
+        exact = worst.astype(object).dot(worst.T.astype(object)) % BIG_PRIME
+        assert np.array_equal(matrixlab._matmul(worst, worst.T, BIG_PRIME), exact)
+        # A batched product contracts its last axis, not its rows.
+        batch = np.stack([worst] * 3)
+        assert np.array_equal(matrixlab._matmul(batch, batch.transpose(0, 2, 1), BIG_PRIME),
+                              np.stack([exact] * 3))
     # The elimination update multiplies two residues: (p-1)^2 >= 2^63 past p = 2^32.
     with pytest.raises(Int64BoundExceeded):
         rank_mod(np.eye(2, dtype=np.int64), 4_294_967_311)
 
 
 @pytest.mark.parametrize("p, inner", [(1_000_003, 9_007), (1_000_003, 9_008), (1_000_003, 30_000),
-                                      (BIG_PRIME, 1), (BIG_PRIME, 128)])
+                                      (BIG_PRIME, 1), (BIG_PRIME, 128), (BIG_PRIME, 129),
+                                      (LARGEST_PRIME, 2), (LARGEST_PRIME, 3_000)])
 def test_float64_products_are_exact_at_the_limb_edges(p, inner):
     # The default prime takes one limb while inner (p-1)^2 <= 2^53, up to 9,007;
-    # at BIG_PRIME one product of two residues passes 2^53, so every inner
-    # dimension up to the int64 edge, 128, splits a factor into limbs.
+    # at BIG_PRIME and LARGEST_PRIME one product of two residues passes 2^53,
+    # so every inner dimension splits a factor into limbs, on both sides of
+    # the former int64 edge (128 at BIG_PRIME, 1 at LARGEST_PRIME).
     assert (inner * (p - 1) ** 2 <= matrixlab.FLOAT64_EXACT) == (inner <= 9_007 and p == 1_000_003)
     worst = np.full((2, inner), p - 1, dtype=np.int64)
     exact = worst.astype(object).dot(worst.T.astype(object)) % p
@@ -831,10 +841,18 @@ def test_float64_products_are_exact_at_the_limb_edges(p, inner):
 
 
 def test_int64_bound_is_exact_for_a_numpy_modulus():
-    # 129 (p-1)^2 wraps in int64 arithmetic; the bound must not.
-    wider = np.full((2, 129), BIG_PRIME - 1, dtype=np.int64)
-    with pytest.raises(Int64BoundExceeded):
-        matrixlab._matmul(wider, wider.T, np.int64(BIG_PRIME))
+    # (p-1)^2 wraps in int64 arithmetic past the bound; the rule must not.
+    for p in (3_037_000_507, 4_294_967_311):
+        with pytest.raises(Int64BoundExceeded):
+            PrimeField(np.int64(p))
+        with pytest.raises(Int64BoundExceeded):
+            jordan_type_from_ranks(np.zeros((2, 2), dtype=np.int64), np.int64(p))
+    field = PrimeField(np.int64(LARGEST_PRIME))
+    assert type(field.p) is int and field == PrimeField(LARGEST_PRIME)
+    # A uint64 matrix mod a numpy int64 modulus would promote to float64.
+    P = from_parts([3, 2, 1])
+    A = conjugated_jordan_matrix(P, LARGEST_PRIME, 0)
+    assert jordan_type_from_ranks(A.astype(np.uint64), np.int64(LARGEST_PRIME)) == P
 
 
 def loop_layout(P):

@@ -102,7 +102,7 @@ def assert_closure_matches_networkx(D):
         above = nx.descendants(G, v)
         for w in D.vertices:
             assert D.less(v, w) == (w in above), (v, w)
-            assert D.leq(v, w) == (w in above or v == w), (v, w)
+            assert (D.less(v, w) or v == w) == (w in above or v == w), (v, w)
 
 
 def test_closure_matches_networkx_descendants():
@@ -155,7 +155,7 @@ def test_order_queries_validate_vertices():
     D = build_poset(from_parts([2, 1]))
     with pytest.raises(VertexNotInPoset):
         D.less((1, 1, 1), (4, 4, 4))
-    assert D.leq((1, 1, 1), (1, 1, 1))
+    assert not D.less((1, 1, 1), (1, 1, 1))  # a known vertex; strict, so irreflexive
     assert D.less((1, 2, 1), (2, 2, 1))  # via the middle vertex
     assert not D.less((2, 2, 1), (1, 2, 1))
 
