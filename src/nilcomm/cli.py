@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -33,7 +32,6 @@ from .poset import build_poset, export_dot, export_json
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0
 MAX_SWEEP_N = 30
-PRIME_ENV_VAR = "NILCOMM_PRIME"
 
 
 @dataclass
@@ -285,11 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("n_max", type=int)
     ver.add_argument("--with-matrix", action="store_true",
                      help="include finite-field sampling checks")
-    # A string default is converted by ``type`` only when ``verify`` is
-    # parsed, so a malformed variable is argparse's usage error there, exit 2.
-    ver.add_argument("--prime", type=int,
-                     default=os.environ.get(PRIME_ENV_VAR) or str(matrixlab.DEFAULT_PRIME),
-                     help=f"field modulus (default {matrixlab.DEFAULT_PRIME}, env {PRIME_ENV_VAR})")
+    ver.add_argument("--prime", type=int, default=matrixlab.DEFAULT_PRIME,
+                     help=f"field modulus (default {matrixlab.DEFAULT_PRIME})")
     ver.add_argument("--samples", type=int, default=5)
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED, help="first sample's seed, >= 0")
     ver.add_argument("--strict-conjecture", action="store_true",

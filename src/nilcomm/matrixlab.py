@@ -199,9 +199,13 @@ def _draws(streams: dict[int, np.ndarray], seeds: tuple[int, ...], count: int, p
     return np.array([streams[s][:count] for s in seeds])
 
 
-def _seeds(seed: int, samples: int) -> tuple[int, ...]:
+def _seeds(field: PrimeField, seed: int, samples: int) -> tuple[int, ...]:
     """The consecutive seeds of ``samples`` samples from ``seed`` on, as
-    Python integers, so that no numpy integer wraps past 2^63 - 1."""
+    Python integers, so that no numpy integer wraps past 2^63 - 1, once the
+    sampling parameters are checked: the field is a ``PrimeField`` (a bare
+    modulus is refused, not read as one), and the counts are integers."""
+    if not isinstance(field, PrimeField):
+        raise InvalidParameter(f"the field must be a PrimeField, not {field!r}")
     if not is_integer(samples) or samples < 1:
         raise InvalidParameter(f"need at least one sample, counted by an integer: {samples!r}")
     if not is_integer(seed) or seed < 0:
@@ -337,8 +341,8 @@ def _pivots(R: np.ndarray, p: int) -> list[list[int]]:
     row echelon form, the columns independent of the columns left of
     them, which no choice of pivot row changes.
 
-    The columns are taken a panel of ``_panel_width(p)`` at a time, and a
-    panel that is not the last one updates only its own columns.  Its
+    The columns are taken ``PANEL_COLUMNS`` at a time, at every modulus,
+    and a panel that is not the last one updates only its own columns.  Its
     pivot rows are normalised, q[c] = 1 by the inverse pow(q[c], p-2, p),
     so that each row ends as r + sum_k g[r, k] Q_k, where Q_k is the panel's
     k-th pivot row of the matrix as it entered the panel.  The coefficients
@@ -346,20 +350,22 @@ def _pivots(R: np.ndarray, p: int) -> list[list[int]]:
     row's copy carries a 1 in its own tag column, and the pivot row itself
     ends with tag -1 there, which zeroes it right of the panel too.  The
     update r - r[c]*q reads r[c] and q reduced and leaves r unreduced: an
-    entry falls by at most (p-1)^2 per column, which the panel's width
-    keeps above -2^63, and the tags are reduced once, after the panel.  The
-    columns right of the panel then take the whole transformation as one
-    product.  A matrix no wider than a panel is eliminated by the loop
-    alone.
+    entry falls by at most (p-1)^2 per column, so the panel is reduced
+    before every ``period`` = (2^63 - 1) // (p-1)^2 columns, which keeps it
+    above -2^63 (delayed reduction, as in FFLAS; at the default prime the
+    period is 9.2 million columns, so a panel is never reduced before its
+    end).  The columns right of the panel then take the whole
+    transformation as one product.  A matrix no wider than a panel is
+    eliminated by the loop alone.
     """
     S, rows, cols = R.shape
     R = R.reshape(S * rows, cols)
     offsets = np.arange(S) * rows
     pivots: list[list[int]] = [[] for _ in range(S)]
     left = S * rows  # rows not yet used as pivots
-    width = _panel_width(p)
-    for start in range(0, cols, width):
-        stop = min(start + width, cols)
+    period = (INT64_LIMIT - 1) // (p - 1) ** 2
+    for start in range(0, cols, PANEL_COLUMNS):
+        stop = min(start + PANEL_COLUMNS, cols)
         panel, tagging = stop - start, stop < cols
         W, end = R[:, start:], cols - start
         if tagging:  # tag columns follow the panel's own
@@ -370,6 +376,8 @@ def _pivots(R: np.ndarray, p: int) -> list[list[int]]:
         for c in range(panel):
             if not left:
                 break
+            if tagging and c and c % period == 0:
+                W[:, c:end] %= p
             column = W[:, c] % p if tagging else W[:, c]
             grid = (column != 0).reshape(S, rows)
             hits = grid.ravel().nonzero()[0]
@@ -415,13 +423,6 @@ def _pivots(R: np.ndarray, p: int) -> list[list[int]]:
 # 0.015 s in panels of 64, 128 or 256.  (Medians of interleaved runs in one
 # process, one BLAS thread, on a 2-vCPU x86-64 host.)
 PANEL_COLUMNS = 256
-
-
-def _panel_width(p: int) -> int:
-    """The columns of one panel of ``_pivots`` mod p: ``PANEL_COLUMNS``, or
-    fewer where width*(p-1)^2 would reach 2^63, so that a panel's
-    unreduced entries stay in int64."""
-    return min(PANEL_COLUMNS, (INT64_LIMIT - 1) // (p - 1) ** 2)
 
 
 def _residues(M: np.ndarray, field: PrimeField) -> np.ndarray:
@@ -643,7 +644,7 @@ def generic_jordan_types(partitions: Iterable[Partition], field: PrimeField, sam
     asked for, and an empty partition, ``EmptyPartition``, when it is
     reached.
     """
-    seeds = _seeds(seed, samples)
+    seeds = _seeds(field, seed, samples)
     found: dict[int, list[Partition | NotNilpotent] | CheckFailed] = {}
     streams: dict[int, np.ndarray] = {}  # see _draws
     for batch in _batches(partitions, len(seeds)):
@@ -706,7 +707,7 @@ def order_criterion_check(P: Partition, field: PrimeField, samples: int, seed: i
     through the layout: entry e moves basis vector sources[e] onto
     targets[e], and the layout's basis order is the only one used.
     """
-    seeds = _seeds(seed, samples)
+    seeds = _seeds(field, seed, samples)
     if P.n > 8:
         raise PosetTooLarge(f"order check is exhaustive over pairs; n={P.n} > 8")
     D = build_poset(P)

@@ -42,14 +42,16 @@ start partition: ``_realized`` keeps only the latest start partition's
 families, like ``strand_table``, with the latest path ``union_as_uchain``
 has checked.  A prefix is compared with its family once while its
 anchors and removed sets match that path; a call for a trace that
-differs from it at step i grows the path again from step i.  The path
+differs from it at step i grows the path again from step i.  The path is
+never changed in place: each call reads one snapshot of it and publishes
+a new one, so concurrent calls get the answers of serial ones.  The path
 shares nothing with ``prefix_families``, so ``union_as_uchain`` stays an
 independent check of it.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -307,7 +309,9 @@ class _Step:
 
     ``values`` are the lifted anchor values of steps 0..i, ascending, and
     ``union`` their removed sets' union; ``spec`` is the prefix's
-    specification once a call for that prefix has checked it.
+    specification once a call for that prefix has checked it.  The spec
+    depends on ``values`` and ``union`` alone, so a step may be shared by
+    many paths, and by calls in many threads.
     """
 
     anchor: int
@@ -331,22 +335,26 @@ def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
     cut at the first step that differs and grown from there, one step at
     a time.  The path keeps a reference to each removed set, so the
     identity of a set it holds is never reused.  A prefix whose check
-    raised is checked again by the next call for it.
+    raised is checked again by the next call for it.  The call reads the
+    path once and publishes the grown one as a new tuple, so a call made
+    meanwhile, in this thread or another, never sees a path half cut.
     """
     if not is_integer(r) or not 1 <= r <= t.steps:
         raise InvalidParameter(f"prefix length {r!r} is not an integer in 1..{t.steps}")
-    _, path = _realized(t.start)
+    entry = _realized(t.start)
+    path = entry.path
     i = 0
     while i < r and i < len(path) and path[i].anchor == t.anchors[i] and path[i].removed is t.removed[i]:
         i += 1
     if i < r:
-        del path[i:]
+        path = path[:i]
         values, union = (path[-1].values, path[-1].union) if path else ((), frozenset())
         for j in range(i, r):
             a, history = t.anchors[j], t.anchors[:j]
             values = sorted((*values, _lift(a, history), _lift(a + 1, history)))
             union = union | t.removed[j]
-            path.append(_Step(a, t.removed[j], values, union))
+            path += (_Step(a, t.removed[j], values, union),)
+        entry.path = path
     step = path[r - 1]
     if step.spec is None:
         step.spec = _as_spec(t.start, step.values, step.union)
@@ -364,7 +372,7 @@ def _as_spec(P: Partition, values: Sequence[int], union: frozenset[Vertex]) -> U
     anchors = list(values[::2])
     if list(values[1::2]) != [a + 1 for a in anchors]:
         raise NoMatchingSpec(f"transported values {list(values)} do not pair up")
-    families, _ = _realized(P)
+    families = _realized(P).families
     key = tuple(anchors)
     known = families.get(key)
     if known is None:
@@ -381,18 +389,27 @@ def _as_spec(P: Partition, values: Sequence[int], union: frozenset[Vertex]) -> U
     return spec
 
 
+@dataclass(slots=True)
+class _Entry:
+    """One start partition's families and checked path (see ``_realized``)."""
+
+    families: dict[tuple[int, ...], tuple[UChainSpec, frozenset[Vertex]]] = field(default_factory=dict)
+    path: tuple[_Step, ...] = ()
+
+
 @lru_cache(maxsize=1)
-def _realized(P: Partition) -> tuple[dict[tuple[int, ...], tuple[UChainSpec, frozenset[Vertex]]], list[_Step]]:
+def _realized(P: Partition) -> _Entry:
     """The families ``_as_spec`` has met in P, and ``union_as_uchain``'s checked path.
 
     The families are keyed by the anchors, each entry holding the
-    validated specification and its family's union.  The path holds at
-    most one ``_Step`` per step, O(steps · n) vertices.  Only the latest
-    start partition's entry is kept, like ``strand_table``'s strands, so
-    the memory stays at one partition's families however many partitions
-    are seen.
+    validated specification and its family's union; an entry, once
+    stored, never changes.  The path holds at most one ``_Step`` per step,
+    O(steps · n) vertices, and is replaced whole, never changed in place.
+    Only the latest start partition's entry is kept, like
+    ``strand_table``'s strands, so the memory stays at one partition's
+    families however many partitions are seen.
     """
-    return {}, []
+    return _Entry()
 
 
 def trace_to_json(t: ProcessTrace) -> str:

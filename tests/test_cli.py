@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nilcomm import cli, matrixlab, uprocess
+from nilcomm import cli, greene, matrixlab, uchains, uprocess
 from nilcomm.cli import main, run_sweep
 from nilcomm.errors import CheckFailed, EmptyPartition, InvalidParameter, RelabelCollision, StrandsOverlap
-from nilcomm.partitions import Partition, all_partitions, partition_count
+from nilcomm.partitions import Partition, all_partitions, from_parts, partition_count
+from nilcomm.poset import build_poset
 
 
 def test_invariants_headline(capsys):
@@ -52,9 +54,8 @@ def test_verify_small_range(capsys):
 def module_env(**extra):
     """The environment for ``python -m nilcomm`` run from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "NILCOMM_PRIME"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**env, **extra}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def test_module_entry_point_runs_verify():
@@ -72,8 +73,10 @@ def test_exit_codes_through_the_module_entry_point():
         (["verify", "1", "3"], {}, 0),
         (["verify", "1", "3", "--with-matrix", "--seed", "-1"], {}, 2),
         (["verify", "1", "31"], {}, 2),
+        (["verify", "1", "3", "--with-matrix", "--prime", "abc"], {}, 2),
+        # the modulus comes from --prime alone: the environment is ignored
         (["invariants", "-p", "3,1"], {"NILCOMM_PRIME": "abc"}, 0),
-        (["verify", "1", "3"], {"NILCOMM_PRIME": "abc"}, 2),
+        (["verify", "1", "3"], {"NILCOMM_PRIME": "abc"}, 0),
         # over GF(2) the samples of (2,2,1,1) have no dominance maximum: a failed check
         (["verify", "1", "10", "--with-matrix", "--prime", "2"], {}, 1),
     ]
@@ -126,10 +129,9 @@ def test_verify_rejects_bad_matrix_parameters(capsys):
     assert "error: 4 is not prime" in capsys.readouterr().err
 
 
-def test_verify_takes_a_modulus_up_to_the_int64_bound(monkeypatch, capsys):
+def test_verify_takes_a_modulus_up_to_the_int64_bound(capsys):
     # The largest prime with (p-1)^2 < 2^63 is exact at every order: its
     # report is the default prime's, byte for byte.  A prime past it is refused.
-    monkeypatch.delenv("NILCOMM_PRIME", raising=False)
     assert main(["verify", "1", "8", "--with-matrix", "--json"]) == 0
     blob = capsys.readouterr().out.encode()
     assert hashlib.sha256(blob).hexdigest() == (
@@ -228,33 +230,11 @@ def test_verify_strict_conjecture_passes_when_types_agree(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_prime_env_override(monkeypatch):
-    from nilcomm.cli import build_parser
-    monkeypatch.setenv("NILCOMM_PRIME", "999983")
-    args = build_parser().parse_args(["verify", "1", "2"])
-    assert args.prime == 999983
-
-
 def test_negative_seed_exits_2_only_when_sampling(capsys):
     assert main(["verify", "1", "3", "--with-matrix", "--seed", "-1"]) == 2
     assert "error: seed -1 is negative" in capsys.readouterr().err
     assert main(["verify", "1", "3", "--seed", "-1"]) == 0  # the seed is unused
     assert "PASS" in capsys.readouterr().out
-
-
-def test_malformed_prime_env_fails_only_verify(monkeypatch, capsys):
-    monkeypatch.setenv("NILCOMM_PRIME", "abc")
-    assert main(["invariants", "-p", "3,1"]) == 0
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "1", "3"])
-    assert exc.value.code == 2
-    assert "invalid int value: 'abc'" in capsys.readouterr().err
-    monkeypatch.setenv("NILCOMM_PRIME", "")
-    assert cli.build_parser().parse_args(["verify", "1", "2"]).prime == 1_000_003
-    monkeypatch.setenv("NILCOMM_PRIME", "4")
-    assert main(["verify", "1", "3", "--with-matrix"]) == 2
-    assert "error: 4 is not prime" in capsys.readouterr().err
 
 
 def test_export_dot(capsys):
@@ -304,10 +284,9 @@ def test_sweep_report_is_pinned():
         "98007eaf9be0a524f86cd709292eb511f3fcd2415937fcb0a521bf7760628b0f")
 
 
-def test_matrix_sweep_report_is_pinned(monkeypatch, capsys):
+def test_matrix_sweep_report_is_pinned(capsys):
     # sha256 of `nilcomm verify 1 10 --with-matrix --json` at the default
     # prime, samples and seed; pins the Q estimates beside every record
-    monkeypatch.delenv("NILCOMM_PRIME", raising=False)
     assert main(["verify", "1", "10", "--with-matrix", "--json"]) == 0
     blob = capsys.readouterr().out.encode()
     assert hashlib.sha256(blob).hexdigest() == (
@@ -350,6 +329,94 @@ def test_a_sample_that_is_not_nilpotent_fails_its_partition_only(monkeypatch):
             assert "Q_est" not in got and got == {k: v for k, v in want.items() if k != "Q_est"}
         else:
             assert got == want
+
+
+def altered(monkeypatch, module, name, P, change):
+    """Plant a fault: ``module.name`` returns ``change(result)`` when its first
+    argument is P or P's poset, and its true result otherwise."""
+    real, vertices = getattr(module, name), build_poset(P).vertices
+
+    def call(first, *rest):
+        found = real(first, *rest)
+        mine = first == P if isinstance(first, Partition) else first.vertices == vertices
+        return change(found) if mine else found
+
+    monkeypatch.setattr(module, name, call)
+
+
+def planted_estimate(monkeypatch, P, q):
+    """Plant a fault: P's estimated generic type reads ``q``."""
+    real = matrixlab.generic_jordan_types
+
+    def call(*args):
+        for Q, estimate in real(*args):
+            yield Q, dataclasses.replace(estimate, q=q) if Q == P else estimate
+
+    monkeypatch.setattr(matrixlab, "generic_jordan_types", call)
+
+
+def drop_vertex(union):
+    return union - {min(union)}
+
+
+# One planted fault per check of ``_check_partition`` and ``run_sweep``: the
+# planted partition, the plant, the sweep and its exact failures.  A fault
+# that breaks two checks fails both.  lambda = lambda_U at every n checked
+# here, so an estimate other than lambda_U breaks a bound: that is why the
+# conjecture check fails only beside one.
+SWEEP_FAULTS = {
+    "lambda below lambda_U": (
+        [9], lambda mp: altered(mp, greene, "chain_union_profile", from_parts([9]),
+                                lambda _: greene.ChainUnionProfile(from_parts([8, 1]))),
+        (9, 9), {}, ["9: chain invariant does not dominate the anchored one"]),
+    "lambda_U not stable": (
+        [2, 1], lambda mp: altered(mp, uchains, "lambda_u", from_parts([2, 1]), lambda _: from_parts([2, 1])),
+        (3, 3), {}, ["2,1: parts of (2,1) differ by less than 2", "2,1: prefix family [1] covers 3 != u_1=2"]),
+    "strand size": (
+        [2, 1], lambda mp: altered(mp, uchains, "strand_table", from_parts([2, 1]),
+                                   lambda table: {**table, (1, 2): drop_vertex(table[1, 2])}),
+        (3, 3), {}, ["2,1: strand 1 of anchor 2 has 1 vertices != slot weight 2"]),
+    "flow against the oracle": (
+        [3, 1], lambda mp: altered(mp, greene, "chain_union_profile", from_parts([3, 1]),
+                                   lambda _: greene.ChainUnionProfile(from_parts([4]))),
+        (4, 4), {}, ["3,1: flow c_1=4 != oracle 3"]),
+    "prefix family size": (
+        [3, 1], lambda mp: altered(mp, uprocess, "prefix_families", from_parts([3, 1]),
+                                   lambda found: (found[0], {spec: drop_vertex(union) if spec.anchors == (1,)
+                                                             else union for spec, union in found[1].items()})),
+        (4, 4), {}, ["3,1: prefix family [1] covers 2 != u_1=3"]),
+    "estimate's part count": (
+        [4, 2], lambda mp: planted_estimate(mp, from_parts([4, 2]), from_parts([4, 1, 1])),
+        (6, 6), {"with_matrix": True}, ["4,2: estimated type (4,1,1) has 3 parts, expected 2",
+                                        "4,2: (4,2) not dominated by estimate (4,1,1)"]),
+    "estimate's largest part": (
+        [4, 2], lambda mp: planted_estimate(mp, from_parts([4, 2]), from_parts([3, 3])),
+        (6, 6), {"with_matrix": True}, ["4,2: largest estimated part 3 != max simple size 4",
+                                        "4,2: (4,2) not dominated by estimate (3,3)"]),
+    "estimate below lambda_U": (
+        [5, 3, 1], lambda mp: planted_estimate(mp, from_parts([5, 3, 1]), from_parts([5, 2, 2])),
+        (9, 9), {"with_matrix": True}, ["5,3,1: (5,3,1) not dominated by estimate (5,2,2)"]),
+    "strict conjecture": (
+        [4, 2], lambda mp: planted_estimate(mp, from_parts([4, 2]), from_parts([5, 1])),
+        (6, 6), {"with_matrix": True, "strict_conjecture": True},
+        ["4,2: largest estimated part 5 != max simple size 4", "4,2: estimate (5,1) not dominated by lambda (4,2)",
+         "4,2: conjecture equality failed, (5,1) != (4,2)"]),
+    "partition count": (
+        [1, 1, 1, 1], lambda mp: mp.setattr(cli, "all_partitions",
+                                            lambda n: [P for P in all_partitions(n) if P != Partition([1] * 4)]),
+        (4, 4), {}, ["n=4: enumerated 4 partitions, recurrence says 5"]),
+}
+
+
+@pytest.mark.parametrize("fault", SWEEP_FAULTS)
+def test_each_sweep_check_fails_its_partition_only(monkeypatch, fault):
+    parts, plant, bounds, options, failures = SWEEP_FAULTS[fault]
+    clean = run_sweep(*bounds, **options)
+    plant(monkeypatch)
+    report = run_sweep(*bounds, **options)
+    assert clean.ok and report.failures == failures
+    assert ([record for record in report.records if record["P"] != parts]
+            == [record for record in clean.records if record["P"] != parts])
 
 
 def test_a_partition_checked_alone_gets_its_sweep_record():

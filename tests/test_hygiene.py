@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with ``ast`` alone: no unused import,
 no private module-level function or class that nothing refers to, no
 public function that only the tests call, one home for the modulus rule,
-one function that forms matrix products, and memos of one entry."""
+one function that forms matrix products, memos of one entry, and no read
+of the process environment."""
 import ast
 import re
 from collections import Counter
@@ -126,3 +127,13 @@ def test_every_memo_holds_one_entry():
             if not one:
                 wide.append(f"{name}: {decorated.get(id(node), node.lineno)}")
     assert set(wide) == WIDE_MEMOS  # equal, so the scan is seen to find one
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_process_environment():
+    # A run depends on its arguments alone: the modulus, say, comes from
+    # ``--prime`` or a ``PrimeField``, never from a variable a caller may not see.
+    reads = [f"{name}: {word}" for name, tree in MODULES.items() for word in used_names(tree) & ENVIRONMENT]
+    assert not reads

@@ -550,15 +550,14 @@ def batch_of_ranks(ranks, rows, cols, p, seed):
        p=st.sampled_from([3, 1_000_003, BIG_PRIME, 2_147_483_647, LARGEST_PRIME]), seed=SEEDS)
 def test_blocked_pivots_equal_the_column_loop_and_sympy(ranks, rows, cols, panel, p, seed):
     # Panels of at most 4 columns: every batch crosses at least 3 of them.
-    # At 2^31 - 1 and LARGEST_PRIME the module's width, 2 and 1 columns,
-    # is narrower still, so both runs take the tagged path and sympy is
-    # the oracle.
+    # At 2^31 - 1 and LARGEST_PRIME the loop reduces its panel before every
+    # second column and before every column, and sympy is the oracle.
     batch = batch_of_ranks([min(r, rows - 1) for r in ranks], rows, cols, p, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrixlab, "PANEL_COLUMNS", cols)
         loop = matrixlab._pivots(batch.copy(), p)
         mp.setattr(matrixlab, "PANEL_COLUMNS", panel)
-        assert -(-cols // matrixlab._panel_width(p)) >= 3
+        assert -(-cols // panel) >= 3
         assert matrixlab._pivots(batch.copy(), p) == loop
     for A, piv in zip(batch, loop):
         M = sympy_matrix(A, p)
@@ -566,21 +565,44 @@ def test_blocked_pivots_equal_the_column_loop_and_sympy(ranks, rows, cols, panel
         assert tuple(piv) == M.to_dense().rref()[1]
 
 
+def batch_of_pivots(pivots, rows, cols, p, seed):
+    """A batch whose matrix s has the pivot columns ``pivots[s]``: B E mod p,
+    with E random in reduced row echelon form on those pivots and B the
+    first columns of an invertible L U (L unit lower, U upper triangular
+    with a nonzero diagonal)."""
+    rng = np.random.default_rng(seed)
+    batch = []
+    for piv in pivots:
+        E = np.zeros((len(piv), cols), dtype=object)
+        for k, c in enumerate(piv):
+            E[k, c:] = rng.integers(0, p, cols - c).tolist()
+            E[:, c] = 0
+            E[k, c] = 1
+        L = np.tril(rng.integers(0, p, (rows, rows)), -1) + np.eye(rows, dtype=np.int64)
+        U = np.triu(rng.integers(0, p, (rows, rows)), 1) + np.diag(rng.integers(1, p, rows))
+        batch.append(L.astype(object).dot(U.astype(object))[:, :len(piv)].dot(E) % p)
+    return np.array(batch, dtype=np.int64).reshape(len(pivots), rows, cols)
+
+
 @pytest.mark.parametrize("p", [3, 1_000_003, BIG_PRIME, 2_147_483_647, LARGEST_PRIME])
-def test_blocked_pivots_at_the_module_panel_width(p):
-    # 600 columns cross 3 panels of 256 at p = 3 and 1,000,003, and more
-    # where width (p-1)^2 < 2^63 keeps a panel narrower: 127 columns at
-    # BIG_PRIME, 2 at 2^31 - 1 and 1 at LARGEST_PRIME.
-    batch = batch_of_ranks([5, 0, 11, 12], 12, 600, p, 5)
-    panels = {3: 3, 1_000_003: 3, BIG_PRIME: 5, 2_147_483_647: 300, LARGEST_PRIME: 600}[p]
-    assert -(-600 // matrixlab._panel_width(p)) == panels
-    pivots = matrixlab._pivots(batch.copy(), p)
+def test_blocked_pivots_at_the_module_panel_width(p, monkeypatch):
+    # 600 columns cross 3 panels of 256 at every prime.  Each of the first
+    # two panels holds 3 to 6 pivots of every nonzero matrix, so each updates
+    # the columns right of it by one product, and at 2^31 - 1 and
+    # LARGEST_PRIME its rows take more updates than int64 holds unreduced.
+    pivots = [[3, 60, 200, 255, 256, 400, 511], [], [0, 1, 2, 300, 301, 302, 512, 513, 599],
+              [10, 20, 30, 40, 50, 60, 260, 270, 280, 520, 530, 540]]
+    batch = batch_of_pivots(pivots, 12, 600, p, 5)
+    products = []
+    matmul = matrixlab._matmul
+    monkeypatch.setattr(matrixlab, "_matmul", lambda A, B, p: products.append(A.shape) or matmul(A, B, p))
+    assert matrixlab._pivots(batch.copy(), p) == pivots
+    assert matrixlab.PANEL_COLUMNS == 256 and len(products) == 2
     for A, piv in zip(batch, pivots):
         assert piv == rref_mod(A, p)[1]
         assert len(piv) == sympy_matrix(A, p).rank()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matrixlab, "PANEL_COLUMNS", 600)
-        assert matrixlab._pivots(batch.copy(), p) == pivots
+    monkeypatch.setattr(matrixlab, "PANEL_COLUMNS", 600)
+    assert matrixlab._pivots(batch.copy(), p) == pivots
 
 
 def test_one_batch_mixes_widths_and_nilpotency_indices():
@@ -656,13 +678,16 @@ def test_modulus_that_is_not_prime_is_refused(p):
     lambda: generic_jordan_type(from_parts([2, 1]), PrimeField(), 1, True),
     lambda: order_criterion_check(from_parts([2, 1]), PrimeField(), 1, True),
     lambda: order_criterion_check(from_parts([2, 1]), PrimeField(), True, 0),
+    lambda: generic_jordan_type(from_parts([2, 1]), 1_000_003, 2, 0),
+    lambda: order_criterion_check(from_parts([2, 1]), 1_000_003, 2, 0),
 ], ids=["rank_mod float", "jordan_type_from_ranks float", "rank_mod complex",
         "jordan_type_from_ranks complex", "jordan_type_from_ranks object float", "PrimeField float",
         "rank_mod float modulus", "jordan_type_from_ranks float modulus", "run_sweep float samples",
         "run_sweep float seed", "order_criterion_check float samples", "jordan_type_from_ranks 3-D",
         "jordan_type_from_ranks scalar", "PrimeField bool", "rank_mod bool modulus",
         "generic_jordan_type bool samples", "generic_jordan_type bool seed",
-        "order_criterion_check bool seed", "order_criterion_check bool samples"])
+        "order_criterion_check bool seed", "order_criterion_check bool samples",
+        "generic_jordan_type int field", "order_criterion_check int field"])
 def test_refused_matrix_input_raises_invalid_parameter(call):
     with pytest.raises(InvalidParameter):
         call()
@@ -972,6 +997,61 @@ def test_level_estimates_equal_each_partition_alone(monkeypatch, batch_matrices)
             assert est == generic_jordan_type(P, FIELD, 5, 0), P
             checked += 1
     assert checked == 271
+
+
+def plant_commutation_failure(monkeypatch, P, sample):
+    """Make sample ``sample`` of every stack of P fail the commutation check."""
+    real, vertices = matrixlab._commutes_with_jordan, tuple(vertex_list(P))
+
+    def planted(layout, A):
+        commutes = real(layout, A)
+        if layout.vertices == vertices:
+            commutes[sample] = False
+        return commutes
+
+    monkeypatch.setattr(matrixlab, "_commutes_with_jordan", planted)
+
+
+@pytest.mark.parametrize("batch_matrices", [matrixlab.BATCH_MATRICES, 2])
+def test_a_sample_that_does_not_commute_fails_its_partition_only(monkeypatch, batch_matrices):
+    # The level n = 6 is 11 partitions of 5 samples: one shared batch of 55
+    # matrices, or, 2 matrices to a batch, each partition in pieces of 2, 2
+    # and 1.  The failure is planted in the first piece of (3,2,1), whose
+    # later pieces are then never sampled.
+    level, planted = list(all_partitions(6)), from_parts([3, 2, 1])
+    clean = list(generic_jordan_types(level, FIELD, 5, 0))
+    monkeypatch.setattr(matrixlab, "BATCH_MATRICES", batch_matrices)
+    plant_commutation_failure(monkeypatch, planted, 1)
+    sampled, sample_stack = [], matrixlab._sample_stack
+    monkeypatch.setattr(matrixlab, "_sample_stack", lambda P, field, seeds, streams:
+                        sampled.append((P, seeds)) or sample_stack(P, field, seeds, streams))
+    found = list(generic_jordan_types(level, FIELD, 5, 0))
+    assert [P for P, _ in found] == level
+    for (P, got), (_, want) in zip(found, clean):
+        if P == planted:
+            assert isinstance(got, CommutationCheckFailed)
+            assert str(got) == "sampled matrix does not commute for (3,2,1) (seed 1)"
+        else:
+            assert got == want, P
+    assert [seeds for P, seeds in sampled if P == planted] == [tuple(range(min(batch_matrices, 5)))]
+    assert len(sampled) == 1 + 10 * -(-5 // min(batch_matrices, 5))
+
+
+def test_the_stream_table_is_dropped_past_a_batch_of_entries(monkeypatch):
+    # The table a call keeps is cleared once it holds more draws than a batch
+    # holds entries; the seeds are drawn again, and no estimate changes.
+    def estimates():
+        sizes.clear()
+        return list(generic_jordan_types(all_partitions(8), FIELD, 5, 0))
+
+    sizes, draws = [], matrixlab._draws
+    monkeypatch.setattr(matrixlab, "_draws", lambda streams, seeds, count, p:
+                        sizes.append(len(streams)) or draws(streams, seeds, count, p))
+    clean = estimates()
+    assert sizes[0] == 0 and 0 not in sizes[1:]
+    monkeypatch.setattr(matrixlab, "BATCH_ELEMENTS", 100)
+    assert estimates() == clean
+    assert sizes[0] == 0 and 0 in sizes[1:]
 
 
 def test_level_estimates_build_each_layout_once():

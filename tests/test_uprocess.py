@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import random
+import sys
+import threading
 import tracemalloc
 from itertools import zip_longest
 
@@ -304,6 +306,62 @@ def test_an_in_order_walk_checks_each_prefix_once(monkeypatch):
         union_as_uchain(t, r)
     prefixes = {t.anchors[:r] for t, r in calls}
     assert len(checked) == len(prefixes) < len(calls)
+
+
+@pytest.mark.parametrize("name", ["_as_spec", "_lift"])
+def test_a_call_made_in_the_middle_of_another_gets_the_in_order_specs(monkeypatch, name):
+    # Each call makes another, for the opposite trace of the in-order walk,
+    # from inside ``name``: after the path is read and, for ``_lift``, while
+    # it is grown, where a thread switch could start a call too.
+    traces = enumerate_full_processes(staircase(7))
+    uprocess._realized.cache_clear()
+    expected = {(t, r): union_as_uchain(t, r) for t in traces for r in range(1, t.steps + 1)}
+    calls, pending, inner = list(expected), [], []
+    real = getattr(uprocess, name)
+
+    def reenter(*args):
+        if pending:
+            t, r = pending.pop()
+            inner.append(union_as_uchain(t, r) == expected[t, r])
+        return real(*args)
+
+    monkeypatch.setattr(uprocess, name, reenter)
+    uprocess._realized.cache_clear()
+    for k, (t, r) in enumerate(calls):
+        pending[:] = [calls[-1 - k]]
+        assert union_as_uchain(t, r) == expected[t, r], (t.anchors, r)
+    assert len(inner) > len(calls) // 4 and all(inner)
+
+
+def test_threads_walking_one_start_partition_get_the_in_order_specs():
+    # Four threads, each in its own order, share the checked path of staircase 8.
+    traces = enumerate_full_processes(staircase(8))
+    uprocess._realized.cache_clear()
+    expected = {(t, r): union_as_uchain(t, r) for t in traces for r in range(1, t.steps + 1)}
+    rng = random.Random(1)
+    walks = [list(expected), list(reversed(expected)), *(rng.sample(list(expected), len(expected)) for _ in range(2))]
+    wrong, errors = [], []
+
+    def walk(order):
+        try:
+            for _ in range(3):
+                wrong.extend((t.anchors, r) for t, r in order if union_as_uchain(t, r) != expected[t, r])
+        except Exception as exc:  # reported below, with the wrong specs
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        uprocess._realized.cache_clear()
+        threads = [threading.Thread(target=walk, args=(order,)) for order in walks]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and errors == []
 
 
 def test_canonical_process():
