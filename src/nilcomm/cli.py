@@ -230,6 +230,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"n={n}: {by_n.get(n, 0)} partitions checked")
         checked, agreed = report.agreement("lambda")
         print(f"lambda == lambda_U: {agreed}/{checked}")
+        differ = [",".join(map(str, rec["P"])) for rec in report.records
+                  if "lambda" in rec and rec["lambda"] != rec["lambda_U"]]
+        if differ:
+            print(f"lambda != lambda_U: {'; '.join(differ)}")
         if args.with_matrix:
             checked, agreed = report.conjecture
             print(f"conjecture equality: {agreed}/{checked}")

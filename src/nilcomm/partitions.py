@@ -8,7 +8,6 @@ formulas rely on.
 """
 from __future__ import annotations
 
-from collections import Counter
 from itertools import pairwise
 from typing import Iterable, Iterator
 
@@ -27,11 +26,13 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(sorted(parts, reverse=True))
+        mult: dict[int, int] = {}
         for p in ps:
             if type(p) is not int or p < 1:  # a bool is no part
                 raise NonPositivePart(f"partition parts must be positive integers, got {p!r}")
+            mult[p] = mult.get(p, 0) + 1
         self._parts = ps
-        self._mult = Counter(ps)
+        self._mult = mult
 
     @property
     def parts(self) -> tuple[int, ...]:

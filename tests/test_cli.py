@@ -133,6 +133,7 @@ def test_every_text_report_counts_lambda_against_lambda_u(capsys):
     assert main(["verify", "1", "5"]) == 0
     out = capsys.readouterr().out
     assert "lambda == lambda_U: 18/18" in out
+    assert "lambda != lambda_U" not in out
     assert "conjecture" not in out
 
 
@@ -439,7 +440,8 @@ def test_each_sweep_check_fails_its_partition_only(monkeypatch, fault):
 def test_the_text_report_counts_a_lambda_that_differs_from_lambda_u(monkeypatch, capsys):
     SWEEP_FAULTS["lambda below lambda_U"][1](monkeypatch)
     assert main(["verify", "9", "9"]) == 1
-    assert "lambda == lambda_U: 29/30" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "lambda == lambda_U: 29/30\nlambda != lambda_U: 9\n" in out
 
 
 def test_a_partition_checked_alone_gets_its_sweep_record():

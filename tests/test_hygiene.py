@@ -137,3 +137,34 @@ def test_no_module_reads_the_process_environment():
     # ``--prime`` or a ``PrimeField``, never from a variable a caller may not see.
     reads = [f"{name}: {word}" for name, tree in MODULES.items() for word in used_names(tree) & ENVIRONMENT]
     assert not reads
+
+
+CONTAINERS = {"dict", "list", "set", "defaultdict", "Counter"}
+
+
+def mutable_bindings(tree):
+    """The lines where a module-level statement of ``tree`` binds a mutable container."""
+    def mutable(node):
+        called = isinstance(node, ast.Call) and (
+            node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) in CONTAINERS
+        return called or isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                                           ast.SetComp, ast.GeneratorExp))
+
+    def statements(body):
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield node
+                for block in ("body", "orelse", "finalbody", "handlers"):
+                    yield from statements(getattr(node, block, []))
+
+    return [node.lineno for node in statements(tree.body)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None
+            and any(map(mutable, ast.walk(node.value)))]
+
+
+def test_no_module_binds_a_mutable_container():
+    # Module state outlives every call: a memo lives behind a one-entry
+    # cache (see above), never in a module-level dict, list or set.
+    assert mutable_bindings(ast.parse("A = 1\nB = (2, [])\nif A:\n    C = collections.defaultdict(list)\n")) == [2, 4]
+    bound = [f"{name}: {line}" for name, tree in MODULES.items() for line in mutable_bindings(tree)]
+    assert not bound

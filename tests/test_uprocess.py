@@ -272,6 +272,54 @@ def test_the_checked_path_cannot_hide_a_fault():
     assert [union_as_uchain(t, r) for r in (3, 2, 1)] == specs
 
 
+def swapped_in_step_2(t):
+    """``t`` with one vertex of step 2's removed set swapped for one outside
+    the family of prefix 2: same sizes, same anchors, no family for r >= 2."""
+    family = materialize(t.start, union_as_uchain(t, 2)).union
+    inside = min(t.removed[1], key=sort_key)
+    outside = min(set(vertex_list(t.start)) - family, key=sort_key)
+    return dataclasses.replace(t, removed=(t.removed[0], (t.removed[1] - {inside}) | {outside}, *t.removed[2:]))
+
+
+def test_the_union_and_spec_tables_cannot_hide_a_fault():
+    # Walked in order first, every clean prefix of staircase 7 is in both
+    # tables; a trace faulty from step 2 on is still refused at every r >= 2.
+    traces = enumerate_full_processes(staircase(7))
+    uprocess._realized.cache_clear()
+    expected = {(t, r): union_as_uchain(t, r) for t in traces for r in range(1, t.steps + 1)}
+    for t in traces:
+        swapped = swapped_in_step_2(t)
+        assert union_as_uchain(swapped, 1) == expected[t, 1]
+        for r in range(2, t.steps + 1):
+            with pytest.raises(NoMatchingSpec, match="realize"):
+                union_as_uchain(swapped, r)
+    assert all(union_as_uchain(t, r) == spec for (t, r), spec in expected.items())
+
+
+def test_a_prefix_whose_check_raised_enters_no_table():
+    P = staircase(7)
+    t = enumerate_full_processes(P)[0]
+    uprocess._realized.cache_clear()
+    swapped = swapped_in_step_2(t)  # checks prefixes 1 and 2 of t
+    entry = uprocess._realized(P)
+    before = dict(entry.unions), dict(entry.specs)
+    assert all(before)
+    for r in range(2, t.steps + 1):
+        with pytest.raises(NoMatchingSpec, match="realize"):
+            union_as_uchain(swapped, r)
+    assert uprocess._realized(P) is entry
+    assert (entry.unions, entry.specs) == before
+
+
+def test_removed_sets_that_are_plain_sets_get_their_specs():
+    # The tables are keyed on frozensets; a plain set is united afresh.
+    t = enumerate_full_processes(from_parts([5, 4, 3, 3, 2, 1]))[0]
+    plain = dataclasses.replace(t, removed=tuple(set(c) for c in t.removed))
+    uprocess._realized.cache_clear()
+    for trace in (plain, t, plain):
+        assert [union_as_uchain(trace, r).anchors for r in range(1, 4)] == [(2,), (1, 3), (1, 3, 5)]
+
+
 def test_any_call_order_gets_the_in_order_specs():
     # every (trace, r) pair of each P with n <= 9 and of the next partition,
     # asked shuffled, in descending r per trace, and alternating between the
@@ -293,26 +341,29 @@ def test_any_call_order_gets_the_in_order_specs():
 
 
 def test_an_in_order_walk_checks_each_prefix_once(monkeypatch):
-    # a call for a shorter prefix must not cut the path: the next trace may
-    # share more than that prefix with it
+    # each distinct (lifted anchor values, union) pair is compared with its
+    # family once, however many traces and anchor prefixes share it
     checked = []
     as_spec = uprocess._as_spec
     monkeypatch.setattr(uprocess, "_as_spec",
-                        lambda P, values, union: checked.append(values) or as_spec(P, values, union))
+                        lambda P, values, union: checked.append((tuple(values), union)) or as_spec(P, values, union))
     uprocess._realized.cache_clear()
     traces = enumerate_full_processes(staircase(8))
     calls = [(t, r) for t in traces for r in range(1, t.steps + 1)]
+    pairs = set()
     for t, r in calls:
-        union_as_uchain(t, r)
+        spec = union_as_uchain(t, r)
+        pairs.add((tuple(v for a in spec.anchors for v in (a, a + 1)), frozenset().union(*t.removed[:r])))
     prefixes = {t.anchors[:r] for t, r in calls}
-    assert len(checked) == len(prefixes) < len(calls)
+    assert len(checked) == len(set(checked)) and set(checked) == pairs
+    assert len(checked) < len(prefixes) < len(calls)
 
 
-@pytest.mark.parametrize("name", ["_as_spec", "_lift"])
+@pytest.mark.parametrize("name", ["_unite", "_lift"])
 def test_a_call_made_in_the_middle_of_another_gets_the_in_order_specs(monkeypatch, name):
     # Each call makes another, for the opposite trace of the in-order walk,
-    # from inside ``name``: after the path is read and, for ``_lift``, while
-    # it is grown, where a thread switch could start a call too.
+    # from inside ``name``: after the path is read and while it is grown,
+    # where a thread switch could start a call too.
     traces = enumerate_full_processes(staircase(7))
     uprocess._realized.cache_clear()
     expected = {(t, r): union_as_uchain(t, r) for t in traces for r in range(1, t.steps + 1)}
