@@ -51,6 +51,9 @@ blocks A^i V (inner dimension n) and a wide elimination's panel updates,
 is formed by ``_matmul``, in float64, which is exact while no sum passes
 2^53: a factor is split into as many limbs as that bound asks for, so
 every accepted modulus stays exact at every order.
+
+numpy is imported by the functions that use it, so only sampling or a
+rank profile loads it.
 """
 from __future__ import annotations
 
@@ -58,8 +61,6 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import (
     CheckFailed,
@@ -141,6 +142,7 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     would have to pass 2.9 million, an n x n matrix that cannot be
     allocated.
     """
+    import numpy as np
     inner = A.shape[-1]
     limbs, width = 1, B.shape[-1]
     if inner * (p - 1) ** 2 > FLOAT64_EXACT:
@@ -167,6 +169,7 @@ def _sample_stack(P: Partition, field: PrimeField, seeds: tuple[int, ...],
     in O(n^2) per sample, and a failure names the seed of the sample that
     fails.
     """
+    import numpy as np
     n = P.n
     layout = _sample_layout(P)
     draws = _draws(streams, seeds, layout.count, field.p)
@@ -192,6 +195,7 @@ def _draws(streams: dict[int, np.ndarray], seeds: tuple[int, ...], count: int, p
     yields the same stream as one scalar draw per coefficient, so every
     prefix is the stream a sample of ``count`` coefficients draws alone.
     """
+    import numpy as np
     for s in seeds:
         if s not in streams or len(streams[s]) < count:
             size = max(count, 2 * len(streams.get(s, ())))
@@ -238,6 +242,7 @@ class _SampleLayout:
 
 def _segment_arange(lengths: np.ndarray) -> np.ndarray:
     """0, 1, ..., lengths[0] - 1, then 0, ..., lengths[1] - 1, and so on."""
+    import numpy as np
     ends = np.cumsum(lengths)
     return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - lengths, lengths)
 
@@ -255,6 +260,7 @@ def _sample_layout(P: Partition) -> _SampleLayout:
     then target row (rows in the basis order), then shift ascending: the
     order in which a sample draws them.
     """
+    import numpy as np
     vertices = tuple(vertex_list(P))
     u, p, k = np.array(vertices, dtype=np.int64).reshape(-1, 3).T
     first, last = u == 1, u == p
@@ -289,6 +295,7 @@ def _commutes_with_jordan(layout: _SampleLayout, A: np.ndarray) -> np.ndarray:
     (B A)[i, :] is A[i-1, :] for i not first in its row and zero
     otherwise: a column shift and a row shift of A inside the rows.
     """
+    import numpy as np
     AB = np.zeros_like(A)
     AB[..., :-1] = A[..., 1:]
     AB[..., layout.last] = 0
@@ -358,6 +365,7 @@ def _pivots(R: np.ndarray, p: int) -> list[list[int]]:
     transformation as one product.  A matrix no wider than a panel is
     eliminated by the loop alone.
     """
+    import numpy as np
     S, rows, cols = R.shape
     R = R.reshape(S * rows, cols)
     offsets = np.arange(S) * rows
@@ -430,6 +438,7 @@ def _residues(M: np.ndarray, field: PrimeField) -> np.ndarray:
     entry check: M must hold integers, its dtype bool, signed or unsigned
     integer, or object with every entry an integer.
     """
+    import numpy as np
     kind = M.dtype.kind
     # A bool entry is an integer here: a 0/1 matrix is a matrix.
     if kind not in "biuO" or kind == "O" and not all(isinstance(x, (int, np.integer)) for x in M.flat):
@@ -467,6 +476,7 @@ def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
     have not vanished after n steps, or drops that are no partition mean
     A is not nilpotent.
     """
+    import numpy as np
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidParameter(f"the rank profile needs a square matrix, not shape {A.shape}")
@@ -482,6 +492,7 @@ def _jordan_types(As: np.ndarray, p: int) -> list[Partition | NotNilpotent]:
     shape (S, n, n), by the profile that ``jordan_type_from_ranks``
     describes.  A matrix found not nilpotent gets a ``NotNilpotent`` in
     place of its type, and the other matrices of the batch keep theirs."""
+    import numpy as np
     S, n, _ = As.shape
     outside = np.ones((S, n), dtype=bool)  # the rows of each A outside J
     transposes = As.transpose(0, 2, 1).copy()
@@ -644,6 +655,7 @@ def generic_jordan_types(partitions: Iterable[Partition], field: PrimeField, sam
     asked for, and an empty partition, ``EmptyPartition``, when it is
     reached.
     """
+    import numpy as np
     seeds = _seeds(field, seed, samples)
     found: dict[int, list[Partition | NotNilpotent] | CheckFailed] = {}
     streams: dict[int, np.ndarray] = {}  # see _draws

@@ -22,7 +22,7 @@ class Partition:
     reject it.
     """
 
-    __slots__ = ("_parts", "_mult")
+    __slots__ = ("_parts", "_mult", "_hash")
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(sorted(parts, reverse=True))
@@ -33,6 +33,7 @@ class Partition:
             mult[p] = mult.get(p, 0) + 1
         self._parts = ps
         self._mult = mult
+        self._hash = hash(ps)  # read by every cache keyed by a partition
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -73,7 +74,7 @@ class Partition:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._parts)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Partition({list(self._parts)!r})"

@@ -89,6 +89,36 @@ def test_exit_codes_through_the_module_entry_point():
         assert "Traceback" not in err, (argv, extra, err)
 
 
+# Run in a fresh interpreter, since the test process has numpy loaded.
+NO_NUMPY_UNTIL_A_MATRIX = """
+import contextlib, io, sys
+from nilcomm import cli
+from nilcomm.matrixlab import PrimeField
+from nilcomm.partitions import Partition
+from nilcomm.uprocess import enumerate_full_processes
+
+assert cli.run_sweep(1, 10).ok
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["invariants", "-p", "5,4,3,3,2,1"]) == 0
+    assert cli.main(["export", "-p", "6,4,2", "--format", "json"]) == 0
+assert len(enumerate_full_processes(Partition(range(6, 0, -1)))) > 0
+PrimeField(1_000_003)
+assert "numpy" not in sys.modules, "numpy loaded before any matrix work"
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    assert cli.main(["verify", "1", "3", "--with-matrix", "--prime", "4"]) == 2
+assert "4 is not prime" in err.getvalue(), err.getvalue()
+assert cli.run_sweep(1, 6, with_matrix=True).ok
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_matrix_work_imports_numpy():
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY_UNTIL_A_MATRIX],
+                          capture_output=True, text=True, env=module_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_verify_rejects_bad_range(capsys):
     assert main(["verify", "3", "2"]) == 2
     assert "error" in capsys.readouterr().err

@@ -27,21 +27,70 @@ def used_names(tree):
     return set(name_reads(tree))
 
 
+def runtime_names(nodes):
+    """Every name read in ``nodes`` outside annotations, which
+    ``from __future__ import annotations`` leaves unevaluated."""
+    names, stack = set(), list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+        stack += [child for field, value in ast.iter_fields(node) if field not in ("annotation", "returns")
+                  for child in (value if isinstance(value, list) else [value]) if isinstance(child, ast.AST)]
+    return names
+
+
+def bound_names(statements):
+    """The names that the import statements among ``statements`` bind."""
+    return [alias.asname or alias.name.split(".")[0] for node in statements
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names]
+
+
+def unread_imports(tree, module_level=True):
+    """The names bound by imports in ``tree`` that are never read: an import
+    in a function must be read in that function, outside annotations, and,
+    with ``module_level``, one at module level anywhere in the module."""
+    unread = [bound for bound in bound_names(tree.body) if bound not in used_names(tree)] if module_level else []
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read = runtime_names(function.body)
+            unread += [bound for bound in bound_names(ast.walk(function)) if bound not in read]
+    return unread
+
+
 def test_every_import_is_used():
-    unused = []
-    for name, tree in MODULES.items():
-        if name == "__init__.py":  # its imports are the package's re-exports
-            continue
-        used = used_names(tree)
-        for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if bound not in used:
-                        unused.append(f"{name}: {bound}")
+    planted = "import a\nimport b\n\ndef f(x: c) -> c:\n    import c, d\n    return b, d\n"
+    assert unread_imports(ast.parse(planted)) == ["a", "c"]
+    # the imports of ``__init__`` are the package's re-exports
+    unused = [f"{name}: {bound}" for name, tree in MODULES.items()
+              for bound in unread_imports(tree, module_level=name != "__init__.py")]
     assert not unused
+
+
+def imported_when_loaded(tree):
+    """The top-level packages that importing the module ``tree`` imports:
+    every import outside a function body."""
+    packages, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            packages |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            packages.add(node.module.split(".")[0])
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return packages
+
+
+def test_no_module_imports_numpy_when_loaded():
+    # ``import nilcomm`` stays free of numpy: each matrix function that
+    # uses numpy imports it, so only matrix work loads it.
+    planted = "try:\n    from numpy.random import default_rng\nexcept ImportError:\n    pass\n"
+    assert imported_when_loaded(ast.parse(planted)) == {"numpy"}
+    assert imported_when_loaded(ast.parse("def f():\n    import numpy as np\n    return np\n")) == set()
+    loading = [name for name, tree in MODULES.items() if "numpy" in imported_when_loaded(tree)]
+    assert not loading
 
 
 def test_every_private_definition_is_referenced():

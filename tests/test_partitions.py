@@ -26,6 +26,12 @@ def test_from_parts_normalizes():
     assert from_parts([1]).parts == (1,)
 
 
+def test_a_partition_hashes_as_its_parts():
+    P = Partition([3, 1, 2])
+    assert hash(P) == hash(P.parts) == hash(from_parts([1, 2, 3]))
+    assert len({P, Partition((3, 2, 1)), Partition([3, 2])}) == 2
+
+
 def test_from_parts_rejects_bad_input():
     with pytest.raises(EmptyPartition):
         from_parts([])
