@@ -40,19 +40,15 @@ pull-back of removed sets and the anchor transport of
 into a specification.  It realizes each specification's family once per
 start partition: ``_realized`` keeps only the latest start partition's
 entry, like ``strand_table``, with the families, two tables and the
-latest path ``union_as_uchain`` has checked.  The union table maps
-(prefix union, removed set) to the next prefix union, so a step that
-repeats does no union; the spec table maps (values, union) to the
-checked specification, so each distinct pair is compared with its
-family once, however many traces reach it.  Only prefixes whose check
-passed enter them, and an entry, once stored, never changes.  The path
-records the trace it was grown for: a call for that trace is served
-from it directly, and one for a trace that differs from it at step i
-grows it again from step i.  The path is never changed in place: each
-call reads one snapshot of it and publishes a new one, so concurrent
-calls get the answers of serial ones.  The path and the tables share
-nothing with ``prefix_families``, so ``union_as_uchain`` stays an
-independent check of it.
+prefixes of the latest trace ``union_as_uchain`` was called for.  The
+first call for a trace forms the lifted values and the union of each of
+its prefixes in one pass.  The union table maps (prefix union, removed
+set) to the next union and each union to itself, so equal unions are one
+object; the spec table maps (values, union) to the checked
+specification, so each distinct pair is compared with its family once,
+however many traces reach it.  The tables share nothing with
+``prefix_families``, so ``union_as_uchain`` stays an independent check
+of it.
 """
 from __future__ import annotations
 
@@ -147,13 +143,21 @@ class ProcessTrace:
     and ending with the terminal one (empty iff the trace is full);
     ``removed[i]`` is the i-th removed set pulled back to the original
     poset; ``anchors[i]`` is the anchor chosen at step i, in the
-    coordinates of ``partitions[i]``.
+    coordinates of ``partitions[i]``.  A trace with other than one more
+    partition than anchors, one removed set per anchor, and ``start``
+    first is refused with InvalidParameter.
     """
 
     start: Partition
     anchors: tuple[int, ...]
     partitions: tuple[Partition, ...]
     removed: tuple[frozenset[Vertex], ...]
+
+    def __post_init__(self) -> None:
+        steps = len(self.anchors)
+        if not (len(self.partitions) == steps + 1 == len(self.removed) + 1 and self.partitions[0] == self.start):
+            raise InvalidParameter(f"a trace of {steps} anchors needs {steps} removed sets and "
+                                   f"{steps + 1} partitions from {self.start}")
 
     @property
     def full(self) -> bool:
@@ -309,24 +313,6 @@ def canonical_process(P: Partition) -> ProcessTrace:
     return _search(P, pick_all=False)[0]
 
 
-@dataclass(slots=True)
-class _Step:
-    """Step i of a checked path: its anchor and removed set, and the prefix to it.
-
-    ``values`` are the lifted anchor values of steps 0..i, ascending, and
-    ``union`` their removed sets' union; ``spec`` is the prefix's
-    specification once a call for that prefix has checked it.  The spec
-    depends on ``values`` and ``union`` alone, so a step may be shared by
-    many paths, and by calls in many threads.
-    """
-
-    anchor: int
-    removed: frozenset[Vertex]
-    values: tuple[int, ...]
-    union: frozenset[Vertex]
-    spec: UChainSpec | None = None
-
-
 def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
     """An anchor set whose chain family equals C_1 ∪ ... ∪ C_r as vertices.
 
@@ -334,66 +320,35 @@ def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
     with ``_lift``; the collected values always regroup into adjacent
     pairs.  The family, realized by ``materialize`` once per start
     partition, is compared with the actual union; a mismatch raises
-    NoMatchingSpec.  The call is served from the first r steps of the
-    latest checked path of ``t.start`` when that path was grown for ``t``
-    itself, or when each step's anchor is equal and its removed set is
-    the same object; otherwise the path is cut at the first step that
-    differs and grown from there, one step at a time, each step's union
-    taken from the union table (``_unite``).  The path keeps a reference
-    to its trace and to each removed set, so the identity of an object it
-    holds is never reused.  A prefix the path has not checked yet is
-    looked up in the spec table before ``_as_spec`` compares it with its
-    family.  Once its check passes, its pair enters the spec table, and
-    its step enters the union table when the removed set is a frozenset,
-    with the union the spec table holds, so later steps meet that one
-    object; a prefix whose check raised enters neither, and is checked
-    again by the next call for it.  The call reads the path once and
-    publishes the grown one as a new tuple, so a call made meanwhile, in
-    this thread or another, never sees a path half cut.
+    NoMatchingSpec.  The first call for ``t`` forms the values and the
+    union of every prefix of ``t``, each union taken from the union table,
+    and publishes them with ``t`` as one new tuple, so a call made
+    meanwhile, in this thread or another, never sees them half formed;
+    the calls for ``t`` that follow read them there.  A prefix is looked
+    up in the spec table and compared with its family only on a miss;
+    only a pair whose check passed enters the table.
     """
     if not is_integer(r) or not 1 <= r <= t.steps:
         raise InvalidParameter(f"prefix length {r!r} is not an integer in 1..{t.steps}")
     entry = _realized(t.start)
-    grown_for, path = entry.path
-    if grown_for is t:
-        i = min(r, len(path))
-    else:
-        i = 0
-        while i < r and i < len(path) and path[i].anchor == t.anchors[i] and path[i].removed is t.removed[i]:
-            i += 1
-    if i < r:
-        path = path[:i]
-        values, union = (path[-1].values, path[-1].union) if path else ((), frozenset())
-        for j in range(i, r):
+    seen, prefixes = entry.path
+    if seen is not t:
+        unions, values, union, prefixes = entry.unions, (), frozenset(), ()
+        for j in range(t.steps):
             a, history = t.anchors[j], t.anchors[:j]
             values = tuple(sorted((*values, _lift(a, history), _lift(a + 1, history))))
-            union = _unite(entry.unions, union, t.removed[j])
-            path += (_Step(a, t.removed[j], values, union),)
-        entry.path = (t, path)
-    step = path[r - 1]
-    if step.spec is None:
-        key = (step.values, step.union)
-        known = entry.specs.get(key)
-        if known is None:
-            known = entry.specs.setdefault(key, (_as_spec(t.start, step.values, step.union), step.union))
-        spec, union = known
-        if type(step.removed) is frozenset:
-            entry.unions.setdefault((path[r - 2].union if r > 1 else frozenset(), step.removed), union)
-        step.spec = spec
-    return step.spec
-
-
-def _unite(unions: dict, union: frozenset[Vertex], removed: frozenset[Vertex]) -> frozenset[Vertex]:
-    """``union | removed``, the stored object when the union table holds the pair.
-
-    Only frozensets key the table; a removed set of another type is united
-    afresh, as is a pair the table lacks.
-    """
-    if type(removed) is frozenset:
-        known = unions.get((union, removed))
-        if known is not None:
-            return known
-    return union | removed
+            step = (union, frozenset(t.removed[j]))
+            union = unions.get(step)
+            if union is None:
+                union = step[0] | step[1]
+                union = unions.setdefault(step, unions.setdefault(union, union))
+            prefixes += ((values, union),)
+        entry.path = (t, prefixes)
+    key = prefixes[r - 1]
+    spec = entry.specs.get(key)
+    if spec is None:
+        spec = entry.specs.setdefault(key, _as_spec(t.start, *key))
+    return spec
 
 
 def _as_spec(P: Partition, values: Sequence[int], union: frozenset[Vertex]) -> UChainSpec:
@@ -426,31 +381,28 @@ def _as_spec(P: Partition, values: Sequence[int], union: frozenset[Vertex]) -> U
 
 @dataclass(slots=True)
 class _Entry:
-    """One start partition's families, union and spec tables, and checked path (see ``_realized``)."""
+    """One start partition's families, union and spec tables, and latest prefixes (see ``_realized``)."""
 
     families: dict[tuple[int, ...], tuple[UChainSpec, frozenset[Vertex]]] = field(default_factory=dict)
-    unions: dict[tuple[frozenset[Vertex], frozenset[Vertex]], frozenset[Vertex]] = field(default_factory=dict)
-    specs: dict[tuple[tuple[int, ...], frozenset[Vertex]], tuple[UChainSpec, frozenset[Vertex]]] = field(
+    unions: dict[tuple[frozenset[Vertex], frozenset[Vertex]] | frozenset[Vertex], frozenset[Vertex]] = field(
         default_factory=dict)
-    path: tuple[ProcessTrace | None, tuple[_Step, ...]] = (None, ())
+    specs: dict[tuple[tuple[int, ...], frozenset[Vertex]], UChainSpec] = field(default_factory=dict)
+    path: tuple[ProcessTrace | None, tuple[tuple[tuple[int, ...], frozenset[Vertex]], ...]] = (None, ())
 
 
 @lru_cache(maxsize=1)
 def _realized(P: Partition) -> _Entry:
-    """The families ``_as_spec`` has met in P, and ``union_as_uchain``'s tables and checked path.
+    """The families ``_as_spec`` has met in P, and ``union_as_uchain``'s tables and latest prefixes.
 
     The families are keyed by the anchors, each entry holding the
     validated specification and its family's union.  The union table maps
-    (prefix union, removed set) to the next prefix union; the spec table
-    maps (values, union) to the specification ``_as_spec`` returned and
-    the union first checked with it.  Both hold only prefixes whose check
-    passed, each entry a pure function of its key: one per distinct
-    checked step in the union table, one per distinct checked prefix in
-    the spec table.  An entry of any of the three, once stored, never
-    changes.  The path is the trace it was grown for and at most one
-    ``_Step`` per step, O(steps · n) vertices; it is replaced whole, never
-    changed in place.  Only the latest start partition's entry is kept,
-    like ``strand_table``'s strands, so the memory stays at one
+    (prefix union, removed set) to the next prefix union, and each union
+    to itself; the spec table maps (values, union) to the specification
+    ``_as_spec`` returned, for the pairs whose check passed.  An entry of
+    any of the three is a pure function of its key and, once stored, never
+    changes.  ``path`` is the latest trace and its prefixes, O(steps · n)
+    vertices, replaced whole.  Only the latest start partition's entry is
+    kept, like ``strand_table``'s strands, so the memory stays at one
     partition's families however many partitions are seen.
     """
     return _Entry()

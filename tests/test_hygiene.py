@@ -1,8 +1,9 @@
 """Source hygiene of the package, read with ``ast`` alone: no unused import,
 no private module-level function or class that nothing refers to, no
 public function that only the tests call, one home for the modulus rule,
-one function that forms matrix products, memos of one entry, and no read
-of the process environment."""
+one function that forms matrix products, memos of one entry, no read
+of the process environment, and no private name quoted in a docstring or
+the README that the package does not define."""
 import ast
 import re
 from collections import Counter
@@ -217,3 +218,40 @@ def test_no_module_binds_a_mutable_container():
     assert mutable_bindings(ast.parse("A = 1\nB = (2, [])\nif A:\n    C = collections.defaultdict(list)\n")) == [2, 4]
     bound = [f"{name}: {line}" for name, tree in MODULES.items() for line in mutable_bindings(tree)]
     assert not bound
+
+
+def defined_names(tree):
+    """Every name that a definition or an assignment in ``tree`` binds."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return names
+
+
+def quoted_private_names(text, fence):
+    """Each private name that ``text`` quotes between ``fence`` marks, a dotted name split at its dots."""
+    return {part for quoted in re.findall(f"{fence}([\\w.]+){fence}", text) for part in quoted.split(".")
+            if part.startswith("_") and not part.startswith("__")}
+
+
+def stale_names(trees, readme):
+    """The private names that a docstring of ``trees`` quotes in double
+    backticks, or ``readme`` in backticks, and no tree defines."""
+    quoted = quoted_private_names(readme, "`")
+    for tree in trees:
+        quoted |= {name for node in ast.walk(tree)
+                   if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   for name in quoted_private_names(ast.get_docstring(node) or "", "``")}
+    return quoted - set().union(*map(defined_names, trees))
+
+
+def test_every_quoted_private_name_is_defined():
+    # A docstring or the README that names a private helper names one that
+    # exists: a rename or a deletion takes its mentions with it.
+    planted = ('"""Uses ``_f``, ``_Cls._attr`` and ``_gone``."""\n'
+               'class _Cls:\n    _attr = 1\n\ndef _f():\n    """Not ``__init__``, not ``_old.x``."""\n')
+    assert stale_names([ast.parse(planted)], "`_f`, `_also_gone` and ``_Cls``") == {"_gone", "_old", "_also_gone"}
+    assert not stale_names(MODULES.values(), README.read_text())

@@ -13,6 +13,7 @@ from nilcomm import uprocess
 from nilcomm.errors import (
     EmptyChainRemoval,
     EnumerationCapExceeded,
+    InvalidParameter,
     NilcommError,
     NoMatchingSpec,
     NonMonotoneSizes,
@@ -196,6 +197,17 @@ def test_q_requires_full_trace():
         q_of_trace(stub)
 
 
+@pytest.mark.parametrize("malformed", [
+    lambda t: dict(removed=t.removed[:1]),
+    lambda t: dict(anchors=t.anchors[:-1]),
+    lambda t: dict(partitions=(from_parts([5, 4, 3, 3, 2]),) + t.partitions[1:]),
+], ids=["short removed", "short anchors", "wrong first partition"])
+def test_a_trace_whose_steps_do_not_line_up_is_refused(malformed):
+    t = canonical_process(from_parts([5, 4, 3, 3, 2, 1]))
+    with pytest.raises(InvalidParameter, match="trace of"):
+        dataclasses.replace(t, **malformed(t))
+
+
 def test_q_refuses_removal_sizes_that_increase():
     P = from_parts([2, 1])
     low, mid, top = sorted(vertex_list(P), key=sort_key)
@@ -257,8 +269,8 @@ def test_a_second_start_partition_realizes_its_own_families(monkeypatch):
 
 
 def test_the_checked_path_cannot_hide_a_fault():
-    # the path holds all three steps of t; a trace that differs from it only
-    # in the removed set of step 2 must not be served the checked prefixes
+    # the latest prefixes are all three of t; a trace that differs from it
+    # only in the removed set of step 2 must not be served them
     P = from_parts([5, 4, 3, 3, 2, 1])
     t = enumerate_full_processes(P)[0]
     specs = [union_as_uchain(t, r) for r in (3, 2, 1)]
@@ -297,27 +309,48 @@ def test_the_union_and_spec_tables_cannot_hide_a_fault():
 
 
 def test_a_prefix_whose_check_raised_enters_no_table():
+    # The spec table holds checked prefixes only; the union table, a pure
+    # function of its key, may keep the unions of refused ones.
     P = staircase(7)
     t = enumerate_full_processes(P)[0]
     uprocess._realized.cache_clear()
     swapped = swapped_in_step_2(t)  # checks prefixes 1 and 2 of t
     entry = uprocess._realized(P)
-    before = dict(entry.unions), dict(entry.specs)
-    assert all(before)
+    before = dict(entry.specs)
+    assert before
     for r in range(2, t.steps + 1):
         with pytest.raises(NoMatchingSpec, match="realize"):
             union_as_uchain(swapped, r)
     assert uprocess._realized(P) is entry
-    assert (entry.unions, entry.specs) == before
+    assert entry.specs == before
+    steps = {key: union for key, union in entry.unions.items() if isinstance(key, tuple)}
+    assert len(steps) > t.steps
+    assert all(union == key[0] | key[1] for key, union in steps.items())
 
 
 def test_removed_sets_that_are_plain_sets_get_their_specs():
-    # The tables are keyed on frozensets; a plain set is united afresh.
+    # The union table keys a removed set as a frozenset, so a plain set reaches the same unions.
     t = enumerate_full_processes(from_parts([5, 4, 3, 3, 2, 1]))[0]
     plain = dataclasses.replace(t, removed=tuple(set(c) for c in t.removed))
     uprocess._realized.cache_clear()
     for trace in (plain, t, plain):
         assert [union_as_uchain(trace, r).anchors for r in range(1, 4)] == [(2,), (1, 3), (1, 3, 5)]
+
+
+def test_equal_removed_sets_share_their_checks(monkeypatch):
+    # Copies whose removed sets are equal but new objects reach the same
+    # unions, so the spec table serves them with no further check.
+    checked = []
+    as_spec = uprocess._as_spec
+    monkeypatch.setattr(uprocess, "_as_spec", lambda *args: checked.append(args) or as_spec(*args))
+    traces = enumerate_full_processes(staircase(8))
+    uprocess._realized.cache_clear()
+    expected = [union_as_uchain(t, r) for t in traces for r in range(1, t.steps + 1)]
+    copies = [dataclasses.replace(t, removed=tuple(frozenset(set(c)) for c in t.removed)) for t in traces]
+    assert all(copy.removed[0] is not t.removed[0] for copy, t in zip(copies, traces))
+    first = len(checked)
+    assert [union_as_uchain(t, r) for t in copies for r in range(1, t.steps + 1)] == expected
+    assert len(checked) == first
 
 
 def test_any_call_order_gets_the_in_order_specs():
@@ -359,14 +392,16 @@ def test_an_in_order_walk_checks_each_prefix_once(monkeypatch):
     assert len(checked) < len(prefixes) < len(calls)
 
 
-@pytest.mark.parametrize("name", ["_unite", "_lift"])
+@pytest.mark.parametrize("name", ["_as_spec", "_lift"])
 def test_a_call_made_in_the_middle_of_another_gets_the_in_order_specs(monkeypatch, name):
     # Each call makes another, for the opposite trace of the in-order walk,
-    # from inside ``name``: after the path is read and while it is grown,
-    # where a thread switch could start a call too.
+    # from inside ``name``: while a trace's prefixes are formed (``_lift``,
+    # once per trace) or while a prefix is checked (``_as_spec``, once per
+    # distinct prefix), where a thread switch could start a call too.
     traces = enumerate_full_processes(staircase(7))
     uprocess._realized.cache_clear()
     expected = {(t, r): union_as_uchain(t, r) for t in traces for r in range(1, t.steps + 1)}
+    checked = len(uprocess._realized(staircase(7)).specs)
     calls, pending, inner = list(expected), [], []
     real = getattr(uprocess, name)
 
@@ -381,11 +416,11 @@ def test_a_call_made_in_the_middle_of_another_gets_the_in_order_specs(monkeypatc
     for k, (t, r) in enumerate(calls):
         pending[:] = [calls[-1 - k]]
         assert union_as_uchain(t, r) == expected[t, r], (t.anchors, r)
-    assert len(inner) > len(calls) // 4 and all(inner)
+    assert len(inner) >= (len(traces) if name == "_lift" else checked // 2) and all(inner)
 
 
 def test_threads_walking_one_start_partition_get_the_in_order_specs():
-    # Four threads, each in its own order, share the checked path of staircase 8.
+    # Four threads, each in its own order, share the tables and latest prefixes of staircase 8.
     traces = enumerate_full_processes(staircase(8))
     uprocess._realized.cache_clear()
     expected = {(t, r): union_as_uchain(t, r) for t in traces for r in range(1, t.steps + 1)}
