@@ -221,10 +221,12 @@ def _seeds(field: PrimeField, seed: int, samples: int) -> tuple[int, ...]:
 class _SampleLayout:
     """The basis and the free coefficients of one partition's samples.
 
-    Basis index i is ``vertices[i]``, taken from ``vertex_list``.
-    Coefficient c is the c-th draw.  Matrix entry (targets[e], sources[e])
-    holds coefficient entry_coefficient[e], and no entry is listed twice,
-    so an entry can be nonzero exactly when it is listed.  For the two
+    ``_sample_layout`` builds one afresh for each stack of samples and
+    each order check, and no call shares it with another.  Basis index i
+    is ``vertices[i]``, taken from ``vertex_list``.  Coefficient c is the
+    c-th draw.  Matrix entry (targets[e], sources[e]) holds coefficient
+    entry_coefficient[e], and no entry is listed twice, so an entry can
+    be nonzero exactly when it is listed.  For the two
     certificates, which run on every sample, ``first`` and ``last`` mark
     the indices that start and end a row (u == 1, u == p), and
     ``position[i]`` is the rank of index i in the key order (2u - p, p, k).
@@ -247,10 +249,9 @@ def _segment_arange(lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - lengths, lengths)
 
 
-@lru_cache(maxsize=1)
 def _sample_layout(P: Partition) -> _SampleLayout:
-    """The coefficient layout of P's samples, built once and shared by
-    consecutive samples of one partition (only the latest is cached).
+    """The coefficient layout of P's samples, built once per stack of
+    samples (a partition whose samples span batches builds it per batch).
 
     A coefficient couples a source row (p, k) to a target row (p2, k2) at a
     shift j in [max(1, p2 - p + 1), p2], except at j = 1 from a row of
@@ -279,10 +280,7 @@ def _sample_layout(P: Partition) -> _SampleLayout:
     sources = src[pair][entry_coefficient] + offset
     position = np.empty(len(vertices), dtype=np.int64)
     position[np.lexsort((k, p, 2 * u - p))] = np.arange(len(vertices))
-    arrays = [targets, sources, entry_coefficient, first, last, position]
-    for a in arrays:
-        a.flags.writeable = False
-    return _SampleLayout(vertices, len(shift), *arrays)
+    return _SampleLayout(vertices, len(shift), targets, sources, entry_coefficient, first, last, position)
 
 
 def _commutes_with_jordan(layout: _SampleLayout, A: np.ndarray) -> np.ndarray:

@@ -37,18 +37,18 @@ the only map of vertices.  The collision check of a removal, the
 pull-back of removed sets and the anchor transport of
 ``union_as_uchain`` and ``prefix_families`` all go through them.
 ``_as_spec`` is the only statement of how lifted anchor values pair up
-into a specification.  It realizes each specification's family once per
-start partition: ``_realized`` keeps only the latest start partition's
-entry, like ``strand_table``, with the families, two tables and the
-prefixes of the latest trace ``union_as_uchain`` was called for.  The
-first call for a trace forms the lifted values and the union of each of
-its prefixes in one pass.  The union table maps (prefix union, removed
-set) to the next union and each union to itself, so equal unions are one
-object; the spec table maps (values, union) to the checked
-specification, so each distinct pair is compared with its family once,
-however many traces reach it.  The tables share nothing with
-``prefix_families``, so ``union_as_uchain`` stays an independent check
-of it.
+into a specification, and realizes its family with ``materialize`` on
+every call.  ``_realized`` keeps only the latest start partition's entry,
+like ``strand_table``, with two tables and the prefixes of the latest
+trace ``union_as_uchain`` was called for.  The first call for a trace
+forms the lifted values and the union of each of its prefixes in one
+pass.  The union table maps (prefix union, removed set) to the next union
+and each union to itself, so equal unions are one object; the spec table
+maps (values, union) to the checked specification, so each distinct pair
+is compared with its family once, however many traces reach it.
+``prefix_families`` calls ``_as_spec`` once per distinct prefix and never
+reads the entry, so the tables share nothing with it and
+``union_as_uchain`` stays an independent check of it.
 """
 from __future__ import annotations
 
@@ -318,13 +318,13 @@ def union_as_uchain(t: ProcessTrace, r: int) -> UChainSpec:
 
     Built by lifting the anchor pair of every step into the start poset
     with ``_lift``; the collected values always regroup into adjacent
-    pairs.  The family, realized by ``materialize`` once per start
-    partition, is compared with the actual union; a mismatch raises
-    NoMatchingSpec.  The first call for ``t`` forms the values and the
-    union of every prefix of ``t``, each union taken from the union table,
-    and publishes them with ``t`` as one new tuple, so a call made
-    meanwhile, in this thread or another, never sees them half formed;
-    the calls for ``t`` that follow read them there.  A prefix is looked
+    pairs.  The family, realized by ``materialize`` once per distinct
+    prefix of the start partition, is compared with the actual union; a
+    mismatch raises NoMatchingSpec.  The first call for ``t`` forms the
+    values and the union of every prefix of ``t``, each union taken from
+    the union table, and publishes them with ``t`` as one new tuple, so a
+    call made meanwhile, in this thread or another, never sees them half
+    formed; the calls for ``t`` that follow read them there.  A prefix is looked
     up in the spec table and compared with its family only on a miss;
     only a pair whose check passed enters the table.
     """
@@ -356,22 +356,17 @@ def _as_spec(P: Partition, values: Sequence[int], union: frozenset[Vertex]) -> U
 
     The values must pair up as a, a+1 with gaps of at least 2 between the
     pairs, and the family must realize ``union`` in P; otherwise no family
-    matches, and NoMatchingSpec is raised.  The family is looked up in
-    ``_realized`` and realized only when P's entry lacks it.
+    matches, and NoMatchingSpec is raised.  Each call realizes the family
+    afresh; its callers check each distinct prefix once.
     """
     anchors = list(values[::2])
     if list(values[1::2]) != [a + 1 for a in anchors]:
         raise NoMatchingSpec(f"transported values {list(values)} do not pair up")
-    families = _realized(P).families
-    key = tuple(anchors)
-    known = families.get(key)
-    if known is None:
-        try:
-            spec = UChainSpec(key)
-        except ValueError as exc:
-            raise NoMatchingSpec(f"transported anchors invalid: {anchors} ({exc})") from None
-        known = families[key] = (spec, materialize(P, spec).union)
-    spec, realized = known
+    try:
+        spec = UChainSpec(tuple(anchors))
+    except ValueError as exc:
+        raise NoMatchingSpec(f"transported anchors invalid: {anchors} ({exc})") from None
+    realized = materialize(P, spec).union
     if realized != union:
         raise NoMatchingSpec(
             f"anchors {anchors} realize {len(realized)} vertices, prefix union has {len(union)}"
@@ -381,9 +376,8 @@ def _as_spec(P: Partition, values: Sequence[int], union: frozenset[Vertex]) -> U
 
 @dataclass(slots=True)
 class _Entry:
-    """One start partition's families, union and spec tables, and latest prefixes (see ``_realized``)."""
+    """One start partition's union and spec tables and latest prefixes (see ``_realized``)."""
 
-    families: dict[tuple[int, ...], tuple[UChainSpec, frozenset[Vertex]]] = field(default_factory=dict)
     unions: dict[tuple[frozenset[Vertex], frozenset[Vertex]] | frozenset[Vertex], frozenset[Vertex]] = field(
         default_factory=dict)
     specs: dict[tuple[tuple[int, ...], frozenset[Vertex]], UChainSpec] = field(default_factory=dict)
@@ -392,18 +386,17 @@ class _Entry:
 
 @lru_cache(maxsize=1)
 def _realized(P: Partition) -> _Entry:
-    """The families ``_as_spec`` has met in P, and ``union_as_uchain``'s tables and latest prefixes.
+    """``union_as_uchain``'s tables and latest prefixes for the start partition P.
 
-    The families are keyed by the anchors, each entry holding the
-    validated specification and its family's union.  The union table maps
-    (prefix union, removed set) to the next prefix union, and each union
-    to itself; the spec table maps (values, union) to the specification
-    ``_as_spec`` returned, for the pairs whose check passed.  An entry of
-    any of the three is a pure function of its key and, once stored, never
-    changes.  ``path`` is the latest trace and its prefixes, O(steps · n)
-    vertices, replaced whole.  Only the latest start partition's entry is
-    kept, like ``strand_table``'s strands, so the memory stays at one
-    partition's families however many partitions are seen.
+    The union table maps (prefix union, removed set) to the next prefix
+    union, and each union to itself; the spec table maps (values, union)
+    to the specification ``_as_spec`` returned, for the pairs whose check
+    passed.  An entry of either is a pure function of its key and, once
+    stored, never changes.  ``path`` is the latest trace and its prefixes,
+    O(steps · n) vertices, replaced whole.  Only the latest start
+    partition's entry is kept, like ``strand_table``'s strands, so the
+    memory stays at one partition's tables however many partitions are
+    seen.  Only ``union_as_uchain`` reads it.
     """
     return _Entry()
 

@@ -153,6 +153,10 @@ def test_only_matmul_forms_a_product():
 
 MEMOS = ("lru_cache", "cache")
 WIDE_MEMOS = {"matrixlab.py: _is_prime"}  # one bool per modulus checked, no partition
+ONE_ENTRY_MEMOS = {
+    "uchains.py: strand_table",  # the latest partition's strands, read by every spec check of it
+    "uprocess.py: _realized",  # the oracle's union and spec tables, shared by the traces of one start
+}
 
 
 def test_every_memo_holds_one_entry():
@@ -161,7 +165,7 @@ def test_every_memo_holds_one_entry():
     def is_memo(node):
         return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in MEMOS
 
-    wide = []
+    wide, one_entry = [], []
     for name, tree in MODULES.items():
         decorated = {id(deco): node.name for node in ast.walk(tree)
                      if isinstance(node, ast.FunctionDef) for deco in node.decorator_list}
@@ -174,9 +178,10 @@ def test_every_memo_holds_one_entry():
                 one = False  # a bare @lru_cache keeps 128 entries, @cache all
             else:
                 continue
-            if not one:
-                wide.append(f"{name}: {decorated.get(id(node), node.lineno)}")
-    assert set(wide) == WIDE_MEMOS  # equal, so the scan is seen to find one
+            (one_entry if one else wide).append(f"{name}: {decorated.get(id(node), node.lineno)}")
+    # equal, so the scan is seen to find both kinds, and a new memo must be named with its reason
+    assert set(wide) == WIDE_MEMOS
+    assert set(one_entry) == ONE_ENTRY_MEMOS
 
 
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}

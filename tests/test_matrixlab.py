@@ -809,13 +809,6 @@ def test_sampler_matches_reference_loop_for_other_primes(p):
                 assert np.array_equal(sample(P, field, seed), A), (P, p, seed)
 
 
-def test_sample_layout_is_built_once_per_partition():
-    matrixlab._sample_layout.cache_clear()
-    generic_jordan_type(from_parts([4, 2, 2, 1]), FIELD, 5, seed=0)
-    info = matrixlab._sample_layout.cache_info()
-    assert (info.misses, info.hits) == (1, 0)  # one stack holds all five samples
-
-
 def test_sampling_is_exact_past_the_former_int64_bound():
     # n (p-1)^2 >= 2^63, which the former int64 bound refused, for
     # staircase 16 (n = 136) at each of these primes and for [12]*8
@@ -1054,12 +1047,20 @@ def test_the_stream_table_is_dropped_past_a_batch_of_entries(monkeypatch):
     assert sizes[0] == 0 and 0 in sizes[1:]
 
 
-def test_level_estimates_build_each_layout_once():
+def test_each_stack_of_samples_builds_its_layout_once(monkeypatch):
+    # A partition's samples in one batch are one stack and one layout; a
+    # partition whose samples span batches builds its layout once per batch.
     level = list(all_partitions(6))
-    matrixlab._sample_layout.cache_clear()
+    P = from_parts([4, 2, 2, 1])
+    clean = generic_jordan_type(P, FIELD, 5, seed=0)
+    built, build = [], matrixlab._sample_layout
+    monkeypatch.setattr(matrixlab, "_sample_layout", lambda P: built.append(P) or build(P))
     list(matrixlab.generic_jordan_types(level, FIELD, 5, 0))
-    info = matrixlab._sample_layout.cache_info()
-    assert (info.misses, info.hits) == (len(level), 0)
+    assert built == level
+    built.clear()
+    monkeypatch.setattr(matrixlab, "BATCH_ELEMENTS", 2 * P.n ** 2)  # two samples of order 9 a batch
+    assert generic_jordan_type(P, FIELD, 5, seed=0) == clean
+    assert built == [P] * 3  # batches of 2, 2 and 1 samples
 
 
 def test_level_estimates_of_mixed_orders_and_repeats():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 
 from nilcomm import uprocess
+from nilcomm.cli import run_sweep
 from nilcomm.errors import (
     EmptyChainRemoval,
     EnumerationCapExceeded,
@@ -266,6 +267,19 @@ def test_a_second_start_partition_realizes_its_own_families(monkeypatch):
     assert realized == expected
     assert (second, UChainSpec((1, 3))) in realized
     assert uprocess._realized.cache_info().currsize == 1
+
+
+def test_a_sweep_leaves_the_oracle_entry_empty():
+    # The sweep's process check, prefix_families, never reads the oracle's
+    # tables, so the oracle checks the partition just swept from scratch.
+    uprocess._realized.cache_clear()
+    report = run_sweep(1, 9)
+    assert uprocess._realized.cache_info().currsize == 0
+    swept = Partition(report.records[-1]["P"])
+    traces = enumerate_full_processes(swept)
+    after_sweep = [union_as_uchain(t, r) for t in traces for r in range(1, t.steps + 1)]
+    uprocess._realized.cache_clear()
+    assert [union_as_uchain(t, r) for t in traces for r in range(1, t.steps + 1)] == after_sweep
 
 
 def test_the_checked_path_cannot_hide_a_fault():
