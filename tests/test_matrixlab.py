@@ -809,6 +809,20 @@ def test_sampler_matches_reference_loop_for_other_primes(p):
                 assert np.array_equal(sample(P, field, seed), A), (P, p, seed)
 
 
+def test_sample_layout_is_built_once_per_partition(monkeypatch):
+    # A partition's samples in one batch are one stack and one layout; a
+    # partition whose samples span batches builds its layout once per batch.
+    P = from_parts([4, 2, 2, 1])
+    built, build = [], matrixlab._sample_layout
+    monkeypatch.setattr(matrixlab, "_sample_layout", lambda P: built.append(P) or build(P))
+    clean = generic_jordan_type(P, FIELD, 5, seed=0)
+    assert built == [P]  # one stack holds all five samples
+    built.clear()
+    monkeypatch.setattr(matrixlab, "BATCH_ELEMENTS", 2 * P.n ** 2)  # two samples of order 9 a batch
+    assert generic_jordan_type(P, FIELD, 5, seed=0) == clean
+    assert built == [P] * 3  # batches of 2, 2 and 1 samples
+
+
 def test_sampling_is_exact_past_the_former_int64_bound():
     # n (p-1)^2 >= 2^63, which the former int64 bound refused, for
     # staircase 16 (n = 136) at each of these primes and for [12]*8
@@ -1047,20 +1061,12 @@ def test_the_stream_table_is_dropped_past_a_batch_of_entries(monkeypatch):
     assert sizes[0] == 0 and 0 in sizes[1:]
 
 
-def test_each_stack_of_samples_builds_its_layout_once(monkeypatch):
-    # A partition's samples in one batch are one stack and one layout; a
-    # partition whose samples span batches builds its layout once per batch.
+def test_level_estimates_build_each_layout_once(monkeypatch):
     level = list(all_partitions(6))
-    P = from_parts([4, 2, 2, 1])
-    clean = generic_jordan_type(P, FIELD, 5, seed=0)
     built, build = [], matrixlab._sample_layout
     monkeypatch.setattr(matrixlab, "_sample_layout", lambda P: built.append(P) or build(P))
     list(matrixlab.generic_jordan_types(level, FIELD, 5, 0))
-    assert built == level
-    built.clear()
-    monkeypatch.setattr(matrixlab, "BATCH_ELEMENTS", 2 * P.n ** 2)  # two samples of order 9 a batch
-    assert generic_jordan_type(P, FIELD, 5, seed=0) == clean
-    assert built == [P] * 3  # batches of 2, 2 and 1 samples
+    assert built == level  # one stack, and one layout, per partition of the level
 
 
 def test_level_estimates_of_mixed_orders_and_repeats():
