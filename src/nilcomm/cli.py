@@ -156,7 +156,9 @@ def run_sweep(n_min: int, n_max: int, *, with_matrix: bool = False,
     ``InvalidParameter``: an empty range is refused, not passed.  A check
     that raises ``CheckFailed`` is a failure of that partition: its record
     keeps what was filled in before, and the sweep goes on.  With the
-    matrix, each level's samples are drawn and profiled in batches that
+    matrix, one ``PrimeField`` is built before the first level, so a
+    refused prime is refused before any partition is checked; each
+    level's samples are drawn over it and profiled in batches that
     span partitions (``matrixlab.generic_jordan_types``), and each
     partition's checks then read its estimate.  ``Q_est == lambda_U`` is
     counted (``SweepReport.conjecture``), not checked: the hard bounds
@@ -167,12 +169,12 @@ def run_sweep(n_min: int, n_max: int, *, with_matrix: bool = False,
             raise InvalidParameter(f"sweep bounds must be integers, not {bound!r}")
     if not 1 <= n_min <= n_max:
         raise InvalidParameter(f"a sweep needs 1 <= n_min <= n_max, not {n_min}..{n_max}")
+    prime_field = matrixlab.PrimeField(prime) if with_matrix else None
     report = SweepReport(n_min, n_max)
     for n in range(n_min, n_max + 1):
         level = zip(all_partitions(n), repeat(None))
         if with_matrix:
-            level = matrixlab.generic_jordan_types(all_partitions(n), matrixlab.PrimeField(prime),
-                                                   samples, seed)
+            level = matrixlab.generic_jordan_types(all_partitions(n), prime_field, samples, seed)
         count = 0
         for P, estimate in level:
             count += 1

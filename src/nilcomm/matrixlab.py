@@ -60,7 +60,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     CheckFailed,
@@ -81,7 +80,6 @@ INT64_LIMIT = 1 << 63
 FLOAT64_EXACT = 1 << 53  # every integer up to it is a float64
 
 
-@lru_cache
 def _is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -434,14 +432,16 @@ PANEL_COLUMNS = 256
 def _residues(M: np.ndarray, field: PrimeField) -> np.ndarray:
     """The entries of M mod ``field.p`` in a new int64 array, after the
     entry check: M must hold integers, its dtype bool, signed or unsigned
-    integer, or object with every entry an integer.
+    integer, or object with every entry an integer, of any width.
     """
     import numpy as np
     kind = M.dtype.kind
     # A bool entry is an integer here: a 0/1 matrix is a matrix.
     if kind not in "biuO" or kind == "O" and not all(isinstance(x, (int, np.integer)) for x in M.flat):
         raise InvalidParameter(f"entries must be integers, not of dtype {M.dtype}")
-    if kind != "O" and M.itemsize < 8:  # a narrow integer type cannot hold p
+    if kind == "O":  # as Python ints, since a narrow numpy integer cannot hold p
+        M = np.frompyfunc(int, 1, 1)(M)
+    elif M.itemsize < 8:  # nor can a narrow integer type
         M = M.astype(np.int64)
     return (M % field.p).astype(np.int64, copy=False)
 
@@ -475,7 +475,10 @@ def jordan_type_from_ranks(A: np.ndarray, p: int) -> Partition:
     A is not nilpotent.
     """
     import numpy as np
-    A = np.asarray(A)
+    try:
+        A = np.asarray(A)
+    except ValueError as exc:  # a ragged list
+        raise InvalidParameter(f"the rank profile needs a matrix: {exc}") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidParameter(f"the rank profile needs a square matrix, not shape {A.shape}")
     field = PrimeField(p)

@@ -8,6 +8,7 @@ formulas rely on.
 """
 from __future__ import annotations
 
+import sys
 from itertools import pairwise
 from typing import Iterable, Iterator
 
@@ -19,10 +20,11 @@ class Partition:
 
     Immutable and hashable.  The empty partition (of 0) is allowed so that
     recursive chain removal has a terminal state; user-facing constructors
-    reject it.
+    reject it.  A size ``n`` past ``sys.maxsize``, too large to index a
+    list, is refused with ``InvalidParameter``.
     """
 
-    __slots__ = ("_parts", "_mult", "_hash")
+    __slots__ = ("_parts", "_n", "_mult", "_hash")
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(sorted(parts, reverse=True))
@@ -31,7 +33,11 @@ class Partition:
             if type(p) is not int or p < 1:  # a bool is no part
                 raise NonPositivePart(f"partition parts must be positive integers, got {p!r}")
             mult[p] = mult.get(p, 0) + 1
+        n = sum(ps)
+        if n > sys.maxsize:
+            raise InvalidParameter(f"partition size {n} is past sys.maxsize, too large to index")
         self._parts = ps
+        self._n = n
         self._mult = mult
         self._hash = hash(ps)  # read by every cache keyed by a partition
 
@@ -41,7 +47,7 @@ class Partition:
 
     @property
     def n(self) -> int:
-        return sum(self._parts)
+        return self._n
 
     def mult(self, p: int) -> int:
         """Multiplicity of the part value ``p``; 0 if absent."""

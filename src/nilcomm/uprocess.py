@@ -74,8 +74,9 @@ from .poset import Vertex, sort_key, vertex_list
 from .uchains import UChainSpec, materialize, max_simple_u_chains, strand
 
 # Full traces refused past this count.  Below it with room to spare: over
-# every partition of n <= 28, ``count_full_processes`` is at most 120,
-# first reached by (9,7,5,3,1) at n = 25 (found by scanning them all).
+# every partition of n <= 30, all that ``verify`` accepts,
+# ``count_full_processes`` is at most 120, first reached by (9,7,5,3,1) at
+# n = 25 (test_every_partition_verify_accepts_stays_far_below_the_trace_cap).
 TRACE_CAP = 10 ** 6
 
 

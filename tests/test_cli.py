@@ -77,6 +77,8 @@ def test_exit_codes_through_the_module_entry_point():
         # the modulus comes from --prime alone: the environment is ignored
         (["invariants", "-p", "3,1"], {"NILCOMM_PRIME": "abc"}, 0),
         (["verify", "1", "3"], {"NILCOMM_PRIME": "abc"}, 0),
+        # a part too large to index a list
+        (["invariants", "-p", "99999999999999999999"], {}, 2),
         # over GF(2) the samples of (2,2,1,1) have no dominance maximum: a failed check
         (["verify", "1", "10", "--with-matrix", "--prime", "2"], {}, 1),
     ]
@@ -185,6 +187,24 @@ def test_verify_takes_a_modulus_up_to_the_int64_bound(capsys):
     assert capsys.readouterr().out.encode() == blob
     assert main(["verify", "1", "3", "--with-matrix", "--prime", "4294967311"]) == 2
     assert "2^63" in capsys.readouterr().err
+
+
+def test_a_sweep_builds_one_prime_field(monkeypatch):
+    built, checked = [], []
+    post_init = matrixlab.PrimeField.__post_init__
+
+    def counted(field):
+        built.append(field.p)
+        post_init(field)
+
+    monkeypatch.setattr(matrixlab.PrimeField, "__post_init__", counted)
+    assert run_sweep(1, 6, with_matrix=True, samples=2).ok
+    assert built == [matrixlab.DEFAULT_PRIME]
+    # a refused prime is refused before any partition is checked
+    monkeypatch.setattr(cli, "_check_partition", lambda P, record, **kw: checked.append(P))
+    with pytest.raises(InvalidParameter):
+        run_sweep(1, 6, with_matrix=True, prime=4)
+    assert not checked
 
 
 def test_run_sweep_records():

@@ -152,36 +152,45 @@ def test_only_matmul_forms_a_product():
 
 
 MEMOS = ("lru_cache", "cache")
-WIDE_MEMOS = {"matrixlab.py: _is_prime"}  # one bool per modulus checked, no partition
 ONE_ENTRY_MEMOS = {
     "uchains.py: strand_table",  # the latest partition's strands, read by every spec check of it
     "uprocess.py: _realized",  # the oracle's union and spec tables, shared by the traces of one start
 }
 
 
-def test_every_memo_holds_one_entry():
-    # A memo keyed by a partition keeps what it returns alive: wider than one
-    # entry, it would hold every partition of a sweep.
+def memos(tree):
+    """The memos of ``tree``, each named by the function it decorates, else
+    by its line: those wider than one entry, and those of one."""
     def is_memo(node):
         return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in MEMOS
 
-    wide, one_entry = [], []
-    for name, tree in MODULES.items():
-        decorated = {id(deco): node.name for node in ast.walk(tree)
-                     if isinstance(node, ast.FunctionDef) for deco in node.decorator_list}
-        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and is_memo(node.func):
-                size = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "maxsize"), None)
-                one = isinstance(size, ast.Constant) and type(size.value) is int and size.value == 1
-            elif is_memo(node) and id(node) not in called:
-                one = False  # a bare @lru_cache keeps 128 entries, @cache all
-            else:
-                continue
-            (one_entry if one else wide).append(f"{name}: {decorated.get(id(node), node.lineno)}")
-    # equal, so the scan is seen to find both kinds, and a new memo must be named with its reason
-    assert set(wide) == WIDE_MEMOS
-    assert set(one_entry) == ONE_ENTRY_MEMOS
+    decorated = {id(deco): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) for deco in node.decorator_list}
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    wide, one_entry = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and is_memo(node.func):
+            size = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "maxsize"), None)
+            one = isinstance(size, ast.Constant) and type(size.value) is int and size.value == 1
+        elif is_memo(node) and id(node) not in called:
+            one = False  # a bare @lru_cache keeps 128 entries, @cache all
+        else:
+            continue
+        (one_entry if one else wide).add(decorated.get(id(node), node.lineno))
+    return wide, one_entry
+
+
+def test_every_memo_holds_one_entry():
+    # A memo keyed by a partition keeps what it returns alive: wider than one
+    # entry, it would hold every partition of a sweep.
+    planted = ("@lru_cache\ndef a(): pass\n\n@functools.cache\ndef b(): pass\n\n"
+               "@lru_cache(maxsize=128)\ndef c(): pass\n\n@lru_cache(1)\ndef d(): pass\n\n"
+               "e = lru_cache(maxsize=1)(len)\n")
+    assert memos(ast.parse(planted)) == ({"a", "b", "c"}, {"d", 13})
+    found = {name: memos(tree) for name, tree in MODULES.items()}
+    assert not [f"{name}: {memo}" for name, (wide, _) in found.items() for memo in wide]
+    # equal, so a new memo must be named with its reason
+    assert {f"{name}: {memo}" for name, (_, one_entry) in found.items() for memo in one_entry} == ONE_ENTRY_MEMOS
 
 
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}

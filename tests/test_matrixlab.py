@@ -672,6 +672,7 @@ def test_modulus_that_is_not_prime_is_refused(p):
     lambda: order_criterion_check(from_parts([2, 1]), PrimeField(), 1.5, 0),
     lambda: jordan_type_from_ranks(np.zeros((2, 2, 2), dtype=np.int64), 7),
     lambda: jordan_type_from_ranks(5, 7),
+    lambda: jordan_type_from_ranks([[0, 1], [0]], 7),
     lambda: PrimeField(True),
     lambda: rank_mod(np.eye(2, dtype=np.int64), True),
     lambda: generic_jordan_type(from_parts([2, 1]), PrimeField(), True, 0),
@@ -684,8 +685,8 @@ def test_modulus_that_is_not_prime_is_refused(p):
         "jordan_type_from_ranks complex", "jordan_type_from_ranks object float", "PrimeField float",
         "rank_mod float modulus", "jordan_type_from_ranks float modulus", "run_sweep float samples",
         "run_sweep float seed", "order_criterion_check float samples", "jordan_type_from_ranks 3-D",
-        "jordan_type_from_ranks scalar", "PrimeField bool", "rank_mod bool modulus",
-        "generic_jordan_type bool samples", "generic_jordan_type bool seed",
+        "jordan_type_from_ranks scalar", "jordan_type_from_ranks ragged", "PrimeField bool",
+        "rank_mod bool modulus", "generic_jordan_type bool samples", "generic_jordan_type bool seed",
         "order_criterion_check bool seed", "order_criterion_check bool samples",
         "generic_jordan_type int field", "order_criterion_check int field"])
 def test_refused_matrix_input_raises_invalid_parameter(call):
@@ -707,6 +708,8 @@ def test_integer_input_of_any_type_gives_the_int64_results():
             assert rank_mod(same, FIELD.p) == rank_mod(J, FIELD.p), (P, same)
             assert jordan_type_from_ranks(same, FIELD.p) == P, (P, same)
     assert jordan_type_from_ranks(np.array([[0, 2**70], [0, 0]], dtype=object), 7) == from_parts([2])
+    narrow = np.array([[np.int8(0), np.int8(1)], [np.int8(0), np.int8(0)]], dtype=object)
+    assert jordan_type_from_ranks(narrow, FIELD.p) == from_parts([2])
     assert generic_jordan_type(from_parts([3, 2, 1]), PrimeField(np.int64(7)), np.int64(2),
                                np.int64(0)).q == generic_jordan_type(from_parts([3, 2, 1]), PrimeField(7), 2, 0).q
 

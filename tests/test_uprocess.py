@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 
 from nilcomm import uprocess
-from nilcomm.cli import run_sweep
+from nilcomm.cli import MAX_SWEEP_N, run_sweep
 from nilcomm.errors import (
     EmptyChainRemoval,
     EnumerationCapExceeded,
@@ -632,6 +632,14 @@ def test_count_full_processes_matches_enumeration():
     assert counts == [945, 3840, 135_135, 34_459_425]  # 34,459,425 = 17!!
     with pytest.raises(ValueError):
         count_full_processes(Partition())
+
+
+def test_every_partition_verify_accepts_stays_far_below_the_trace_cap():
+    # So a `verify` range that the CLI accepts never reports EnumerationCapExceeded.
+    counts = {P: count_full_processes(P) for n in range(1, MAX_SWEEP_N + 1) for P in all_partitions(n)}
+    worst = max(counts, key=counts.get)
+    assert (worst, counts[worst]) == (from_parts([9, 7, 5, 3, 1]), 120)
+    assert counts[worst] * 1000 < uprocess.TRACE_CAP
 
 
 @pytest.mark.parametrize("call", [
