@@ -31,16 +31,16 @@ batch holds the samples of consecutive partitions of one order
 ``generic_jordan_type``), up to a fixed count of matrices and of
 entries, so that the per-column loop runs once for many small matrices
 and the memory held stays bounded for large ones.  Every partition of a
-call is sampled from the same seeds, and each seed's stream is drawn once
-and read by prefix.  One exact elimination kernel, ``_pivots``, gives
-every rank: it eliminates a batch of matrices forward, one pivot search
-per column for the whole batch, and returns each matrix's pivot
-columns, which are all that the profile reads.  A matrix wider than a
-panel is eliminated a panel of columns at a time, and each panel's
-transformation reaches the columns right of it as one product.  This is
-the FFLAS/FFPACK approach (Dumas, Giorgi and Pernet, ACM TOMS 35, 2008):
-word-size residues, products in float64 through BLAS, and an exact
-reduction mod p after each product.
+call is sampled from the same seeds, and each seed's stream is seeded
+once, extended as far as asked and read by prefix.  One exact
+elimination kernel, ``_pivots``, gives every rank: it eliminates a batch
+of matrices forward, one pivot search per column for the whole batch,
+and returns each matrix's pivot columns, which are all that the profile
+reads.  A matrix wider than a panel is eliminated a panel of columns at
+a time, and each panel's transformation reaches the columns right of it
+as one product.  This is the FFLAS/FFPACK approach (Dumas, Giorgi and
+Pernet, ACM TOMS 35, 2008): word-size residues, products in float64
+through BLAS, and an exact reduction mod p after each product.
 
 Entries are int64 residues in [0, p), and every elimination update, a
 product of two residues, is exact in int64.  That is the layer's one
@@ -52,13 +52,19 @@ is formed by ``_matmul``, in float64, which is exact while no sum passes
 2^53: a factor is split into as many limbs as that bound asks for, so
 every accepted modulus stays exact at every order.
 
+The coefficients are defined by the package, not by numpy: ``_Stream``
+states PCG64 with SeedSequence seeding and Lemire's bounded draws, which
+are the draws of ``numpy.random.default_rng(seed).integers(0, p, size=N)``
+bit for bit.  numpy's ``Generator`` is only the tests' oracle of that
+stream, so a sample does not depend on the installed numpy version.
+
 numpy is imported by the functions that use it, so only sampling or a
-rank profile loads it.
+rank profile loads it, and no function loads ``numpy.random``.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -156,12 +162,12 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 
 def _sample_stack(P: Partition, field: PrimeField, seeds: tuple[int, ...],
-                  streams: dict[int, np.ndarray]) -> np.ndarray:
+                  streams: dict[int, _Stream]) -> np.ndarray:
     """P's samples for ``seeds``, as one (len(seeds), n, n) stack.
 
-    Sample s takes its coefficients from ``default_rng(seeds[s])``, read
-    from the caller's table of streams (see ``_draws``; an empty table
-    draws every seed afresh).
+    Sample s takes its coefficients from the stream of seed ``seeds[s]``,
+    read from the caller's table of streams (see ``_draws``; an empty table
+    seeds every stream afresh).
     Commutation with the Jordan matrix (``_commutes_with_jordan``) and
     nilpotency (``_check_key_triangular``) are checked once on the stack,
     in O(n^2) per sample, and a failure names the seed of the sample that
@@ -181,24 +187,115 @@ def _sample_stack(P: Partition, field: PrimeField, seeds: tuple[int, ...],
     return A
 
 
-def _draws(streams: dict[int, np.ndarray], seeds: tuple[int, ...], count: int, p: int) -> np.ndarray:
-    """The first ``count`` draws of each seed's stream, as a (len(seeds),
-    count) array.
+# The constants of numpy's SeedSequence (its hashmix and mix) and PCG64's
+# 128-bit default multiplier.
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
-    ``streams`` is a table local to one call that keeps, for each seed, the
-    longest stream drawn so far; a seed is drawn again only when a longer
-    stream is asked for, and then at least twice as long, so that a level
-    draws each seed a few times.  ``default_rng(s).integers(0, p, size=N)``
-    is a prefix of the same draw with a larger size, and one array draw
-    yields the same stream as one scalar draw per coefficient, so every
-    prefix is the stream a sample of ``count`` coefficients draws alone.
+
+def _hashmix(constant: int, multiplier: int) -> Callable[[int], int]:
+    """SeedSequence's hashmix, whose hash constant runs on from call to call:
+    each call hashes one 32-bit word."""
+    def hashmix(value: int) -> int:
+        nonlocal constant
+        value ^= constant
+        constant = constant * multiplier & _MASK32
+        value = value * constant & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of two 32-bit words."""
+    mixed = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return mixed ^ mixed >> 16
+
+
+class _Stream:
+    """The coefficient stream of one seed over the field with p elements:
+    ``take(N)`` is ``numpy.random.default_rng(seed).integers(0, p, size=N)``
+    bit for bit, as an int64 array, for every N.
+
+    Seeding follows ``SeedSequence(seed)``: the seed's 32-bit words,
+    little-endian (0 is one word), are hashed into a pool of four words and
+    mixed, any words past the fourth are mixed in after, and
+    ``generate_state(4, uint64)`` hashes the pool out to four 64-bit words
+    of two 32-bit words each, low first.  They seed PCG64 (O'Neill,
+    HMC-CS-2014-0905, 2014), a 128-bit LCG with the default multiplier:
+    the first two are the initial state and the last two the sequence, set
+    up as ``pcg_setseq_128_srandom_r`` sets them.  Each step outputs the
+    XSL-RR of the new state, 64 bits that give two 32-bit words, low half
+    first.  A word w gives the draw w*p >> 32 unless the low 32 bits of
+    w*p fall below 2^32 mod p, when it is rejected (Lemire, ACM TOMACS 29,
+    2019).
+
+    numpy bounds a draw by this 32-bit method whenever p - 1 < 2^32 - 1,
+    and ``PrimeField`` admits no other modulus: (p-1)^2 < 2^63 gives
+    p - 1 < 2^31.5.  numpy's other paths, for p - 1 = 2^32 - 1 and for
+    p - 1 >= 2^32, are never needed.  The stream draws whole steps, so it
+    may hold one draw past N, and it resumes from the saved state with no
+    pending word.
+    """
+
+    def __init__(self, seed: int, p: int):
+        import numpy as np
+        words = [seed >> 32 * i & _MASK32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+        hashmix = _hashmix(_INIT_A, _MULT_A)
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for source in range(4):
+            for target in range(4):
+                if source != target:
+                    pool[target] = _mix(pool[target], hashmix(pool[source]))
+        for word in words[4:]:
+            for target in range(4):
+                pool[target] = _mix(pool[target], hashmix(word))
+        hashmix = _hashmix(_INIT_B, _MULT_B)
+        seeded = [hashmix(pool[i % 4]) | hashmix(pool[(i + 1) % 4]) << 32 for i in range(0, 8, 2)]
+        self._increment = ((seeded[2] << 64 | seeded[3]) << 1 | 1) & _MASK128
+        self._state = ((self._increment + (seeded[0] << 64 | seeded[1])) * _PCG_MULTIPLIER
+                       + self._increment) & _MASK128
+        self.p, self.draws = p, np.zeros(0, dtype=np.int64)
+
+    def take(self, count: int) -> np.ndarray:
+        """The stream's first ``count`` draws, drawing on from the saved
+        state as far as they need."""
+        import numpy as np
+        drawn, p, increment, state = [], self.p, self._increment, self._state
+        append, rejected_below, missing = drawn.append, (1 << 32) % p, count - len(self.draws)
+        while len(drawn) < missing:
+            for _ in range((missing - len(drawn) + 1) // 2):  # a step gives at most two draws
+                state = (state * _PCG_MULTIPLIER + increment) & _MASK128
+                rotation, word = state >> 122, ((state >> 64) ^ state) & _MASK64
+                word = (word >> rotation | word << (64 - rotation)) & _MASK64
+                scaled = (word & _MASK32) * p
+                if scaled & _MASK32 >= rejected_below:
+                    append(scaled >> 32)
+                scaled = (word >> 32) * p
+                if scaled & _MASK32 >= rejected_below:
+                    append(scaled >> 32)
+        if drawn:
+            self.draws = np.concatenate([self.draws, np.array(drawn, dtype=np.int64)])
+            self._state = state
+        return self.draws[:count]
+
+
+def _draws(streams: dict[int, _Stream], seeds: tuple[int, ...], count: int, p: int) -> np.ndarray:
+    """The first ``count`` draws of each seed's stream (``_Stream``), as an
+    int64 array of shape (len(seeds), count), empty for a layout with no
+    coefficients.
+
+    ``streams`` is a table local to one call that keeps each seed's stream,
+    seeded once and extended from its saved state when a longer prefix is
+    asked for, so every prefix is the stream a sample of ``count``
+    coefficients draws alone.
     """
     import numpy as np
     for s in seeds:
-        if s not in streams or len(streams[s]) < count:
-            size = max(count, 2 * len(streams.get(s, ())))
-            streams[s] = np.random.default_rng(s).integers(0, p, size=size)
-    return np.array([streams[s][:count] for s in seeds])
+        if s not in streams:
+            streams[s] = _Stream(s, p)
+    return np.stack([streams[s].take(count) for s in seeds])
 
 
 def _seeds(field: PrimeField, seed: int, samples: int) -> tuple[int, ...]:
@@ -646,10 +743,11 @@ def generic_jordan_types(partitions: Iterable[Partition], field: PrimeField, sam
     Each partition is yielded with its estimate once the batch that holds
     its last samples is profiled, so no more than one batch of samples is
     held at a time.  Every partition is sampled from the same seeds, each
-    seed's stream drawn once and read by prefix (``_draws``), and a Jordan
-    type does not depend on the batch, so the estimate does not depend on
-    the partition's neighbours.  The streams are dropped once they hold
-    more draws than a batch holds entries, so that they stay bounded too.
+    seed's stream extended from its saved state and read by prefix
+    (``_draws``), and a Jordan type does not depend on the batch, so the
+    estimate does not depend on the partition's neighbours.  The streams
+    are dropped once they hold more draws than a batch holds entries, so
+    that they stay bounded too.
     A partition whose check fails is yielded with the ``CheckFailed`` it
     raised in place of its estimate, and the other partitions of its batch
     keep theirs.  A refused parameter raises when the first partition is
@@ -659,7 +757,7 @@ def generic_jordan_types(partitions: Iterable[Partition], field: PrimeField, sam
     import numpy as np
     seeds = _seeds(field, seed, samples)
     found: dict[int, list[Partition | NotNilpotent] | CheckFailed] = {}
-    streams: dict[int, np.ndarray] = {}  # see _draws
+    streams: dict[int, _Stream] = {}  # see _draws
     for batch in _batches(partitions, len(seeds)):
         stacks, owners = [], []
         for i, P, piece in batch:
@@ -676,7 +774,7 @@ def generic_jordan_types(partitions: Iterable[Partition], field: PrimeField, sam
             stacks.clear()  # so that the batch is held once while it is profiled
             for i, t in zip(owners, _jordan_types(As, field.p)):
                 found[i].append(t)
-        if sum(map(len, streams.values())) > BATCH_ELEMENTS:
+        if sum(len(stream.draws) for stream in streams.values()) > BATCH_ELEMENTS:
             streams.clear()
         for i, P, piece in batch:
             if piece.stop == len(seeds):  # P's last samples

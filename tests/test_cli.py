@@ -95,7 +95,7 @@ def test_exit_codes_through_the_module_entry_point():
 NO_NUMPY_UNTIL_A_MATRIX = """
 import contextlib, io, sys
 from nilcomm import cli
-from nilcomm.matrixlab import PrimeField
+from nilcomm.matrixlab import PrimeField, generic_jordan_type, order_criterion_check
 from nilcomm.partitions import Partition
 from nilcomm.uprocess import enumerate_full_processes
 
@@ -112,6 +112,9 @@ with contextlib.redirect_stderr(err):
 assert "4 is not prime" in err.getvalue(), err.getvalue()
 assert cli.run_sweep(1, 6, with_matrix=True).ok
 assert "numpy" in sys.modules
+generic_jordan_type(Partition([4, 2, 2, 1]), PrimeField(1_000_003), 3, 0)
+assert order_criterion_check(Partition([3, 2, 1]), PrimeField(1_000_003), 3, 0).ok
+assert "numpy.random" not in sys.modules, "the sampler loaded numpy.random"
 """
 
 

@@ -2,8 +2,9 @@
 no private module-level function or class that nothing refers to, no
 public function that only the tests call, one home for the modulus rule,
 one function that forms matrix products, memos of one entry, no read
-of the process environment, and no private name quoted in a docstring or
-the README that the package does not define."""
+of the process environment, no use of ``numpy.random``, and no private
+name quoted in a docstring or the README that the package does not
+define."""
 import ast
 import re
 from collections import Counter
@@ -92,6 +93,37 @@ def test_no_module_imports_numpy_when_loaded():
     assert imported_when_loaded(ast.parse("def f():\n    import numpy as np\n    return np\n")) == set()
     loading = [name for name, tree in MODULES.items() if "numpy" in imported_when_loaded(tree)]
     assert not loading
+
+
+def reaches_numpy_random(node):
+    """Whether the node reaches ``numpy.random``: an import of it or from it,
+    the attribute ``random`` of ``np`` or ``numpy``, the name or attribute
+    ``default_rng``, or the string ``"numpy.random"`` (an import by name)."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[:2] == ["numpy", "random"] for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[:2] == ["numpy", "random"] or (
+            node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+    if isinstance(node, ast.Attribute):
+        return node.attr == "default_rng" or (
+            node.attr == "random" and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+    return (isinstance(node, ast.Name) and node.id == "default_rng"
+            or isinstance(node, ast.Constant) and node.value == "numpy.random")
+
+
+def test_no_module_reaches_numpy_random():
+    # The coefficient stream is stated once, by ``matrixlab._Stream``;
+    # numpy's Generator is only its oracle in the tests.
+    planted = ["import numpy.random", "import numpy.random as npr", "from numpy import random",
+               "from numpy.random import Generator", "import numpy as np\nnp.random.default_rng(0)",
+               "import numpy\nnumpy.random", "rng = default_rng", "__import__('numpy.random')"]
+    caught = [source for source in planted if any(map(reaches_numpy_random, ast.walk(ast.parse(source))))]
+    assert caught == planted
+    clean = "import random\nimport numpy as np\nnp.zeros(3), random.random(), 'numpy.random, in words'\n"
+    assert not any(map(reaches_numpy_random, ast.walk(ast.parse(clean))))
+    reaching = [f"{name}:{node.lineno}" for name, tree in MODULES.items() for node in ast.walk(tree)
+                if reaches_numpy_random(node)]
+    assert not reaching
 
 
 def test_every_private_definition_is_referenced():

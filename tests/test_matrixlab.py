@@ -777,22 +777,51 @@ def test_a_shorter_draw_is_a_prefix_of_a_longer_one(p):
                                   longest[:length]), (seed, length)
 
 
+STREAM_SEEDS = [0, 1, 7, 2**31 - 1, 2**32, 2**32 + 5, 2**63, 2**64 + 1, 10**30]
+STREAM_LENGTHS = [0, 1, 2, 3, 17, 256, 1001, 3000]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 1_000_003, BIG_PRIME, LARGEST_PRIME])
+def test_the_stream_is_numpys_bounded_pcg64_draw(p):
+    # numpy's Generator is the oracle of the package's stream.  At the
+    # largest prime, 2^32 mod p rejects about 29 % of the 32-bit words.
+    for seed in STREAM_SEEDS:
+        for length in STREAM_LENGTHS:
+            assert np.array_equal(matrixlab._Stream(seed, p).take(length),
+                                  np.random.default_rng(seed).integers(0, p, size=length)), (seed, length)
+
+
+@pytest.mark.parametrize("p", [2, 1_000_003, LARGEST_PRIME])
+def test_a_resumed_stream_is_a_fresh_stream_of_the_full_length(p):
+    for seed in STREAM_SEEDS:
+        resumed = matrixlab._Stream(seed, p)
+        taken = [resumed.take(length) for length in STREAM_LENGTHS]
+        assert all(np.array_equal(prefix, taken[-1][:length]) for prefix, length in zip(taken, STREAM_LENGTHS)), seed
+        assert np.array_equal(taken[-1], matrixlab._Stream(seed, p).take(STREAM_LENGTHS[-1])), seed
+
+
+def test_draws_are_int64_without_coefficients():
+    # P = (1) has no coefficient, and its draws are still an int64 array.
+    draws = matrixlab._draws({}, (0, 1), matrixlab._sample_layout(from_parts([1])).count, FIELD.p)
+    assert draws.dtype == np.int64 and draws.shape == (2, 0)
+
+
 def test_a_level_draws_each_seed_once_per_longer_stream(monkeypatch):
     drawn = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: drawn.append(seed) or default_rng(seed))
+    stream = matrixlab._Stream
+    monkeypatch.setattr(matrixlab, "_Stream", lambda seed, p: drawn.append(seed) or stream(seed, p))
     level = list(all_partitions(10))
     counts = [matrixlab._sample_layout(P).count for P in level]
     longer = sum(1 for i, count in enumerate(counts) if count > max(counts[:i], default=-1))
     for _ in range(2):  # the streams belong to one call, not to the module
         drawn.clear()
         estimates = list(generic_jordan_types(level, FIELD, 5, 3))
-        times = drawn.count(3)
-        assert 1 <= times <= longer < len(level)
+        times = drawn.count(3)  # a stream resumes, so a longer one seeds no second stream
+        assert times == 1 < longer < len(level)
         assert sorted(drawn) == sorted(list(range(3, 8)) * times)
     drawn.clear()
     assert estimates == [(P, generic_jordan_type(P, FIELD, 5, 3)) for P in level]
-    assert len(drawn) == 5 * len(level)  # one partition per call: each seed drawn once
+    assert len(drawn) == 5 * len(level)  # one partition per call: each seed seeded once
 
 
 def test_the_generic_type_of_the_empty_partition_is_refused():
