@@ -31,6 +31,7 @@ from .poset import build_poset, export_dot, export_json
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0
+DEFAULT_SAMPLES = 5
 MAX_SWEEP_N = 30
 
 
@@ -127,28 +128,27 @@ def _check_partition(P: Partition, record: dict, *, report: SweepReport,
     if estimate is not None:
         if isinstance(estimate, CheckFailed):
             raise estimate
-        est = estimate
-        record["Q_est"] = list(est.q.parts)
-        if len(est.q) != r_of(P):
-            fail(f"{name}: estimated type {est.q} has {len(est.q)} parts, expected {r_of(P)}")
+        record["Q_est"] = list(estimate.q.parts)
+        if len(estimate.q) != r_of(P):
+            fail(f"{name}: estimated type {estimate.q} has {len(estimate.q)} parts, expected {r_of(P)}")
         best_simple, _ = uchains.max_simple_u_chains(P)
-        if est.q.max_part != best_simple:
-            fail(f"{name}: largest estimated part {est.q.max_part} != max simple size {best_simple}")
-        if not dominance_leq(lam_u, est.q):
-            fail(f"{name}: {lam_u} not dominated by estimate {est.q}")
+        if estimate.q.max_part != best_simple:
+            fail(f"{name}: largest estimated part {estimate.q.max_part} != max simple size {best_simple}")
+        if not dominance_leq(lam_u, estimate.q):
+            fail(f"{name}: {lam_u} not dominated by estimate {estimate.q}")
         # Every sample is supported on the strict order of D_P (the layout's
         # entries are its comparable pairs), so it specializes the generic
         # matrix on that order, whose Jordan type is lambda(D_P): Gansner,
         # SIAM J. Algebraic Discrete Methods 2 (1981); Saks, Discrete Math.
         # 59 (1986).  The ranks of its powers can only drop under
-        # specialization, so each sampled type, and their maximum, is
+        # specialization, so each sampled type, and their join, is
         # dominated by lambda.
-        if not dominance_leq(est.q, lam):
-            fail(f"{name}: estimate {est.q} not dominated by lambda {lam}")
+        if not dominance_leq(estimate.q, lam):
+            fail(f"{name}: estimate {estimate.q} not dominated by lambda {lam}")
 
 
 def run_sweep(n_min: int, n_max: int, *, with_matrix: bool = False,
-              prime: int = matrixlab.DEFAULT_PRIME, samples: int = 5,
+              prime: int = matrixlab.DEFAULT_PRIME, samples: int = DEFAULT_SAMPLES,
               seed: int = DEFAULT_SEED) -> SweepReport:
     """Verify the theorem suite for every partition of every n in range.
 
@@ -247,10 +247,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     P = parse_partition(args.partition)
+    D = build_poset(P)
     if args.format == "dot":
-        text = export_dot(build_poset(P))
+        text = export_dot(D)
     else:
-        D = build_poset(P)
         trace = uprocess.canonical_process(P)
         best, anchors = uchains.max_simple_u_chains(P)
         record = {
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="include finite-field sampling checks")
     ver.add_argument("--prime", type=int, default=matrixlab.DEFAULT_PRIME,
                      help=f"field modulus (default {matrixlab.DEFAULT_PRIME})")
-    ver.add_argument("--samples", type=int, default=5)
+    ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED, help="first sample's seed, >= 0")
     ver.add_argument("--json", action="store_true", help="emit the sweep report as JSON")
     ver.set_defaults(func=_cmd_verify)

@@ -121,7 +121,3 @@ class CommutationCheckFailed(CheckFailed):
 
 class NotNilpotent(CheckFailed):
     """A matrix expected to be nilpotent is not."""
-
-
-class IncomparableSamples(CheckFailed):
-    """Sampled Jordan types have no dominance-maximum; refusing to guess."""

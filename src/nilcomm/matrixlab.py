@@ -13,8 +13,10 @@ object of interest.
 
 The infinite ground field is replaced by a prime field; a random
 specialization preserves generic ranks except with probability on the
-order of 1/p per minor, so taking the dominance maximum over a handful of
-samples recovers the generic type with overwhelming probability.
+order of 1/p per minor, so the dominance join of a handful of sampled
+types recovers the generic type with overwhelming probability.  Every
+sampled type lies below the generic one, so at any prime their join is a
+lower bound on it.
 
 A sample's Jordan type is read from the ranks of its powers, which come
 from one block-Krylov elimination instead of from the powers themselves:
@@ -66,19 +68,19 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     CheckFailed,
     CommutationCheckFailed,
     EmptyPartition,
-    IncomparableSamples,
     Int64BoundExceeded,
     InvalidParameter,
     NotNilpotent,
     PosetTooLarge,
     is_integer,
 )
-from .partitions import Partition, checked_partition, conjugate, dominance_leq
+from .partitions import Partition, checked_partition, conjugate, dominance_join
 from .poset import Vertex, build_poset, vertex_list
 
 DEFAULT_PRIME = 1_000_003
@@ -664,7 +666,9 @@ def _batch_size(n: int) -> int:
 
 @dataclass(frozen=True)
 class GenericTypeEstimate:
-    """Dominance-maximum Jordan type over several samples."""
+    """The dominance join ``q`` of several sampled Jordan types, with the
+    samples' ``types`` and ``seeds``.  ``agree_count`` samples have type
+    ``q``: 0 where no sampled type dominates all the others."""
 
     q: Partition
     types: tuple[Partition, ...]
@@ -674,29 +678,23 @@ class GenericTypeEstimate:
 
 
 def _estimate(types: list[Partition | NotNilpotent], seeds: tuple[int, ...], p: int) -> GenericTypeEstimate:
-    """The dominance maximum of one partition's sampled types.
+    """The dominance join of one partition's sampled types.
 
-    The generic type dominates every special one, so the estimate is the
-    dominance maximum of the sampled types.  If no sampled type dominates
-    all others the samples are reported as incomparable instead of
-    guessing; a sample found not nilpotent is refused by its seed.
+    The generic type dominates every special one, so it dominates their
+    join, the least type that dominates them all: where one sampled type
+    dominates the others, the join is that type.  A sample found not
+    nilpotent is refused by its seed.
     """
     for t, s in zip(types, seeds):
         if isinstance(t, NotNilpotent):
             raise NotNilpotent(f"{t} (seed {s})")
-    distinct = list(dict.fromkeys(types))  # samples mostly agree: compare each type once
-    best = next((t for t in distinct if all(dominance_leq(other, t) for other in distinct)), None)
-    if best is None:
-        raise IncomparableSamples(
-            f"no dominance maximum among sampled types {[str(t) for t in types]} (seed {seeds[0]})"
-        )
-    agree = sum(1 for t in types if t == best)
-    return GenericTypeEstimate(best, tuple(types), seeds, p, agree)
+    q = reduce(dominance_join, dict.fromkeys(types))  # samples mostly agree: join each type once
+    return GenericTypeEstimate(q, tuple(types), seeds, p, types.count(q))
 
 
 def generic_jordan_type(P: Partition, field: PrimeField, samples: int, seed: int) -> GenericTypeEstimate:
     """Estimate the generic Jordan type of the sampled family, as the
-    dominance maximum of ``samples`` sampled types (see ``_estimate``).
+    dominance join of ``samples`` sampled types (see ``_estimate``).
 
     This is ``generic_jordan_types`` for P alone: the samples are drawn
     and profiled ``_batch_size(P.n)`` at a time, so that the memory held

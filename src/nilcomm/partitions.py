@@ -9,10 +9,11 @@ formulas rely on.
 from __future__ import annotations
 
 import sys
-from itertools import pairwise
+from itertools import accumulate, pairwise, zip_longest
 from typing import Iterable, Iterator
 
-from .errors import CheckFailed, EmptyPartition, InvalidParameter, NonPositivePart, UnequalWeight, is_integer
+from .errors import (CheckFailed, EmptyPartition, InvalidParameter, NonMonotoneProfile, NonPositivePart,
+                     UnequalWeight, is_integer)
 
 
 class Partition:
@@ -123,6 +124,24 @@ def dominance_leq(P: Partition, Q: Partition) -> bool:
         if sp > sq:
             return False
     return True
+
+
+def dominance_join(P: Partition, Q: Partition) -> Partition:
+    """The least partition that dominates both P and Q.
+
+    Dominance is a lattice (Brylawski, Discrete Math. 6, 1973), and
+    conjugation reverses it, so the join is the conjugate of the meet of
+    the conjugates.  The meet's prefix sums are the pointwise minimum of
+    theirs, a shorter sequence padded with the total; a minimum of concave
+    sequences is concave, so their differences form a partition, and
+    ``checked_partition`` refuses them otherwise.  Both must partition the
+    same total.
+    """
+    if P.n != Q.n:
+        raise UnequalWeight(f"cannot join partitions of {P.n} and {Q.n}")
+    sums = zip_longest(*(accumulate(conjugate(R).parts) for R in (P, Q)), fillvalue=P.n)
+    meet = [t - s for s, t in pairwise([0, *map(min, sums)])]
+    return conjugate(checked_partition(meet, NonMonotoneProfile, "meet differences"))
 
 
 def is_almost_rectangular(P: Partition) -> bool:

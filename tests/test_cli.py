@@ -79,7 +79,7 @@ def test_exit_codes_through_the_module_entry_point():
         (["verify", "1", "3"], {"NILCOMM_PRIME": "abc"}, 0),
         # a part too large to index a list
         (["invariants", "-p", "99999999999999999999"], {}, 2),
-        # over GF(2) the samples of (2,2,1,1) have no dominance maximum: a failed check
+        # over GF(2) the samples of (2,2,1,1) fall short of the generic type: a failed bound check
         (["verify", "1", "10", "--with-matrix", "--prime", "2"], {}, 1),
     ]
     runs = [subprocess.Popen([sys.executable, "-m", "nilcomm", *argv], env=module_env(**extra),
@@ -429,65 +429,74 @@ def drop_vertex(union):
 
 
 # One planted fault per check of ``_check_partition`` and ``run_sweep``: the
-# planted partition, the plant, the sweep and its exact failures.  A fault
-# that breaks two checks fails both.  lambda = lambda_U at every n checked
-# here, so an estimate other than lambda_U breaks a bound: that is why
-# Q_est == lambda_U is counted, not checked.
+# planted partition, the plant, the sweep, its exact failures and how far
+# the count of Q_est == lambda_U drops.  A fault that breaks two checks
+# fails both.  lambda = lambda_U at every n checked here, so an estimate
+# other than lambda_U breaks a bound: that is why Q_est == lambda_U is
+# counted, not checked.  The part-count and largest-part checks still fail
+# alone, on a fault in what they compare the estimate with.
 SWEEP_FAULTS = {
     "lambda below lambda_U": (
         [9], lambda mp: altered(mp, greene, "chain_union_profile", from_parts([9]),
                                 lambda _: greene.ChainUnionProfile(from_parts([8, 1]))),
-        (9, 9), {}, ["9: chain invariant does not dominate the anchored one"]),
+        (9, 9), {}, ["9: chain invariant does not dominate the anchored one"], 0),
     "lambda_U not stable": (
         [2, 1], lambda mp: altered(mp, uchains, "lambda_u", from_parts([2, 1]), lambda _: from_parts([2, 1])),
-        (3, 3), {}, ["2,1: parts of (2,1) differ by less than 2", "2,1: prefix family [1] covers 3 != u_1=2"]),
+        (3, 3), {}, ["2,1: parts of (2,1) differ by less than 2", "2,1: prefix family [1] covers 3 != u_1=2"], 0),
     "strand size": (
         [2, 1], lambda mp: altered(mp, uchains, "strand_table", from_parts([2, 1]),
                                    lambda table: {**table, (1, 2): drop_vertex(table[1, 2])}),
-        (3, 3), {}, ["2,1: strand 1 of anchor 2 has 1 vertices != slot weight 2"]),
+        (3, 3), {}, ["2,1: strand 1 of anchor 2 has 1 vertices != slot weight 2"], 0),
     "flow against the oracle": (
         [3, 1], lambda mp: altered(mp, greene, "chain_union_profile", from_parts([3, 1]),
                                    lambda _: greene.ChainUnionProfile(from_parts([4]))),
-        (4, 4), {}, ["3,1: flow c_1=4 != oracle 3"]),
+        (4, 4), {}, ["3,1: flow c_1=4 != oracle 3"], 0),
     "prefix family size": (
         [3, 1], lambda mp: altered(mp, uprocess, "prefix_families", from_parts([3, 1]),
                                    lambda found: (found[0], {spec: drop_vertex(union) if spec.anchors == (1,)
                                                              else union for spec, union in found[1].items()})),
-        (4, 4), {}, ["3,1: prefix family [1] covers 2 != u_1=3"]),
+        (4, 4), {}, ["3,1: prefix family [1] covers 2 != u_1=3"], 0),
     "estimate's part count": (
         [4, 2], lambda mp: planted_estimate(mp, from_parts([4, 2]), from_parts([4, 1, 1])),
         (6, 6), {"with_matrix": True}, ["4,2: estimated type (4,1,1) has 3 parts, expected 2",
-                                        "4,2: (4,2) not dominated by estimate (4,1,1)"]),
+                                        "4,2: (4,2) not dominated by estimate (4,1,1)"], 1),
     "estimate's largest part": (
         [4, 2], lambda mp: planted_estimate(mp, from_parts([4, 2]), from_parts([3, 3])),
         (6, 6), {"with_matrix": True}, ["4,2: largest estimated part 3 != max simple size 4",
-                                        "4,2: (4,2) not dominated by estimate (3,3)"]),
+                                        "4,2: (4,2) not dominated by estimate (3,3)"], 1),
     "estimate below lambda_U": (
         [5, 3, 1], lambda mp: planted_estimate(mp, from_parts([5, 3, 1]), from_parts([5, 2, 2])),
-        (9, 9), {"with_matrix": True}, ["5,3,1: (5,3,1) not dominated by estimate (5,2,2)"]),
+        (9, 9), {"with_matrix": True}, ["5,3,1: (5,3,1) not dominated by estimate (5,2,2)"], 1),
     "estimate above lambda": (
         [4, 2], lambda mp: planted_estimate(mp, from_parts([4, 2]), from_parts([5, 1])),
         (6, 6), {"with_matrix": True},
-        ["4,2: largest estimated part 5 != max simple size 4", "4,2: estimate (5,1) not dominated by lambda (4,2)"]),
+        ["4,2: largest estimated part 5 != max simple size 4", "4,2: estimate (5,1) not dominated by lambda (4,2)"],
+        1),
+    "estimate's part count, r_P off": (
+        [4, 2], lambda mp: altered(mp, cli, "r_of", from_parts([4, 2]), lambda r: r + 1),
+        (6, 6), {"with_matrix": True}, ["4,2: estimated type (4,2) has 2 parts, expected 3"], 0),
+    "estimate's largest part, max simple size off": (
+        [4, 2], lambda mp: altered(mp, uchains, "max_simple_u_chains", from_parts([4, 2]),
+                                   lambda found: (found[0] - 1, found[1])),
+        (6, 6), {"with_matrix": True}, ["4,2: largest estimated part 4 != max simple size 3"], 0),
     "partition count": (
         [1, 1, 1, 1], lambda mp: mp.setattr(cli, "all_partitions",
                                             lambda n: [P for P in all_partitions(n) if P != Partition([1] * 4)]),
-        (4, 4), {}, ["n=4: enumerated 4 partitions, recurrence says 5"]),
+        (4, 4), {}, ["n=4: enumerated 4 partitions, recurrence says 5"], 0),
 }
 
 
 @pytest.mark.parametrize("fault", SWEEP_FAULTS)
 def test_each_sweep_check_fails_its_partition_only(monkeypatch, fault):
-    parts, plant, bounds, options, failures = SWEEP_FAULTS[fault]
+    parts, plant, bounds, options, failures, drop = SWEEP_FAULTS[fault]
     clean = run_sweep(*bounds, **options)
     plant(monkeypatch)
     report = run_sweep(*bounds, **options)
     assert clean.ok and report.failures == failures
     assert ([record for record in report.records if record["P"] != parts]
             == [record for record in clean.records if record["P"] != parts])
-    # every planted estimate differs from lambda_U, and the count reads it
     checked, agreed = clean.conjecture
-    assert report.conjecture == (checked, agreed - options.get("with_matrix", False))
+    assert report.conjecture == (checked, agreed - drop)
 
 
 def test_the_text_report_counts_a_lambda_that_differs_from_lambda_u(monkeypatch, capsys):

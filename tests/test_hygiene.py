@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with ``ast`` alone: no unused import,
 no private module-level function or class that nothing refers to, no
-public function that only the tests call, one home for the modulus rule,
+public function that only the tests call, no exception class that no
+other module raises or hands on, one home for the modulus rule,
 one function that forms matrix products, memos of one entry, no read
 of the process environment, no use of ``numpy.random``, and no private
 name quoted in a docstring or the README that the package does not
@@ -133,6 +134,28 @@ def test_every_private_definition_is_referenced():
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and node.name not in used]
     assert not unreferenced
+
+
+def orphaned_classes(errors, others):
+    """The classes that the module ``errors`` defines and none of the
+    modules ``others`` reads, apart from the bases a caller catches."""
+    read = set().union(*map(used_names, others))
+    return [node.name for node in errors.body if isinstance(node, ast.ClassDef)
+            and node.name not in ("NilcommError", "CheckFailed") and node.name not in read]
+
+
+def test_every_exception_class_is_raised_or_handed_on():
+    # A class is referenced by a raise or as an argument (``NonMonotoneSizes``
+    # is handed to ``checked_partition``); an import alone, or a re-export
+    # by ``__init__``, is no reference.  Deleting the last raise of a class
+    # takes the class with it.
+    planted = ast.parse("class NilcommError(Exception): pass\nclass CheckFailed(NilcommError): pass\n"
+                        "class Raised(CheckFailed): pass\nclass Passed(CheckFailed): pass\n"
+                        "class Orphan(CheckFailed): pass\n")
+    user = ast.parse("from .errors import Orphan, Passed, Raised\nraise Raised('x')\ncheck(parts, Passed)\n")
+    assert orphaned_classes(planted, [user]) == ["Orphan"]
+    others = [tree for name, tree in MODULES.items() if name not in ("errors.py", "__init__.py")]
+    assert not orphaned_classes(MODULES["errors.py"], others)
 
 
 # Public functions that no caller reads, each with its reason.

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from nilcomm.cli import run_sweep
 from nilcomm.errors import (
     CommutationCheckFailed,
     EmptyPartition,
-    IncomparableSamples,
     Int64BoundExceeded,
     InvalidParameter,
     NotNilpotent,
@@ -25,7 +25,7 @@ from nilcomm.matrixlab import (
     jordan_type_from_ranks,
     order_criterion_check,
 )
-from nilcomm.partitions import Partition, all_partitions, conjugate, dominance_leq, from_parts
+from nilcomm.partitions import Partition, all_partitions, conjugate, dominance_join, dominance_leq, from_parts
 from nilcomm.poset import build_poset, vertex_list
 from nilcomm.uchains import lambda_u
 
@@ -331,7 +331,8 @@ def test_generic_type_examples():
     assert est.seeds == (42, 43, 44, 45, 46)
 
 
-def test_incomparable_samples_are_refused(monkeypatch):
+def test_incomparable_samples_give_their_join(monkeypatch):
+    # Neither planted type dominates the other, and no sample reaches their join.
     fake_types = {0: Partition([3, 1, 1, 1]), 1: Partition([2, 2, 2])}
     monkeypatch.setattr(
         matrixlab, "_sample_stack",
@@ -341,8 +342,9 @@ def test_incomparable_samples_are_refused(monkeypatch):
         matrixlab, "_jordan_types",
         lambda matrices, p: [fake_types[matrix % 2] for matrix in matrices],
     )
-    with pytest.raises(IncomparableSamples):
-        matrixlab.generic_jordan_type(from_parts([3, 1, 1, 1]), FIELD, 2, seed=0)
+    est = matrixlab.generic_jordan_type(from_parts([3, 1, 1, 1]), FIELD, 2, seed=0)
+    assert est.q == from_parts([3, 2, 1]) and est.agree_count == 0
+    assert est.types == (fake_types[0], fake_types[1])
 
 
 def test_structural_pairs_match_poset_order():
@@ -623,12 +625,13 @@ def test_generic_types_equal_each_sample_alone_at_p_3():
     for n in range(1, 11):
         for P in all_partitions(n):
             alone = tuple(jordan_type_from_ranks(sample(P, field, s), 3) for s in range(4))
+            est = generic_jordan_type(P, field, 4, 0)
+            assert est.types == alone and est.q == reduce(dominance_join, alone), P
             if any(all(dominance_leq(t, best) for t in alone) for best in alone):
-                assert generic_jordan_type(P, field, 4, 0).types == alone, P
+                assert est.q in alone, P  # the maximum, as before the join
                 checked += 1
             else:
-                with pytest.raises(IncomparableSamples):
-                    generic_jordan_type(P, field, 4, 0)
+                assert est.agree_count == 0, P
     assert checked > 130
 
 

@@ -10,6 +10,7 @@ from nilcomm.partitions import (
     all_partitions,
     checked_partition,
     conjugate,
+    dominance_join,
     dominance_leq,
     format_partition,
     from_parts,
@@ -79,6 +80,33 @@ def test_dominance_examples():
 def test_dominance_requires_equal_weight():
     with pytest.raises(UnequalWeight):
         dominance_leq(from_parts([2]), from_parts([2, 1]))
+
+
+def test_the_join_is_the_least_upper_bound():
+    # By brute force over dominance_leq: the join dominates both, and every
+    # partition that dominates both dominates the join.
+    for n in range(1, 11):
+        ps = list(all_partitions(n))
+        above = {a: {b for b in ps if dominance_leq(a, b)} for a in ps}
+        for a, b in itertools.product(ps, repeat=2):
+            upper, join = above[a] & above[b], dominance_join(a, b)
+            assert join in upper and upper <= above[join], (a, b)
+
+
+def test_the_join_of_comparable_partitions_is_the_larger():
+    for n in range(1, 11):
+        for a, b in itertools.product(all_partitions(n), repeat=2):
+            if dominance_leq(a, b):
+                assert dominance_join(a, b) == dominance_join(b, a) == b, (a, b)
+    # incomparable: neither is the join
+    assert dominance_join(from_parts([3, 1, 1, 1]), from_parts([2, 2, 2])) == from_parts([3, 2, 1])
+
+
+def test_the_join_requires_equal_weight():
+    with pytest.raises(UnequalWeight):
+        dominance_join(from_parts([2]), from_parts([2, 1]))
+    with pytest.raises(UnequalWeight):
+        dominance_join(from_parts([1, 1, 1]), from_parts([2]))
 
 
 def test_dominance_is_a_partial_order():
